@@ -1,5 +1,7 @@
 """Benchmark: reproduce Table 1 (dataset inventory)."""
 
+from repro.session import get_scenario
+
 
 def test_bench_table1(benchmark, run_experiment):
     result = run_experiment(benchmark, "table1")
@@ -11,4 +13,5 @@ def test_table1_inventory_includes_tier1_looking_glasses(benchmark, run_experime
     looking_glass_rows = [row for row in result.rows if row[5] == "yes"]
     assert len(looking_glass_rows) == len(dataset.looking_glass_ases)
     tier1_lg = [row for row in looking_glass_rows if row[3] == 1]
-    assert len(tier1_lg) >= dataset.parameters.tier1_looking_glass_count
+    observation = get_scenario("standard").config().observation
+    assert len(tier1_lg) >= observation.tier1_looking_glass_count

@@ -14,7 +14,7 @@ Run with::
     python examples/persistence_study.py
 """
 
-from repro.core.persistence import PersistenceAnalyzer
+from repro.analysis.persistence import persistence_series, uptime_distribution
 from repro.reporting.figures import ascii_series
 from repro.reporting.tables import ascii_table, format_percent
 from repro.simulation.policies import PolicyGenerator, PolicyParameters
@@ -45,8 +45,7 @@ def main() -> None:
     )
     snapshots = timeline.run()
 
-    analyzer = PersistenceAnalyzer(internet.graph)
-    series = analyzer.series_for_provider(snapshots, provider)
+    series = persistence_series(snapshots, provider, internet.graph)
     print(f"Prefixes observed at AS{provider} over {SNAPSHOTS} daily snapshots:")
     print(
         ascii_series(
@@ -60,7 +59,7 @@ def main() -> None:
     )
     print()
 
-    distribution = analyzer.uptime_distribution(snapshots, provider)
+    distribution = uptime_distribution(snapshots, provider, internet.graph)
     rows = [
         [uptime, remaining, shifting]
         for uptime, remaining, shifting in distribution.histogram()

@@ -10,8 +10,8 @@ observation stage and the paper's analyses:
   :mod:`repro.core` analysis as a one-pass query over the shared index,
   with results identical to the legacy analyzers (golden equivalence suite
   in ``tests/analysis/``).
-* :mod:`repro.analysis.persistence` — the snapshot-sharing fast path for
-  the Figs. 6/7 persistence study.
+* :mod:`repro.analysis.persistence` — the Figs. 6/7 persistence study
+  (Section 5.1.4) over timeline snapshots.
 
 The session layer exposes the engine as the cached ``ANALYSIS`` stage
 (``Stage.ANALYSIS`` / ``StageView.analysis``); experiments declare it in
@@ -21,7 +21,8 @@ The session layer exposes the engine as the cached ``ANALYSIS`` stage
 from repro.analysis.engine import AnalysisEngine
 from repro.analysis.index import GlassIndex, IrrRow, MeasurementIndex, TableIndex
 from repro.analysis.persistence import (
-    SnapshotSACore,
+    PersistenceSeries,
+    UptimeDistribution,
     persistence_series,
     uptime_distribution,
 )
@@ -31,8 +32,9 @@ __all__ = [
     "GlassIndex",
     "IrrRow",
     "MeasurementIndex",
-    "SnapshotSACore",
+    "PersistenceSeries",
     "TableIndex",
+    "UptimeDistribution",
     "persistence_series",
     "uptime_distribution",
 ]

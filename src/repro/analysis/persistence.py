@@ -1,74 +1,122 @@
-"""Snapshot-sharing fast path for the persistence study (Figs. 6 and 7).
+"""Persistence of SA prefixes over time (paper Section 5.1.4, Figs. 6 and 7).
 
-The persistence analysis runs the Fig. 4 SA-prefix algorithm once per
-timeline snapshot over a fixed AS graph (only announcements churn between
-snapshots).  :class:`SnapshotSACore` holds one memoising
-:class:`~repro.core.export_policy.ExportPolicyAnalyzer` across the whole
-timeline, so every cone and customer-path search is paid once instead of
-once per snapshot — the Fig. 4 algorithm itself lives in exactly one place.
-Results are identical to the legacy
-:class:`~repro.core.persistence.PersistenceAnalyzer` (asserted by the
-golden equivalence suite).
+Given a chronological sequence of timeline snapshots (daily over a month, or
+2-hourly over a day), the analysis tracks, for one provider:
+
+* the number of prefixes and of SA prefixes in each snapshot (Fig. 6), and
+* per prefix, its *uptime* (number of snapshots in which it appears) and its
+  *SA uptime* (number of snapshots in which it is an SA prefix); prefixes
+  whose SA uptime is lower than their uptime have shifted from SA to non-SA
+  at some point (Fig. 7).
+
+Only announcements churn between snapshots, so each function holds one
+memoising :class:`~repro.core.export_policy.ExportPolicyAnalyzer` across the
+whole timeline: every cone and customer-path search of the Fig. 4 algorithm
+is paid once instead of once per snapshot.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.export_policy import ExportPolicyAnalyzer, SAPrefixReport
-from repro.core.persistence import PersistenceSeries, UptimeDistribution
+from repro.core.export_policy import ExportPolicyAnalyzer
 from repro.net.asn import ASN
+from repro.net.prefix import Prefix
 from repro.topology.graph import AnnotatedASGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.bgp.rib import LocRib
     from repro.simulation.timeline import Snapshot
 
 
-class SnapshotSACore:
-    """Shared SA-prefix computation state for a fixed relationship graph.
+@dataclass
+class PersistenceSeries:
+    """Fig. 6 style series for one provider.
 
-    A thin wrapper holding one memoising analyzer: the customer cones and
-    customer-path searches are snapshot-invariant, so amortising one
-    :class:`~repro.core.export_policy.ExportPolicyAnalyzer` across a
-    timeline pays each graph walk once.
+    Attributes:
+        provider: the provider analysed.
+        snapshot_indices: the snapshot numbers.
+        all_prefix_counts: prefixes in the provider's table per snapshot.
+        sa_prefix_counts: SA prefixes per snapshot.
     """
 
-    def __init__(self, relationships: AnnotatedASGraph) -> None:
-        """Build the shared analyzer for one (immutable) graph."""
-        self.relationships = relationships
-        self._analyzer = ExportPolicyAnalyzer(relationships)
+    provider: ASN
+    snapshot_indices: list[int] = field(default_factory=list)
+    all_prefix_counts: list[int] = field(default_factory=list)
+    sa_prefix_counts: list[int] = field(default_factory=list)
 
-    def cone(self, provider: ASN) -> set[ASN]:
-        """The provider's customer cone, computed once per provider."""
-        return self._analyzer.customer_cone(provider)
+    def as_rows(self) -> list[tuple[int, int, int]]:
+        """(snapshot, all prefixes, SA prefixes) rows."""
+        return list(
+            zip(self.snapshot_indices, self.all_prefix_counts, self.sa_prefix_counts)
+        )
 
-    def customer_path(self, provider: ASN, origin: ASN) -> list[ASN]:
-        """One provider→customer path down to ``origin`` (``[]`` if none)."""
-        return self._analyzer.customer_path(provider, origin)
 
-    def sa_report(self, provider: ASN, table: "LocRib") -> SAPrefixReport:
-        """The Fig. 4 report for one snapshot table, with shared memos.
+@dataclass
+class UptimeDistribution:
+    """Fig. 7 style distribution for one provider.
 
-        Exactly :meth:`ExportPolicyAnalyzer.find_sa_prefixes` (without
-        ground-truth prefix ownership, matching the persistence analyzer's
-        call) — the algorithm is not duplicated here.
-        """
-        return self._analyzer.find_sa_prefixes(provider, table)
+    Attributes:
+        provider: the provider analysed.
+        snapshot_count: number of snapshots examined.
+        uptime: per prefix, the number of snapshots it appears in.
+        sa_uptime: per prefix, the number of snapshots it is an SA prefix in.
+    """
+
+    provider: ASN
+    snapshot_count: int = 0
+    uptime: dict[Prefix, int] = field(default_factory=dict)
+    sa_uptime: dict[Prefix, int] = field(default_factory=dict)
+
+    def ever_sa_prefixes(self) -> set[Prefix]:
+        """Prefixes that were an SA prefix in at least one snapshot."""
+        return {prefix for prefix, count in self.sa_uptime.items() if count > 0}
+
+    def remaining_sa_prefixes(self) -> set[Prefix]:
+        """Prefixes that were SA in *every* snapshot they appeared in."""
+        return {
+            prefix
+            for prefix in self.ever_sa_prefixes()
+            if self.sa_uptime[prefix] == self.uptime.get(prefix, 0)
+        }
+
+    def shifting_prefixes(self) -> set[Prefix]:
+        """Prefixes that shifted from SA to non-SA during the period."""
+        return self.ever_sa_prefixes() - self.remaining_sa_prefixes()
+
+    def histogram(self) -> list[tuple[int, int, int]]:
+        """Fig. 7 histogram rows: (uptime, remaining-as-SA count, shifting count)."""
+        remaining = self.remaining_sa_prefixes()
+        shifting = self.shifting_prefixes()
+        rows: list[tuple[int, int, int]] = []
+        for uptime_value in range(1, self.snapshot_count + 1):
+            remaining_count = sum(
+                1 for prefix in remaining if self.uptime.get(prefix) == uptime_value
+            )
+            shifting_count = sum(
+                1 for prefix in shifting if self.uptime.get(prefix) == uptime_value
+            )
+            rows.append((uptime_value, remaining_count, shifting_count))
+        return rows
+
+    @property
+    def percent_shifting(self) -> float:
+        """Fraction of ever-SA prefixes that shifted to non-SA at some point."""
+        ever = self.ever_sa_prefixes()
+        if not ever:
+            return 0.0
+        return 100.0 * len(self.shifting_prefixes()) / len(ever)
 
 
 def persistence_series(
-    snapshots: list["Snapshot"],
-    provider: ASN,
-    relationships: AnnotatedASGraph,
-    core: SnapshotSACore | None = None,
+    snapshots: list["Snapshot"], provider: ASN, relationships: AnnotatedASGraph
 ) -> PersistenceSeries:
     """Fig. 6: per-snapshot prefix and SA-prefix counts for one provider."""
-    core = core or SnapshotSACore(relationships)
+    analyzer = ExportPolicyAnalyzer(relationships)
     series = PersistenceSeries(provider=provider)
     for snapshot in snapshots:
         table = snapshot.result.table_of(provider)
-        report = core.sa_report(provider, table)
+        report = analyzer.find_sa_prefixes(provider, table)
         series.snapshot_indices.append(snapshot.index)
         series.all_prefix_counts.append(len(table))
         series.sa_prefix_counts.append(report.sa_prefix_count)
@@ -76,18 +124,14 @@ def persistence_series(
 
 
 def uptime_distribution(
-    snapshots: list["Snapshot"],
-    provider: ASN,
-    relationships: AnnotatedASGraph,
-    core: SnapshotSACore | None = None,
+    snapshots: list["Snapshot"], provider: ASN, relationships: AnnotatedASGraph
 ) -> UptimeDistribution:
     """Fig. 7: uptime and SA-uptime of every prefix seen at the provider."""
-    core = core or SnapshotSACore(relationships)
+    analyzer = ExportPolicyAnalyzer(relationships)
     distribution = UptimeDistribution(provider=provider, snapshot_count=len(snapshots))
     for snapshot in snapshots:
         table = snapshot.result.table_of(provider)
-        report = core.sa_report(provider, table)
-        sa_set = report.sa_prefix_set()
+        sa_set = analyzer.find_sa_prefixes(provider, table).sa_prefix_set()
         for prefix in table.prefixes():
             distribution.uptime[prefix] = distribution.uptime.get(prefix, 0) + 1
             if prefix in sa_set:

@@ -7,7 +7,6 @@ Usage::
     python -m repro run --scenario large --workers 4 --json
     python -m repro run --scenario multihoming@7 # one scenario-family sample
     python -m repro run table5 --seed 42 --output-dir out/
-    python -m repro run --engine legacy          # original propagation engine
     python -m repro run --propagation-workers 4  # shard prefix propagation
     python -m repro run --cache-dir .repro-cache # persist stage artifacts on disk
     python -m repro list                         # experiment ids + required stages
@@ -28,9 +27,7 @@ Usage::
 
 ``--cache-dir`` (or the ``REPRO_CACHE_DIR`` environment variable) attaches
 the durable artifact store (see ``docs/storage.md``): stage artifacts are
-persisted once and shared by every later process.  ``python -m
-repro.experiments`` remains as a thin compatibility shim over ``python -m
-repro run``.
+persisted once and shared by every later process.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ import sys
 from repro.exceptions import ReproError
 from repro.session.cache import CACHE_DIR_ENV, StageCache
 from repro.session.scenarios import all_families, all_scenarios, resolve_scenario
-from repro.session.stages import PropagationSettings
 from repro.session.suite import SuiteReport, run_suite
 from repro.storage.store import DiskStore
 
@@ -130,19 +126,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="thread-pool size for independent experiments (default: 1)",
     )
     run.add_argument(
-        "--engine",
-        choices=("fast", "legacy"),
-        default="fast",
-        help="propagation engine: the compiled fast engine (default) or the "
-        "legacy message-object engine (both produce identical results)",
-    )
-    run.add_argument(
         "--propagation-workers",
         type=int,
         default=1,
         metavar="N",
-        help="shard prefix propagation over N worker processes (fast engine "
-        "only; default: 1)",
+        help="shard prefix propagation over N worker processes (default: 1)",
     )
     run.add_argument(
         "--json",
@@ -304,9 +292,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="per-case prefix-propagation fan-out width (fast engine, "
-        "zero-copy shard pool; the compiled topology is shared through the "
-        "store, and the result is identical for every width; default: 1)",
+        help="per-case prefix-propagation fan-out width (zero-copy shard "
+        "pool; the compiled topology is shared through the store, and the "
+        "result is identical for every width; default: 1)",
     )
     sweep.add_argument(
         "--fault-plan",
@@ -407,12 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    settings = PropagationSettings(
-        engine=args.engine, workers=args.propagation_workers
-    )
-    settings.validate()
     study = resolve_scenario(args.scenario).study(
-        cache=_study_cache(args), propagation=settings
+        cache=_study_cache(args), propagation_workers=args.propagation_workers
     )
     if args.seed is not None:
         study = study.seeded(args.seed)

@@ -13,8 +13,6 @@ Each module maps onto a section of the paper:
   inferred relationships and SA prefixes (Tables 4 and 7).
 * :mod:`repro.core.causes` — Section 5.1.5: multihoming, prefix splitting,
   prefix aggregation and selective announcing (Tables 8 and 9, Case 3).
-* :mod:`repro.core.persistence` — Section 5.1.4: persistence of SA prefixes
-  over time (Figs. 6 and 7).
 * :mod:`repro.core.peer_export` — Section 5.2: export policies toward peers
   (Table 10).
 * :mod:`repro.core.community` — Appendix: community-semantics inference and
@@ -32,7 +30,6 @@ from repro.core.consistency import ConsistencyAnalyzer, ConsistencyResult
 from repro.core.export_policy import ExportPolicyAnalyzer, SAPrefixReport
 from repro.core.verification import SAVerificationResult, Verifier
 from repro.core.causes import CauseAnalyzer, CauseBreakdown, HomingBreakdown
-from repro.core.persistence import PersistenceAnalyzer, PersistenceSeries, UptimeDistribution
 from repro.core.peer_export import PeerExportAnalyzer, PeerExportReport
 from repro.core.community import CommunityAnalyzer, CommunitySemantics
 from repro.core.atoms import PolicyAtom, PolicyAtomAnalyzer
@@ -50,13 +47,10 @@ __all__ = [
     "IrrTypicalityResult",
     "PeerExportAnalyzer",
     "PeerExportReport",
-    "PersistenceAnalyzer",
-    "PersistenceSeries",
     "PolicyAtom",
     "PolicyAtomAnalyzer",
     "SAPrefixReport",
     "SAVerificationResult",
     "TypicalityResult",
-    "UptimeDistribution",
     "Verifier",
 ]

@@ -17,8 +17,7 @@ from a simulation:
 * :mod:`repro.data.dataset` — the :class:`~repro.data.dataset.StudyDataset`
   combining collector tables, Looking Glass views, the IRR and ground truth,
   mirroring the paper's Section 3 / Table 1 inventory.  Assembled from the
-  staged :mod:`repro.session` pipeline; the legacy entry points here remain
-  as thin delegates.
+  staged :mod:`repro.session` pipeline.
 """
 
 from repro.data.archive import ArchivedDataset, export_dataset, load_dataset
@@ -30,19 +29,17 @@ from repro.data.show_ip_bgp import (
     parse_show_ip_bgp_table,
 )
 from repro.data.rpsl import AutNumObject, IrrDatabase, PolicyLine
-from repro.data.dataset import DatasetParameters, StudyDataset, build_dataset
+from repro.data.dataset import StudyDataset
 
 __all__ = [
     "ArchivedDataset",
     "AutNumObject",
-    "DatasetParameters",
     "IrrDatabase",
     "MrtReader",
     "MrtWriter",
     "PolicyLine",
     "RibEntryRecord",
     "StudyDataset",
-    "build_dataset",
     "export_dataset",
     "load_dataset",
     "format_show_ip_bgp_detail",

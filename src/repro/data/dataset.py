@@ -7,11 +7,10 @@ communities visible, 3 of them Tier-1s), and the IRR database.  A
 policy assignment, one propagation run observed at the collector's vantage
 ASes and at the Looking Glass ASes, plus a synthetic IRR.
 
-Since the :mod:`repro.session` redesign the dataset is assembled from the
-staged :class:`~repro.session.study.Study` pipeline; this module keeps the
-flat view and the legacy entry points (:func:`build_dataset`,
-:func:`default_dataset`, :func:`small_dataset`) as thin delegates so existing
-code keeps working.  New code should prefer the session API::
+The dataset is assembled from the staged :class:`~repro.session.study.Study`
+pipeline; this module keeps the flat view plus the memoised
+:func:`default_dataset` and :func:`small_dataset` helpers.  New code should
+prefer the session API::
 
     from repro.session import get_scenario
     dataset = get_scenario("standard").study().dataset()
@@ -27,63 +26,13 @@ from repro.data.rpsl import IrrDatabase
 from repro.exceptions import SimulationError
 from repro.net.asn import ASN
 from repro.simulation.collector import CollectorTable, LookingGlass
-from repro.simulation.policies import PolicyAssignment, PolicyParameters
+from repro.simulation.policies import PolicyAssignment
 from repro.simulation.propagation import SimulationResult
-from repro.topology.generator import GeneratorParameters, SyntheticInternet
+from repro.topology.generator import SyntheticInternet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.analysis.engine import AnalysisEngine
     from repro.session.stages import AnalysisParameters
-
-
-@dataclass(frozen=True)
-class DatasetParameters:
-    """Configuration of the study dataset (legacy flat form).
-
-    Frozen (immutable and hashable): :func:`build_dataset` can no longer be
-    affected by callers mutating the parameters after the fact, and a
-    parameter set can key the :mod:`repro.session` stage cache.  The staged
-    equivalent is :class:`repro.session.StudyConfig`; the two convert losslessly
-    via :meth:`repro.session.StudyConfig.from_dataset_parameters` and
-    :meth:`repro.session.StudyConfig.dataset_parameters`.
-
-    Attributes:
-        topology: the synthetic-Internet generator parameters.
-        policy: the policy-generator parameters.
-        looking_glass_count: number of Looking Glass ASes (the paper has 15).
-        tier1_looking_glass_count: how many of them are Tier-1s (paper: 3).
-        collector_vantage_count: number of ASes peering with the collector
-            (the paper's Oregon server peers with 56).
-        irr_registration_probability: fraction of ASes registered in the IRR.
-        irr_stale_probability: fraction of registered objects that are stale.
-        seed: seed for vantage/looking-glass sampling and Table 1 metadata.
-    """
-
-    topology: GeneratorParameters = field(
-        default_factory=lambda: GeneratorParameters(
-            seed=2002,
-            tier1_count=6,
-            tier2_count=18,
-            tier3_count=45,
-            stub_count=260,
-        )
-    )
-    policy: PolicyParameters = field(default_factory=PolicyParameters)
-    looking_glass_count: int = 15
-    tier1_looking_glass_count: int = 3
-    collector_vantage_count: int = 24
-    irr_registration_probability: float = 0.7
-    irr_stale_probability: float = 0.15
-    seed: int = 1118
-
-    def validate(self) -> None:
-        """Raise :class:`SimulationError` on inconsistent settings."""
-        if self.tier1_looking_glass_count > self.looking_glass_count:
-            raise SimulationError(
-                "tier1_looking_glass_count cannot exceed looking_glass_count"
-            )
-        if self.collector_vantage_count < 1:
-            raise SimulationError("collector_vantage_count must be at least 1")
 
 
 @dataclass
@@ -104,7 +53,6 @@ class StudyDataset:
     """The complete dataset every experiment consumes (flat compatibility view).
 
     Attributes:
-        parameters: the dataset configuration.
         internet: the synthetic Internet (topology, tiers, prefixes).
         assignment: the per-AS policies (with ground truth).
         result: the propagation result observed at vantage + Looking Glass ASes.
@@ -116,7 +64,6 @@ class StudyDataset:
         as_info: Table 1 style metadata per AS in the dataset inventory.
     """
 
-    parameters: DatasetParameters
     internet: SyntheticInternet
     assignment: PolicyAssignment
     result: SimulationResult
@@ -211,19 +158,6 @@ class StudyDataset:
             if self._analysis_engine is None:
                 self._analysis_engine = engine
             return self._analysis_engine
-
-
-def build_dataset(parameters: DatasetParameters | None = None) -> StudyDataset:
-    """Generate the Internet, assign policies, simulate, and observe.
-
-    Legacy one-shot entry point; delegates to a staged
-    :class:`~repro.session.study.Study` with an isolated cache, so every call
-    builds a fresh dataset exactly like the seed API did.
-    """
-    from repro.session.cache import StageCache
-    from repro.session.study import study_from_dataset_parameters
-
-    return study_from_dataset_parameters(parameters, cache=StageCache()).dataset()
 
 
 def default_dataset() -> StudyDataset:

@@ -4,7 +4,7 @@ Every experiment is a small class with a ``run(dataset)`` method returning an
 :class:`~repro.experiments.base.ExperimentResult` (headers + rows + notes)
 that can be rendered as an ASCII table next to the paper's original.  The
 registry maps experiment identifiers (``"table2"``, ``"fig6"``, ...) to
-experiment instances; ``python -m repro.experiments`` runs them all.
+experiment instances; ``python -m repro run`` runs them all.
 """
 
 from repro.experiments.base import Experiment, ExperimentResult

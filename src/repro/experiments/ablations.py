@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.core.causes import CauseAnalyzer
 from repro.core.export_policy import ExportPolicyAnalyzer
+from repro.exceptions import InferenceError
 from repro.session.stages import Stage, StageView
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import provider_tables, sa_reports
@@ -52,11 +53,13 @@ class AblationExperiment(Experiment):
         inferred_analyzer = ExportPolicyAnalyzer(inferred_graph)
         tables = provider_tables(dataset)
         baseline = sa_reports(dataset)
+        skipped = []
         for provider, table in tables.items():
             truth_report = baseline[provider]
             try:
                 inferred_report = inferred_analyzer.find_sa_prefixes(provider, table)
-            except Exception:
+            except InferenceError:  # the provider is absent from the inferred graph
+                skipped.append(f"AS{provider}")
                 continue
             result.rows.append(
                 ["relationships", f"AS{provider}", "ground truth",
@@ -70,6 +73,11 @@ class AblationExperiment(Experiment):
             "relationships: the SA percentage should move only slightly when inferred "
             "relationships replace ground truth (paper Section 4.3)."
         )
+        if skipped:
+            result.notes.append(
+                "relationships: skipped (not in the Gao-inferred graph): "
+                + ", ".join(skipped)
+            )
 
     # -- best routes vs all routes ---------------------------------------------------
 

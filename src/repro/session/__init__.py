@@ -48,12 +48,11 @@ from repro.session.stages import (
     ObservationArtifact,
     ObservationParameters,
     PolicyStageArtifact,
-    PropagationSettings,
     Stage,
     StageView,
     StudyConfig,
 )
-from repro.session.study import Study, study_from_dataset_parameters
+from repro.session.study import Study
 from repro.session.suite import ExperimentReport, SuiteReport, run_suite
 from repro.session.sweep import (
     SweepCase,
@@ -72,7 +71,6 @@ __all__ = [
     "ObservationArtifact",
     "ObservationParameters",
     "PolicyStageArtifact",
-    "PropagationSettings",
     "Scenario",
     "ScenarioFamily",
     "Stage",
@@ -98,5 +96,4 @@ __all__ = [
     "run_sweep",
     "expand_case_specs",
     "scenario_names",
-    "study_from_dataset_parameters",
 ]

@@ -35,7 +35,7 @@ from typing import Callable
 
 from repro.exceptions import ExperimentError
 from repro.session.cache import StageCache
-from repro.session.stages import ObservationParameters, PropagationSettings, StudyConfig
+from repro.session.stages import ObservationParameters, StudyConfig
 from repro.session.study import Study
 from repro.simulation.policies import PolicyParameters
 from repro.topology.generator import GeneratorParameters
@@ -60,17 +60,12 @@ class Scenario:
         return self.config_factory()
 
     def study(
-        self,
-        *,
-        cache: StageCache | None = None,
-        propagation: PropagationSettings | None = None,
+        self, *, cache: StageCache | None = None, propagation_workers: int = 1
     ) -> Study:
-        """A :class:`Study` of this scenario (sharing the global cache by default).
-
-        ``propagation`` selects the propagation engine and worker count (the
-        fast engine with one worker when omitted).
-        """
-        return Study(self.config(), cache=cache, propagation=propagation)
+        """A :class:`Study` of this scenario (sharing the global cache by default)."""
+        return Study(
+            self.config(), cache=cache, propagation_workers=propagation_workers
+        )
 
 
 _SCENARIOS: dict[str, Scenario] = {}
@@ -163,10 +158,12 @@ class ScenarioFamily:
         seed: int,
         *,
         cache: StageCache | None = None,
-        propagation: PropagationSettings | None = None,
+        propagation_workers: int = 1,
     ) -> Study:
         """A :class:`Study` of the sample at ``seed``."""
-        return Study(self.sample(seed), cache=cache, propagation=propagation)
+        return Study(
+            self.sample(seed), cache=cache, propagation_workers=propagation_workers
+        )
 
 
 _FAMILIES: dict[str, ScenarioFamily] = {}

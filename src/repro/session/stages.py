@@ -10,11 +10,9 @@ explicit stage with its own frozen parameter set:
 * **policies** — choose the vantage/Looking Glass plan and draw the per-AS
   policy assignment (:class:`ObservationParameters` select the vantages, the
   Looking Glass list feeds the generator's prefix-based LOCAL_PREF draw).
-* **propagation** — run the BGP propagation engine observed at the planned
-  vantage ASes.  The compiled fast engine
-  (:class:`~repro.simulation.fastpath.FastPropagationEngine`) is the
-  default; :class:`PropagationSettings` selects the legacy engine or a
-  per-prefix worker pool instead.
+* **propagation** — run the compiled BGP propagation engine
+  (:class:`~repro.simulation.fastpath.FastPropagationEngine`) observed at
+  the planned vantage ASes, optionally over a per-prefix worker pool.
 * **observation** — collect the RouteViews-style table, the Looking Glass
   views and the Table 1 inventory.
 * **irr** — synthesise the IRR database (:class:`IrrParameters`).
@@ -41,7 +39,7 @@ from repro.topology.generator import GeneratorParameters, SyntheticInternet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.analysis.engine import AnalysisEngine
-    from repro.data.dataset import ASInfo, DatasetParameters, StudyDataset
+    from repro.data.dataset import ASInfo, StudyDataset
     from repro.data.rpsl import IrrDatabase
     from repro.net.asn import ASN
     from repro.simulation.collector import CollectorTable, LookingGlass
@@ -90,44 +88,6 @@ class ObservationParameters:
             )
         if self.collector_vantage_count < 1:
             raise SimulationError("collector_vantage_count must be at least 1")
-
-
-@dataclass(frozen=True)
-class PropagationSettings:
-    """*How* the propagation stage executes (not *what* it computes).
-
-    The fast and legacy engines produce identical
-    :class:`~repro.simulation.propagation.SimulationResult` artifacts
-    (asserted by the fastpath equivalence suite), and the worker count never
-    changes the merged result — so these settings select an execution
-    strategy.  Only the engine name participates in the stage cache key
-    (keeping an explicit ``--engine legacy`` run honest about what it built);
-    the worker count is excluded.
-
-    Attributes:
-        engine: ``"fast"`` (the compiled-topology engine, the default) or
-            ``"legacy"`` (the original message-object engine).
-        workers: per-prefix fan-out width of the fast engine; ``1`` runs
-            in-process, ``N > 1`` cuts the originated prefixes into
-            contiguous shards over a process pool on the zero-copy path:
-            the compiled topology lives in a shared-memory segment (or an
-            mmap'ed ``compiled-topology`` store artifact) that workers
-            attach by name — no per-task pickling — and shard results merge
-            deterministically in task order, so the artifact is
-            byte-identical for every worker count.
-    """
-
-    engine: str = "fast"
-    workers: int = 1
-
-    def validate(self) -> None:
-        """Raise :class:`SimulationError` on unknown engines or bad workers."""
-        if self.engine not in ("fast", "legacy"):
-            raise SimulationError(
-                f"unknown propagation engine {self.engine!r}; known: fast, legacy"
-            )
-        if self.workers < 1:
-            raise SimulationError(f"propagation workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -191,49 +151,6 @@ class StudyConfig:
         self.policy.validate()
         self.observation.validate()
         self.analysis.validate()
-
-    # -- compatibility with the flat DatasetParameters -------------------------
-
-    @classmethod
-    def from_dataset_parameters(cls, parameters: "DatasetParameters") -> "StudyConfig":
-        """Build a staged config from the legacy flat parameter object."""
-        return cls(
-            topology=parameters.topology,
-            policy=parameters.policy,
-            observation=ObservationParameters(
-                looking_glass_count=parameters.looking_glass_count,
-                tier1_looking_glass_count=parameters.tier1_looking_glass_count,
-                collector_vantage_count=parameters.collector_vantage_count,
-                seed=parameters.seed,
-            ),
-            irr=IrrParameters(
-                registration_probability=parameters.irr_registration_probability,
-                stale_probability=parameters.irr_stale_probability,
-                seed=parameters.seed,
-            ),
-        )
-
-    def dataset_parameters(self) -> "DatasetParameters":
-        """The legacy flat view of this config (for ``StudyDataset.parameters``).
-
-        The flat form has a single ``seed`` for both the observation plan and
-        the IRR; the conversion is lossless exactly when ``irr.seed ==
-        observation.seed`` (true for every built-in scenario and for
-        :meth:`Study.seeded` derivations).  With diverging seeds the flat
-        view records the observation seed.
-        """
-        from repro.data.dataset import DatasetParameters
-
-        return DatasetParameters(
-            topology=self.topology,
-            policy=self.policy,
-            looking_glass_count=self.observation.looking_glass_count,
-            tier1_looking_glass_count=self.observation.tier1_looking_glass_count,
-            collector_vantage_count=self.observation.collector_vantage_count,
-            irr_registration_probability=self.irr.registration_probability,
-            irr_stale_probability=self.irr.stale_probability,
-            seed=self.observation.seed,
-        )
 
 
 # -- stage artifacts ---------------------------------------------------------------
@@ -308,11 +225,6 @@ class StageView:
     def allowed_stages(self) -> frozenset[Stage]:
         """The stages this view exposes."""
         return self._allowed
-
-    @property
-    def parameters(self):
-        """The dataset's (legacy, flat) parameter object; never gated."""
-        return self._dataset.parameters
 
     @property
     def cache_token(self) -> int:

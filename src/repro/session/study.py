@@ -24,8 +24,9 @@ import random
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from repro.data.dataset import ASInfo, DatasetParameters, StudyDataset
+from repro.data.dataset import ASInfo, StudyDataset
 from repro.data.rpsl import IrrDatabase
+from repro.exceptions import SimulationError
 from repro.session.cache import GLOBAL_CACHE, StageCache, fingerprint
 from repro.session.stages import (
     ALL_STAGES,
@@ -34,7 +35,6 @@ from repro.session.stages import (
     ObservationArtifact,
     ObservationParameters,
     PolicyStageArtifact,
-    PropagationSettings,
     Stage,
     StageView,
     StudyConfig,
@@ -42,7 +42,7 @@ from repro.session.stages import (
 from repro.simulation.collector import LookingGlass, RouteViewsCollector
 from repro.simulation.fastpath import FastPropagationEngine
 from repro.simulation.policies import PolicyGenerator, PolicyParameters
-from repro.simulation.propagation import PropagationEngine, SimulationResult
+from repro.simulation.propagation import SimulationResult
 from repro.topology.generator import GeneratorParameters, InternetGenerator, SyntheticInternet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -59,10 +59,12 @@ class Study:
     Args:
         config: the per-stage configuration (defaults to the standard one).
         cache: the stage cache to build into.  Defaults to the process-wide
-            cache so scenario studies and the legacy dataset helpers share
+            cache so scenario studies and the dataset helpers share
             artifacts; pass a fresh :class:`StageCache` for isolation.
-        propagation: execution settings of the propagation stage (engine
-            choice + worker count); defaults to the fast engine, one worker.
+        propagation_workers: per-prefix fan-out width of the propagation
+            stage; ``1`` runs in-process, ``N > 1`` shards the originated
+            prefixes over a zero-copy process pool.  The merged artifact is
+            byte-identical for every width, so it never enters a stage key.
     """
 
     def __init__(
@@ -70,13 +72,16 @@ class Study:
         config: StudyConfig | None = None,
         *,
         cache: StageCache | None = None,
-        propagation: PropagationSettings | None = None,
+        propagation_workers: int = 1,
     ):
         self.config = config or StudyConfig()
         self.config.validate()
+        if propagation_workers < 1:
+            raise SimulationError(
+                f"propagation workers must be >= 1, got {propagation_workers}"
+            )
         self.cache = cache if cache is not None else GLOBAL_CACHE
-        self.propagation_settings = propagation or PropagationSettings()
-        self.propagation_settings.validate()
+        self.propagation_workers = propagation_workers
 
     # -- derivation ------------------------------------------------------------
 
@@ -108,15 +113,14 @@ class Study:
         return Study(
             replace(self.config, **overrides),
             cache=self.cache,
-            propagation=self.propagation_settings,
+            propagation_workers=self.propagation_workers,
         )
 
     def seeded(self, seed: int) -> "Study":
         """A study whose every stage seed derives deterministically from ``seed``.
 
-        Observation and IRR share one derived seed, keeping the config inside
-        the space the flat :class:`DatasetParameters` view can represent
-        faithfully (its single ``seed`` field covers both).
+        Observation and IRR share one derived seed; report digests depend on
+        this derivation.
         """
         config = replace(
             self.config,
@@ -125,7 +129,9 @@ class Study:
             observation=replace(self.config.observation, seed=seed + 2),
             irr=replace(self.config.irr, seed=seed + 2),
         )
-        return Study(config, cache=self.cache, propagation=self.propagation_settings)
+        return Study(
+            config, cache=self.cache, propagation_workers=self.propagation_workers
+        )
 
     # -- stage keys ------------------------------------------------------------
 
@@ -142,14 +148,9 @@ class Study:
                 config.policy,
             )
         if stage is Stage.PROPAGATION:
-            # The engine name is part of the key so an explicit legacy run
-            # really builds with the legacy engine; the worker count is not
-            # (sharding never changes the merged artifact).
-            return fingerprint(
-                Stage.PROPAGATION,
-                self.stage_key(Stage.POLICIES),
-                self.propagation_settings.engine,
-            )
+            # The worker count is not part of the key: sharding never
+            # changes the merged artifact.
+            return fingerprint(Stage.PROPAGATION, self.stage_key(Stage.POLICIES))
         if stage is Stage.OBSERVATION:
             return fingerprint(
                 Stage.OBSERVATION, self.stage_key(Stage.PROPAGATION), config.observation
@@ -238,8 +239,8 @@ class Study:
 
         Keyed by the policies stage (compilation depends only on topology,
         policies and the observation plan) so every sweep case sharing those
-        upstream stages attaches the same artifact — worker count and engine
-        choice never enter the key.
+        upstream stages attaches the same artifact — the worker count never
+        enters the key.
         """
         from repro.simulation.fastpath import shm
 
@@ -283,30 +284,22 @@ class Study:
     def propagation(self) -> SimulationResult:
         """The propagation run observed at the planned vantage ASes (stage 3).
 
-        Executed by the engine selected in :class:`PropagationSettings` —
-        the compiled fast engine by default, with optional per-prefix
-        process-pool fan-out (``workers``) over the zero-copy shared
-        topology.  With a disk cache attached, the compiled topology itself
-        is a store tier (``compiled-topology``), so concurrent sweep cases
-        attach one mmap'ed artifact instead of each re-compiling.
+        Executed by the compiled fast engine, with optional per-prefix
+        process-pool fan-out (``propagation_workers``) over the zero-copy
+        shared topology.  With a disk cache attached, the compiled topology
+        itself is a store tier (``compiled-topology``), so concurrent sweep
+        cases attach one mmap'ed artifact instead of each re-compiling.
         """
 
         def build() -> SimulationResult:
             plan = self.policies()
-            settings = self.propagation_settings
-            if settings.engine == "legacy":
-                engine = PropagationEngine(
-                    self.topology(), plan.assignment, observed_ases=plan.observed_ases
-                )
-            else:
-                engine = FastPropagationEngine(
-                    self.topology(),
-                    plan.assignment,
-                    observed_ases=plan.observed_ases,
-                    workers=settings.workers,
-                    compiled=self._compiled_topology(plan),
-                )
-            return engine.run()
+            return FastPropagationEngine(
+                self.topology(),
+                plan.assignment,
+                observed_ases=plan.observed_ases,
+                workers=self.propagation_workers,
+                compiled=self._compiled_topology(plan),
+            ).run()
 
         return self._build(Stage.PROPAGATION, build)
 
@@ -385,7 +378,7 @@ class Study:
         """The flat :class:`StudyDataset` compatibility view over the stages.
 
         The assembled view is itself cached, so repeated calls (and the
-        legacy ``default_dataset``/``small_dataset`` helpers built on top)
+        ``default_dataset``/``small_dataset`` helpers built on top)
         return the same object for the same configuration and cache.
         """
         key = fingerprint(
@@ -397,7 +390,6 @@ class Study:
         plan = self.policies()
         observed = self.observation()
         return StudyDataset(
-            parameters=self.config.dataset_parameters(),
             internet=self.topology(),
             assignment=plan.assignment,
             result=self.propagation(),
@@ -413,15 +405,3 @@ class Study:
     def view(self, requires: frozenset[Stage] = ALL_STAGES) -> StageView:
         """A stage-gated view over the assembled dataset."""
         return StageView(self.dataset(), requires)
-
-
-def study_from_dataset_parameters(
-    parameters: DatasetParameters | None = None, *, cache: StageCache | None = None
-) -> Study:
-    """A study equivalent to the legacy ``build_dataset(parameters)`` call."""
-    config = (
-        StudyConfig.from_dataset_parameters(parameters)
-        if parameters is not None
-        else StudyConfig()
-    )
-    return Study(config, cache=cache)

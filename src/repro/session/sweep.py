@@ -61,7 +61,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.runtime import PLAN_ENV, activate, fault_point, mark_worker, reset
 from repro.session.cache import StageCache, fingerprint
 from repro.session.scenarios import get_family, resolve_scenario
-from repro.session.stages import PropagationSettings, Stage
+from repro.session.stages import Stage
 from repro.session.suite import run_suite
 from repro.storage.store import DiskStore
 
@@ -244,8 +244,8 @@ def expand_case_specs(
 def report_key(study, experiment_ids: list[str] | None, scenario: str) -> str:
     """The content address of one case's suite report.
 
-    Covers every stage key of the study (hence the whole configuration,
-    engine choice included), the experiment list and the scenario label
+    Covers every stage key of the study (hence the whole configuration),
+    the experiment list and the scenario label
     (recorded inside the report JSON), so any change that could alter the
     report bytes moves the key.
     """
@@ -323,8 +323,7 @@ def _run_sweep_case(task: tuple[str, tuple[str, ...] | None, str, int]) -> tuple
     started = time.perf_counter()
     cache = StageCache(disk=DiskStore(cache_dir))
     study = resolve_scenario(spec).study(
-        cache=cache,
-        propagation=PropagationSettings(workers=propagation_workers),
+        cache=cache, propagation_workers=propagation_workers
     )
     ids = list(experiments) if experiments else None
 

@@ -9,13 +9,13 @@ observed at collector and Looking Glass vantage points.
 * :mod:`repro.simulation.policies` — per-AS policy configuration and the
   seeded policy generator (local-preference schemes, selective announcement,
   community tagging, peer-export behaviour).
-* :mod:`repro.simulation.propagation` — the message-passing propagation
-  engine implementing the decision process and the Gao–Rexford export rules
-  plus the configured policies.
+* :mod:`repro.simulation.propagation` — the result types plus the reference
+  message-passing engine (decision process, Gao–Rexford export rules and the
+  configured policies), kept as the test oracle of the fast path.
 * :mod:`repro.simulation.fastpath` — the compiled fast propagation core
   (interned flat-graph engine, incremental best-route selection, parallel
-  per-prefix fan-out); the default engine behind the session layer,
-  producing results identical to the legacy engine.
+  per-prefix fan-out); the one production engine, behind the session layer,
+  the timeline and the figure scenarios.
 * :mod:`repro.simulation.collector` — RouteViews-style collectors and
   Looking Glass views (including multi-router views of one AS).
 * :mod:`repro.simulation.timeline` — repeated simulation under policy churn,

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from repro.net.asn import ASN
 from repro.net.prefix import Prefix
 from repro.simulation.policies import ASPolicy, PolicyAssignment
-from repro.simulation.propagation import PropagationEngine, SimulationResult
+from repro.simulation.fastpath import FastPropagationEngine
+from repro.simulation.propagation import SimulationResult
 from repro.topology.generator import GeneratorParameters, SyntheticInternet
 from repro.topology.graph import AnnotatedASGraph
 from repro.topology.hierarchy import classify_tiers
@@ -50,10 +51,9 @@ class Scenario:
 
     def run(self) -> SimulationResult:
         """Propagate the scenario and return the observed tables."""
-        engine = PropagationEngine(
+        return FastPropagationEngine(
             self.internet, self.assignment, observed_ases=self.observed_ases
-        )
-        return engine.run()
+        ).run()
 
 
 def _internet_from_graph(

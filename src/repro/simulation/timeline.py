@@ -6,9 +6,9 @@ Between snapshots, operators occasionally change their export policies —
 switching announcements between providers, adding or removing selective
 announcement — which turns SA prefixes into non-SA prefixes and vice versa.
 
-:class:`Timeline` re-runs the propagation engine once per snapshot under a
-slowly churning policy assignment and records, for each snapshot, the tables
-at the studied providers.  The churn operates only on the origin-level export
+:class:`Timeline` re-runs the fast propagation engine once per snapshot under
+a slowly churning policy assignment and records, for each snapshot, the
+tables at the studied providers.  The churn operates only on the origin-level export
 policies; topology and import policies stay fixed, matching the paper's
 premise that what changes day to day is the announcement pattern.
 """
@@ -23,7 +23,7 @@ from repro.exceptions import SimulationError
 from repro.net.asn import ASN
 from repro.simulation.fastpath import FastPropagationEngine
 from repro.simulation.policies import PolicyAssignment
-from repro.simulation.propagation import PropagationEngine, SimulationResult
+from repro.simulation.propagation import SimulationResult
 from repro.topology.generator import SyntheticInternet
 
 
@@ -85,18 +85,12 @@ class Timeline:
         assignment: PolicyAssignment,
         observed_ases: list[ASN],
         parameters: TimelineParameters | None = None,
-        engine: str = "fast",
     ) -> None:
         self.internet = internet
         self.base_assignment = assignment
         self.observed_ases = observed_ases
         self.parameters = parameters or TimelineParameters()
         self.parameters.validate()
-        if engine not in ("fast", "legacy"):
-            raise SimulationError(
-                f"unknown propagation engine {engine!r}; known: fast, legacy"
-            )
-        self.engine = engine
 
     def run(self) -> list[Snapshot]:
         """Simulate every snapshot and return them in chronological order."""
@@ -107,20 +101,19 @@ class Timeline:
             changed: set[ASN] = set()
             if index > 0:
                 changed = self._churn(assignment, rng)
-            # The churn mutates export policies in place, so each snapshot
-            # compiles (or classifies) the assignment afresh; both engines
-            # produce identical snapshots.
-            if self.engine == "fast":
-                engine: PropagationEngine | FastPropagationEngine = FastPropagationEngine(
-                    self.internet, assignment, observed_ases=self.observed_ases
-                )
-            else:
-                engine = PropagationEngine(
-                    self.internet, assignment, observed_ases=self.observed_ases
-                )
-            result = engine.run()
+            result = self._propagate(assignment)
             snapshots.append(Snapshot(index=index, result=result, changed_origins=changed))
         return snapshots
+
+    def _propagate(self, assignment: PolicyAssignment) -> SimulationResult:
+        """One snapshot's propagation run under the current assignment.
+
+        The churn mutates export policies in place, so every snapshot
+        compiles the assignment afresh.
+        """
+        return FastPropagationEngine(
+            self.internet, assignment, observed_ases=self.observed_ases
+        ).run()
 
     # -- churn ---------------------------------------------------------------------
 

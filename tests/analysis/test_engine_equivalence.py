@@ -20,7 +20,6 @@ from repro.core.consistency import ConsistencyAnalyzer
 from repro.core.export_policy import ExportPolicyAnalyzer
 from repro.core.import_policy import ImportPolicyAnalyzer
 from repro.core.peer_export import PeerExportAnalyzer
-from repro.core.persistence import PersistenceAnalyzer
 from repro.core.verification import Verifier
 from repro.experiments.common import persistence_snapshots
 from repro.relationships.gao import GaoInference
@@ -201,11 +200,21 @@ def test_fuzz_oracle_checks_the_same_surface():
 
 
 def test_persistence_equivalent():
+    """Figs. 6/7 equal per-snapshot reports of fresh legacy analyzers."""
     provider, snapshots, graph = persistence_snapshots(8, 99)
-    analyzer = PersistenceAnalyzer(graph)
-    assert persistence_series(
-        list(snapshots), provider, graph
-    ) == analyzer.series_for_provider(list(snapshots), provider)
-    assert uptime_distribution(
-        list(snapshots), provider, graph
-    ) == analyzer.uptime_distribution(list(snapshots), provider)
+    tables = [snapshot.result.table_of(provider) for snapshot in snapshots]
+    reports = [
+        ExportPolicyAnalyzer(graph).find_sa_prefixes(provider, table) for table in tables
+    ]
+    series = persistence_series(list(snapshots), provider, graph)
+    assert series.as_rows() == [
+        (snapshot.index, len(table), report.sa_prefix_count)
+        for snapshot, table, report in zip(snapshots, tables, reports)
+    ]
+    distribution = uptime_distribution(list(snapshots), provider, graph)
+    assert set(distribution.uptime) == set().union(*(table.prefixes() for table in tables))
+    for prefix, uptime in distribution.uptime.items():
+        assert uptime == sum(prefix in table for table in tables)
+        assert distribution.sa_uptime.get(prefix, 0) == sum(
+            prefix in report.sa_prefix_set() for report in reports
+        )

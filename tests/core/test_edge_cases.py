@@ -7,7 +7,7 @@ the legacy behaviour down with handcrafted fixtures.
 
 import pytest
 
-from repro.analysis.persistence import SnapshotSACore
+from repro.analysis.persistence import persistence_series, uptime_distribution
 from repro.bgp.rib import LocRib
 from repro.bgp.route import Route, originate
 from repro.core.atoms import PolicyAtomAnalyzer
@@ -16,6 +16,8 @@ from repro.core.export_policy import ExportPolicyAnalyzer
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.simulation.collector import CollectorEntry, CollectorTable, LookingGlass
+from repro.simulation.propagation import SimulationResult
+from repro.simulation.timeline import Snapshot
 from repro.topology.graph import AnnotatedASGraph
 
 P1 = Prefix.parse("10.0.0.0/24")
@@ -87,8 +89,13 @@ class TestExportPolicyNoCustomers:
 
     def test_snapshot_core_matches_legacy_on_stub(self, graph, stub_table):
         legacy = ExportPolicyAnalyzer(graph).find_sa_prefixes(2, stub_table)
-        fast = SnapshotSACore(graph).sa_report(2, stub_table)
-        assert fast == legacy
+        result = SimulationResult(internet=None, assignment=None, tables={2: stub_table})
+        snapshots = [Snapshot(index=0, result=result)]
+        series = persistence_series(snapshots, 2, graph)
+        assert series.as_rows() == [(0, len(stub_table), legacy.sa_prefix_count)]
+        distribution = uptime_distribution(snapshots, 2, graph)
+        assert distribution.uptime == {P1: 1, P2: 1}
+        assert distribution.ever_sa_prefixes() == legacy.sa_prefix_set() == set()
 
     def test_known_prefixes_of_noncustomers_do_not_count_missing(self, graph, stub_table):
         report = ExportPolicyAnalyzer(graph).find_sa_prefixes(

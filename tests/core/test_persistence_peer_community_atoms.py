@@ -3,11 +3,11 @@ semantics (Appendix / Fig. 9 / Table 11) and policy atoms."""
 
 import pytest
 
+from repro.analysis.persistence import persistence_series, uptime_distribution
 from repro.core.atoms import PolicyAtomAnalyzer
 from repro.core.community import CommunityAnalyzer, bucket_of
 from repro.core.export_policy import ExportPolicyAnalyzer
 from repro.core.peer_export import PeerExportAnalyzer
-from repro.core.persistence import PersistenceAnalyzer
 from repro.exceptions import InferenceError
 from repro.simulation.policies import PolicyGenerator, PolicyParameters
 from repro.simulation.timeline import Timeline, TimelineParameters
@@ -38,8 +38,7 @@ def timeline_snapshots():
 class TestPersistence:
     def test_series_lengths(self, timeline_snapshots):
         internet, provider, snapshots = timeline_snapshots
-        analyzer = PersistenceAnalyzer(internet.graph)
-        series = analyzer.series_for_provider(snapshots, provider)
+        series = persistence_series(snapshots, provider, internet.graph)
         assert len(series.snapshot_indices) == 6
         assert len(series.all_prefix_counts) == 6
         assert len(series.sa_prefix_counts) == 6
@@ -47,21 +46,18 @@ class TestPersistence:
 
     def test_sa_counts_bounded_by_totals(self, timeline_snapshots):
         internet, provider, snapshots = timeline_snapshots
-        analyzer = PersistenceAnalyzer(internet.graph)
-        series = analyzer.series_for_provider(snapshots, provider)
+        series = persistence_series(snapshots, provider, internet.graph)
         for total, sa in zip(series.all_prefix_counts, series.sa_prefix_counts):
             assert 0 <= sa <= total
 
     def test_sa_prefixes_persist_across_snapshots(self, timeline_snapshots):
         internet, provider, snapshots = timeline_snapshots
-        analyzer = PersistenceAnalyzer(internet.graph)
-        series = analyzer.series_for_provider(snapshots, provider)
+        series = persistence_series(snapshots, provider, internet.graph)
         assert any(count > 0 for count in series.sa_prefix_counts)
 
     def test_uptime_distribution_consistency(self, timeline_snapshots):
         internet, provider, snapshots = timeline_snapshots
-        analyzer = PersistenceAnalyzer(internet.graph)
-        distribution = analyzer.uptime_distribution(snapshots, provider)
+        distribution = uptime_distribution(snapshots, provider, internet.graph)
         assert distribution.snapshot_count == 6
         for prefix, uptime in distribution.uptime.items():
             assert 1 <= uptime <= 6
@@ -73,8 +69,7 @@ class TestPersistence:
 
     def test_histogram_totals_match(self, timeline_snapshots):
         internet, provider, snapshots = timeline_snapshots
-        analyzer = PersistenceAnalyzer(internet.graph)
-        distribution = analyzer.uptime_distribution(snapshots, provider)
+        distribution = uptime_distribution(snapshots, provider, internet.graph)
         rows = distribution.histogram()
         assert len(rows) == 6
         total_remaining = sum(row[1] for row in rows)
@@ -84,8 +79,7 @@ class TestPersistence:
 
     def test_churn_produces_shifting_prefixes(self, timeline_snapshots):
         internet, provider, snapshots = timeline_snapshots
-        analyzer = PersistenceAnalyzer(internet.graph)
-        distribution = analyzer.uptime_distribution(snapshots, provider)
+        distribution = uptime_distribution(snapshots, provider, internet.graph)
         # With churn probability 0.5 over 6 snapshots some prefixes shift.
         assert distribution.percent_shifting > 0.0
 

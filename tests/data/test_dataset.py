@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.data.dataset import (
-    DatasetParameters,
-    StudyDataset,
-    build_dataset,
-    small_dataset,
-)
+from repro.data.dataset import StudyDataset, small_dataset
 from repro.exceptions import SimulationError
+from repro.session import ObservationParameters, StageCache, Study, StudyConfig, get_scenario
 from repro.topology.generator import GeneratorParameters
+
+#: The observation plan ``small_dataset`` was assembled with.
+SMALL_OBSERVATION = get_scenario("small").config().observation
 
 
 @pytest.fixture(scope="module")
@@ -19,41 +18,41 @@ def dataset() -> StudyDataset:
 
 class TestParameters:
     def test_defaults_valid(self):
-        DatasetParameters().validate()
+        StudyConfig().validate()
 
     def test_parameters_are_frozen(self):
-        # build_dataset can no longer be affected by callers mutating the
-        # parameters after (or during) assembly.
-        params = DatasetParameters()
+        # Assembly can never be affected by callers mutating the config
+        # after (or during) a build.
+        config = StudyConfig()
         with pytest.raises(AttributeError):
-            params.seed = 1
+            config.observation.seed = 1
         with pytest.raises(AttributeError):
-            params.topology.stub_count = 5
+            config.topology.stub_count = 5
         with pytest.raises(AttributeError):
-            params.policy.seed = 2
+            config.policy.seed = 2
 
     def test_parameters_are_hashable(self):
-        assert hash(DatasetParameters()) == hash(DatasetParameters())
+        assert hash(StudyConfig()) == hash(StudyConfig())
         assert hash(GeneratorParameters(seed=1)) != hash(GeneratorParameters(seed=2))
 
     def test_rejects_too_many_tier1_looking_glasses(self):
-        params = DatasetParameters(looking_glass_count=2, tier1_looking_glass_count=5)
+        params = ObservationParameters(looking_glass_count=2, tier1_looking_glass_count=5)
         with pytest.raises(SimulationError):
             params.validate()
 
     def test_rejects_no_vantages(self):
         with pytest.raises(SimulationError):
-            DatasetParameters(collector_vantage_count=0).validate()
+            ObservationParameters(collector_vantage_count=0).validate()
 
 
 class TestAssembly:
     def test_looking_glass_count(self, dataset):
-        assert len(dataset.looking_glass_ases) == dataset.parameters.looking_glass_count
+        assert len(dataset.looking_glass_ases) == SMALL_OBSERVATION.looking_glass_count
         assert set(dataset.looking_glasses) == set(dataset.looking_glass_ases)
 
     def test_tier1_looking_glasses_present(self, dataset):
         tier1_lg = set(dataset.looking_glass_ases) & set(dataset.tier1_ases)
-        assert len(tier1_lg) >= dataset.parameters.tier1_looking_glass_count
+        assert len(tier1_lg) >= SMALL_OBSERVATION.tier1_looking_glass_count
 
     def test_vantages_include_tier1(self, dataset):
         assert set(dataset.tier1_ases) <= set(dataset.vantage_ases)
@@ -104,14 +103,16 @@ class TestAssembly:
         assert small_dataset() is small_dataset()
 
     def test_build_dataset_respects_topology_override(self):
-        params = DatasetParameters(
+        config = StudyConfig(
             topology=GeneratorParameters(
                 seed=3, tier1_count=3, tier2_count=5, tier3_count=8, stub_count=30
             ),
-            looking_glass_count=4,
-            tier1_looking_glass_count=2,
-            collector_vantage_count=6,
+            observation=ObservationParameters(
+                looking_glass_count=4,
+                tier1_looking_glass_count=2,
+                collector_vantage_count=6,
+            ),
         )
-        dataset = build_dataset(params)
+        dataset = Study(config, cache=StageCache()).dataset()
         assert len(dataset.internet.graph) == 46
         assert len(dataset.looking_glass_ases) == 4

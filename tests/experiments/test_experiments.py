@@ -168,16 +168,16 @@ class TestShapeMatchesPaper:
 
 class TestCommandLine:
     def test_list_option(self, capsys):
-        from repro.experiments.__main__ import main
+        from repro.cli import main
 
-        assert main(["--list"]) == 0
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "table5" in out and "fig6" in out
 
     def test_run_single_experiment_small(self, capsys):
-        from repro.experiments.__main__ import main
+        from repro.cli import main
 
-        assert main(["--small", "table2"]) == 0
+        assert main(["run", "table2", "--scenario", "small"]) == 0
         out = capsys.readouterr().out
         assert "Typical local preference" in out
         assert "+-" in out

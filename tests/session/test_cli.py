@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.experiments.__main__ import main as legacy_main
 from repro.experiments.registry import experiment_ids
 
 
@@ -135,17 +134,6 @@ class TestCommands:
             "--workers", "2", "--json",
         )
         assert json.loads(out)["workers"] == 2
-
-    def test_run_engine_flag_selects_legacy(self, capsys):
-        baseline = run_cli(capsys, "run", "table5", "--scenario", "small", "--json")
-        legacy = run_cli(
-            capsys, "run", "table5", "--scenario", "small", "--engine", "legacy",
-            "--json",
-        )
-        # Both engines reproduce the identical table.
-        assert json.loads(legacy)["experiments"][0]["rows"] == (
-            json.loads(baseline)["experiments"][0]["rows"]
-        )
 
     def test_run_propagation_workers_flag(self, capsys):
         out = run_cli(
@@ -338,16 +326,3 @@ class TestChaosCommand:
             "baseline", "chaos-sweep", "kill-point", "resume",
             "degradation", "warm-reread",
         }
-
-
-class TestLegacyShim:
-    def test_list_flag(self, capsys):
-        assert legacy_main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "table5" in out
-
-    def test_small_run(self, capsys):
-        assert legacy_main(["table1", "--small"]) == 0
-        out = capsys.readouterr().out
-        assert "table1" in out
-        assert "+-" in out

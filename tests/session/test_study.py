@@ -4,12 +4,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.data.dataset import DatasetParameters, StudyDataset, build_dataset
+from repro.data.dataset import StudyDataset
 from repro.exceptions import ExperimentError, SimulationError
 from repro.session import (
     IrrParameters,
     ObservationParameters,
-    PropagationSettings,
     Stage,
     StageCache,
     StageView,
@@ -137,14 +136,7 @@ class TestDatasetCompatibilityView:
         assert set(dataset.as_info) == set(dataset.vantage_ases) | set(
             dataset.looking_glass_ases
         )
-        assert dataset.parameters == TINY.dataset_parameters()
-
-    def test_matches_legacy_build_dataset(self, study):
-        legacy = build_dataset(TINY.dataset_parameters())
-        staged = study.dataset()
-        assert sorted(legacy.vantage_ases) == sorted(staged.vantage_ases)
-        assert sorted(legacy.looking_glass_ases) == sorted(staged.looking_glass_ases)
-        assert legacy.collector.prefixes() == staged.collector.prefixes()
+        assert len(dataset.looking_glass_ases) == TINY.observation.looking_glass_count
 
     def test_invalid_config_raises_at_construction(self, cache):
         with pytest.raises(SimulationError):
@@ -155,41 +147,29 @@ class TestDatasetCompatibilityView:
 
 
 class TestPropagationSettings:
+    """The propagation stage's one execution setting: its worker count."""
+
     def test_default_is_fast_single_worker(self, study):
-        assert study.propagation_settings == PropagationSettings(engine="fast", workers=1)
+        assert study.propagation_workers == 1
 
     def test_settings_survive_with_and_seeded(self, cache):
-        settings = PropagationSettings(engine="legacy", workers=2)
-        study = Study(TINY, cache=cache, propagation=settings)
-        assert study.with_(irr=IrrParameters(seed=9)).propagation_settings == settings
-        assert study.seeded(5).propagation_settings == settings
+        study = Study(TINY, cache=cache, propagation_workers=2)
+        assert study.with_(irr=IrrParameters(seed=9)).propagation_workers == 2
+        assert study.seeded(5).propagation_workers == 2
 
     def test_worker_count_does_not_change_the_stage_key(self, cache):
-        one = Study(TINY, cache=cache, propagation=PropagationSettings(workers=1))
-        four = Study(TINY, cache=cache, propagation=PropagationSettings(workers=4))
+        one = Study(TINY, cache=cache, propagation_workers=1)
+        four = Study(TINY, cache=cache, propagation_workers=4)
         assert one.stage_key(Stage.PROPAGATION) == four.stage_key(Stage.PROPAGATION)
-
-    def test_engine_changes_only_the_propagation_key(self, cache):
-        fast = Study(TINY, cache=cache)
-        legacy = Study(TINY, cache=cache, propagation=PropagationSettings(engine="legacy"))
-        assert fast.stage_key(Stage.PROPAGATION) != legacy.stage_key(Stage.PROPAGATION)
-        assert fast.stage_key(Stage.POLICIES) == legacy.stage_key(Stage.POLICIES)
-        assert fast.stage_key(Stage.IRR) == legacy.stage_key(Stage.IRR)
 
     def test_invalid_settings_are_rejected(self, cache):
         with pytest.raises(SimulationError):
-            Study(TINY, cache=cache, propagation=PropagationSettings(engine="warp"))
-        with pytest.raises(SimulationError):
-            Study(TINY, cache=cache, propagation=PropagationSettings(workers=0))
+            Study(TINY, cache=cache, propagation_workers=0)
 
 
 class TestConfigConversion:
-    def test_round_trip_through_dataset_parameters(self):
-        config = TINY
-        assert StudyConfig.from_dataset_parameters(config.dataset_parameters()) == config
-
     def test_parameters_are_hashable(self):
-        assert hash(DatasetParameters()) == hash(DatasetParameters())
+        assert hash(StudyConfig()) == hash(StudyConfig())
         assert hash(TINY) == hash(replace(TINY))
         assert hash(PolicyParameters()) == hash(PolicyParameters())
 
@@ -212,9 +192,8 @@ class TestStageView:
         with pytest.raises(ExperimentError, match="policies"):
             view.assignment
 
-    def test_parameters_and_token_never_gated(self, study):
+    def test_token_never_gated(self, study):
         view = study.view(frozenset())
-        assert view.parameters == TINY.dataset_parameters()
         assert view.cache_token == study.view().cache_token
 
     def test_restricted_narrows(self, study):

@@ -2,9 +2,11 @@
 
 The fast engine's contract is *semantic identity* with the legacy engine:
 same observed tables (candidates, best routes, attributes), same message
-counts, same truncated prefixes — for every registered scenario and for both
-the in-process and the process-pool execution paths.  This suite is the
-gate that keeps hot-path optimizations honest.
+counts, same truncated prefixes — for every registered scenario, for the
+hand-built figure scenarios, and for both the in-process and the
+process-pool execution paths.  The fast engine is the only production
+propagation path (the session layer, ``Timeline`` and ``Scenario.run`` all
+use it), so this suite is the gate that keeps it honest.
 
 The comparison itself lives in :mod:`repro.fuzz.oracles`
 (``check_propagation_equivalence``) and is shared with the differential
@@ -19,25 +21,48 @@ from repro.session.cache import StageCache
 from repro.session.scenarios import get_scenario, scenario_names
 from repro.simulation.fastpath import FastPropagationEngine
 from repro.simulation.propagation import PropagationEngine, SimulationResult
+from repro.simulation.scenario import (
+    figure1_scenario,
+    figure3_scenario,
+    figure5_scenario,
+    figure8_multihomed_scenario,
+    figure8_singlehomed_scenario,
+)
 
 #: workers=1 exercises the in-process core; workers=2 and 4 the zero-copy
 #: process pool (different shard cuts, same deterministic task-order merge).
 WORKER_COUNTS = (1, 2, 4)
 
+#: The hand-built scenarios of the paper's illustrative figures, by name;
+#: ``Scenario.run`` propagates them with the fast engine.
+FIGURES = {
+    build().name: build
+    for build in (
+        figure1_scenario,
+        figure3_scenario,
+        figure5_scenario,
+        figure8_multihomed_scenario,
+        figure8_singlehomed_scenario,
+    )
+}
+
 _CACHE: dict[str, tuple] = {}
 
 
 def _scenario_runs(name: str):
-    """(internet, plan, legacy result) for a scenario, built once per session."""
+    """(internet, assignment, observed ASes, legacy result), built once per session."""
     cached = _CACHE.get(name)
     if cached is None:
-        study = get_scenario(name).study(cache=StageCache())
-        internet = study.topology()
-        plan = study.policies()
-        legacy = PropagationEngine(
-            internet, plan.assignment, observed_ases=plan.observed_ases
-        ).run()
-        cached = _CACHE[name] = (internet, plan, legacy)
+        if name in FIGURES:
+            figure = FIGURES[name]()
+            inputs = (figure.internet, figure.assignment, figure.observed_ases)
+        else:
+            study = get_scenario(name).study(cache=StageCache())
+            plan = study.policies()
+            inputs = (study.topology(), plan.assignment, plan.observed_ases)
+        internet, assignment, observed = inputs
+        legacy = PropagationEngine(internet, assignment, observed_ases=observed).run()
+        cached = _CACHE[name] = (*inputs, legacy)
     return cached
 
 
@@ -47,40 +72,17 @@ def assert_equivalent(legacy: SimulationResult, fast: SimulationResult) -> None:
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("scenario", sorted(scenario_names()))
+@pytest.mark.parametrize("scenario", sorted(scenario_names()) + sorted(FIGURES))
 def test_fast_engine_matches_legacy(scenario: str, workers: int) -> None:
-    internet, plan, legacy = _scenario_runs(scenario)
+    internet, assignment, observed, legacy = _scenario_runs(scenario)
     fast = FastPropagationEngine(
-        internet,
-        plan.assignment,
-        observed_ases=plan.observed_ases,
-        workers=workers,
+        internet, assignment, observed_ases=observed, workers=workers
     ).run()
     assert_equivalent(legacy, fast)
 
 
 def test_session_layer_engines_agree() -> None:
-    """The Study propagation stage builds the same artifact under both engines."""
-    from repro.session.stages import PropagationSettings
-
-    fast_study = get_scenario("small").study(cache=StageCache())
-    legacy_study = get_scenario("small").study(
-        cache=StageCache(), propagation=PropagationSettings(engine="legacy")
-    )
-    assert fast_study.propagation_settings.engine == "fast"
-    assert_equivalent(legacy_study.propagation(), fast_study.propagation())
-
-
-def test_engine_choice_is_part_of_the_stage_key() -> None:
-    from repro.session.stages import PropagationSettings, Stage
-
-    cache = StageCache()
-    fast_study = get_scenario("small").study(cache=cache)
-    legacy_study = get_scenario("small").study(
-        cache=cache, propagation=PropagationSettings(engine="legacy")
-    )
-    assert fast_study.stage_key(Stage.PROPAGATION) != legacy_study.stage_key(
-        Stage.PROPAGATION
-    )
-    # Upstream stages are untouched by the execution settings.
-    assert fast_study.stage_key(Stage.POLICIES) == legacy_study.stage_key(Stage.POLICIES)
+    """The Study propagation stage builds the legacy engine's artifact."""
+    legacy = _scenario_runs("small")[-1]
+    study = get_scenario("small").study(cache=StageCache())
+    assert_equivalent(legacy, study.propagation())
