@@ -2,8 +2,9 @@
 
 Three suites, selected with ``--suite``:
 
-* ``propagation`` (default) — times the legacy and fast propagation engines
-  (``BENCH_propagation.json``).
+* ``propagation`` (default) — times the legacy and fast propagation engines;
+  the fast row splits its total into the constructor (topology compilation)
+  and ``run()`` (``BENCH_propagation.json``).
 * ``analysis`` — times the paper's full analyzer pass twice over the same
   dataset: once with the legacy per-analyzer :mod:`repro.core` classes, once
   through the compiled :class:`~repro.analysis.index.MeasurementIndex` +
@@ -18,7 +19,7 @@ Three suites, selected with ``--suite``:
 Usage::
 
     python benchmarks/run_bench.py                       # propagation: small + standard
-    python benchmarks/run_bench.py --scenario standard --workers 1 2 4
+    python benchmarks/run_bench.py --scenario standard --repeats 3
     python benchmarks/run_bench.py --suite analysis --scenario large
     python benchmarks/run_bench.py --suite analysis --full
     python benchmarks/run_bench.py --full                # adds the large scenario
@@ -45,7 +46,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.session.cache import StageCache  # noqa: E402
 from repro.session.scenarios import resolve_scenario  # noqa: E402
-from repro.simulation.fastpath import FastPropagationEngine, compile_topology  # noqa: E402
+from repro.simulation.fastpath import FastPropagationEngine  # noqa: E402
 from repro.simulation.propagation import PropagationEngine  # noqa: E402
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -82,49 +83,28 @@ def _time_legacy(internet, plan, repeats: int) -> tuple[float, int]:
     return best, messages
 
 
-def _time_fast(
-    internet, plan, workers: int, repeats: int
-) -> tuple[float, float, int, dict]:
+def _time_fast(internet, plan, repeats: int) -> tuple[float, float, int]:
+    """Best ``(total, compile)`` seconds: the constructor compiles, ``run()`` propagates."""
     best = None
     best_compile = None
-    best_phases: dict[str, float] = {}
     messages = 0
     for _ in range(repeats):
         started = time.perf_counter()
-        compiled = compile_topology(internet, plan.assignment, plan.observed_ases)
-        compile_seconds = time.perf_counter() - started
         engine = FastPropagationEngine(
-            internet,
-            plan.assignment,
-            observed_ases=plan.observed_ases,
-            workers=workers,
-            compiled=compiled,
+            internet, plan.assignment, observed_ases=plan.observed_ases
         )
+        compile_seconds = time.perf_counter() - started
         result = engine.run()
         elapsed = time.perf_counter() - started
         if best is None or elapsed < best:
             best = elapsed
             best_compile = compile_seconds
-            # The engine measured compilation as 0 (it got `compiled`);
-            # substitute the bench-side measurement so the breakdown sums
-            # to the reported wall time.
-            best_phases = dict(engine.last_run_phases, compile=compile_seconds)
         messages = result.message_count
-    return best, best_compile, messages, best_phases
+    return best, best_compile, messages
 
 
-def run_benchmarks(
-    scenarios: list[str], workers: list[int], repeats: int
-) -> list[dict]:
+def run_benchmarks(scenarios: list[str], repeats: int) -> list[dict]:
     cpu_count = os.cpu_count() or 1
-    oversubscribed = [count for count in workers if count > cpu_count]
-    if oversubscribed:
-        print(
-            f"warning: worker counts {oversubscribed} exceed cpu_count="
-            f"{cpu_count}; multi-worker rows measure shard/merge overhead, "
-            "not parallel speedup, on this machine",
-            file=sys.stderr,
-        )
     results = []
     for name in scenarios:
         study = resolve_scenario(name).study(cache=StageCache())
@@ -136,7 +116,6 @@ def run_benchmarks(
             {
                 "scenario": name,
                 "engine": "legacy",
-                "workers": 1,
                 "cpu_count": cpu_count,
                 "seconds": round(legacy_seconds, 4),
                 "compile_seconds": 0.0,
@@ -148,37 +127,30 @@ def run_benchmarks(
             f"[{name}] legacy: {legacy_seconds:.2f}s ({legacy_messages} messages)",
             file=sys.stderr,
         )
-        for worker_count in workers:
-            print(
-                f"[{name}] timing fast engine (workers={worker_count}) ...",
-                file=sys.stderr,
+        print(f"[{name}] timing fast engine ...", file=sys.stderr)
+        fast_seconds, compile_seconds, fast_messages = _time_fast(internet, plan, repeats)
+        if fast_messages != legacy_messages:
+            raise SystemExit(
+                f"engine divergence on {name!r}: legacy processed "
+                f"{legacy_messages} messages, fast {fast_messages}"
             )
-            fast_seconds, compile_seconds, fast_messages, phases = _time_fast(
-                internet, plan, worker_count, repeats
-            )
-            if fast_messages != legacy_messages:
-                raise SystemExit(
-                    f"engine divergence on {name!r}: legacy processed "
-                    f"{legacy_messages} messages, fast {fast_messages}"
-                )
-            results.append(
-                {
-                    "scenario": name,
-                    "engine": "fast",
-                    "workers": worker_count,
-                    "cpu_count": cpu_count,
-                    "seconds": round(fast_seconds, 4),
-                    "compile_seconds": round(compile_seconds, 4),
-                    "phases": {k: round(v, 4) for k, v in sorted(phases.items())},
-                    "messages": fast_messages,
-                    "speedup_vs_legacy": round(legacy_seconds / fast_seconds, 2),
-                }
-            )
-            print(
-                f"[{name}] fast(workers={worker_count}): {fast_seconds:.2f}s "
-                f"({legacy_seconds / fast_seconds:.2f}x)",
-                file=sys.stderr,
-            )
+        results.append(
+            {
+                "scenario": name,
+                "engine": "fast",
+                "cpu_count": cpu_count,
+                "seconds": round(fast_seconds, 4),
+                "compile_seconds": round(compile_seconds, 4),
+                "run_seconds": round(fast_seconds - compile_seconds, 4),
+                "messages": fast_messages,
+                "speedup_vs_legacy": round(legacy_seconds / fast_seconds, 2),
+            }
+        )
+        print(
+            f"[{name}] fast: {fast_seconds:.2f}s (compile {compile_seconds:.2f}s, "
+            f"{legacy_seconds / fast_seconds:.2f}x)",
+            file=sys.stderr,
+        )
     return results
 
 
@@ -519,9 +491,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--workers",
         type=int,
-        nargs="+",
-        default=[1],
-        help="fast-engine worker counts to benchmark (default: 1)",
+        default=1,
+        help="sweep-suite process-pool width (default: 1)",
     )
     parser.add_argument(
         "--repeats", type=int, default=1, help="repetitions per cell, best kept"
@@ -550,24 +521,19 @@ def main(argv: list[str] | None = None) -> int:
         scenarios = ["small", "standard", "large"]
     repeats = 1 if args.quick else max(1, args.repeats)
 
+    if args.suite != "sweep" and args.workers != 1:
+        parser.error("--workers applies only to --suite sweep")
     if args.suite == "sweep":
         cases = args.scenarios or SWEEP_CASES
         if args.quick:
             cases = cases[: min(6, len(cases))]
-        workers = max(args.workers) if args.workers else 1
-        results = run_sweep_benchmarks(cases, workers, args.quick)
+        results = run_sweep_benchmarks(cases, args.workers, args.quick)
         output = args.output or DEFAULT_SWEEP_OUTPUT
     elif args.suite == "analysis":
-        if args.workers != [1]:
-            print(
-                "note: --workers applies only to the propagation suite; "
-                "the analysis suite ignores it",
-                file=sys.stderr,
-            )
         results = run_analysis_benchmarks(scenarios, repeats)
         output = args.output or DEFAULT_ANALYSIS_OUTPUT
     else:
-        results = run_benchmarks(scenarios, args.workers, repeats)
+        results = run_benchmarks(scenarios, repeats)
         output = args.output or DEFAULT_OUTPUT
     report = {
         "meta": {

@@ -7,7 +7,6 @@ Usage::
     python -m repro run --scenario large --workers 4 --json
     python -m repro run --scenario multihoming@7 # one scenario-family sample
     python -m repro run table5 --seed 42 --output-dir out/
-    python -m repro run --propagation-workers 4  # shard prefix propagation
     python -m repro run --cache-dir .repro-cache # persist stage artifacts on disk
     python -m repro list                         # experiment ids + required stages
     python -m repro scenarios                    # scenario presets + families
@@ -124,13 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="thread-pool size for independent experiments (default: 1)",
-    )
-    run.add_argument(
-        "--propagation-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard prefix propagation over N worker processes (default: 1)",
     )
     run.add_argument(
         "--json",
@@ -288,15 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "abandoned, counted as a failure and retried (pool mode only)",
     )
     sweep.add_argument(
-        "--propagation-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="per-case prefix-propagation fan-out width (zero-copy shard "
-        "pool; the compiled topology is shared through the store, and the "
-        "result is identical for every width; default: 1)",
-    )
-    sweep.add_argument(
         "--fault-plan",
         default=None,
         metavar="PLAN",
@@ -395,9 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    study = resolve_scenario(args.scenario).study(
-        cache=_study_cache(args), propagation_workers=args.propagation_workers
-    )
+    study = resolve_scenario(args.scenario).study(cache=_study_cache(args))
     if args.seed is not None:
         study = study.seeded(args.seed)
     report = run_suite(
@@ -527,7 +508,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
             resume=not args.no_resume,
             case_timeout=args.case_timeout,
             fault_plan=args.fault_plan,
-            propagation_workers=args.propagation_workers,
             **sweep_kwargs,
         )
     except SweepInterrupted as interruption:

@@ -15,19 +15,10 @@ Rules:
   module-level mutable state (mutable literals, or globals reassigned via
   ``global``).
 
-POOL002 carries one sanctioned exemption: names bound to
-:class:`repro.simulation.fastpath.shm.AttachCache`.  An ``AttachCache``
-entry is a pure function of its key (the attach descriptor shipped with
-each task), so a fresh process, a respawned worker and a warm worker all
-compute identical values — the stale-per-process-copy hazard the rule
-guards against cannot occur.  Plain dict/list worker memos remain
-findings; the fix is to wrap them in an ``AttachCache`` (or to pass the
-state through task arguments).
-
 Both self-gate on ``ProcessPoolExecutor`` usage, so they cover
-``session/sweep.py``, ``simulation/fastpath`` and ``fuzz/harness.py``
-today and any future pool automatically.  Thread pools are exempt: they
-share memory and pickle nothing.
+``session/sweep.py`` and ``fuzz/harness.py`` today and any future pool
+automatically.  Thread pools are exempt: they share memory and pickle
+nothing.
 """
 
 from __future__ import annotations
@@ -53,12 +44,6 @@ _SUBMIT_METHODS = frozenset({"submit", "map"})
 _MUTABLE_FACTORIES = frozenset(
     {"list", "dict", "set", "bytearray", "defaultdict", "OrderedDict", "deque", "Counter"}
 )
-
-#: Sanctioned worker-memo wrappers: every entry is a pure function of its
-#: key, so per-process copies are identical by construction (see the
-#: module docstring).  Names bound to these calls never trip POOL002 —
-#: not even when rebound from an initializer via ``global``.
-_SANCTIONED_MEMOS = frozenset({"AttachCache"})
 
 
 def _uses_process_pool(tree: ast.Module) -> bool:
@@ -192,9 +177,8 @@ class WorkerModuleStateRule(Rule):
     Each worker process gets its own copy of module globals at import
     time; reads inside a worker see neither parent mutations made after
     the pool spawned nor other workers' writes.  Pass state through task
-    arguments, or memoize worker-side state that derives purely from task
-    arguments in an :class:`repro.simulation.fastpath.shm.AttachCache`
-    (sanctioned — see the module docstring).
+    arguments or an ``initializer`` instead — and when the initializer
+    pattern *is* the design, suppress with the rationale spelled out.
     """
 
     id = "POOL002"
@@ -230,15 +214,8 @@ class WorkerModuleStateRule(Rule):
 
     @staticmethod
     def _module_mutable_names(tree: ast.Module) -> set[str]:
-        """Module-level names holding mutable containers or reassigned globals.
-
-        Names bound to a sanctioned memo wrapper (:data:`_SANCTIONED_MEMOS`)
-        are subtracted: their per-process copies are identical by
-        construction, so reading them in a worker is the *fix* for this
-        rule, not a violation of it.
-        """
+        """Module-level names holding mutable containers or reassigned globals."""
         mutable: set[str] = set()
-        sanctioned: set[str] = set()
         for node in tree.body:
             if isinstance(node, ast.Assign):
                 targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
@@ -248,11 +225,7 @@ class WorkerModuleStateRule(Rule):
                 value = node.value
             else:
                 continue
-            if value is None:
-                continue
-            if WorkerModuleStateRule._is_sanctioned_memo(value):
-                sanctioned.update(targets)
-            elif WorkerModuleStateRule._is_mutable_literal(value):
+            if value is not None and WorkerModuleStateRule._is_mutable_literal(value):
                 mutable.update(targets)
         # Globals written from function bodies (the initializer pattern).
         for node in ast.walk(tree):
@@ -264,27 +237,12 @@ class WorkerModuleStateRule(Rule):
                 if declared:
                     for inner in ast.walk(node):
                         if isinstance(inner, ast.Assign):
-                            for target in inner.targets:
-                                if not (
-                                    isinstance(target, ast.Name)
-                                    and target.id in declared
-                                ):
-                                    continue
-                                if WorkerModuleStateRule._is_sanctioned_memo(
-                                    inner.value
-                                ):
-                                    sanctioned.add(target.id)
-                                else:
-                                    mutable.add(target.id)
-        return mutable - sanctioned
-
-    @staticmethod
-    def _is_sanctioned_memo(node: ast.expr) -> bool:
-        """``True`` for calls constructing a sanctioned worker memo."""
-        if not isinstance(node, ast.Call):
-            return False
-        dotted = dotted_name(node.func)
-        return dotted is not None and dotted.split(".")[-1] in _SANCTIONED_MEMOS
+                            mutable.update(
+                                t.id
+                                for t in inner.targets
+                                if isinstance(t, ast.Name) and t.id in declared
+                            )
+        return mutable
 
     @staticmethod
     def _is_mutable_literal(node: ast.expr) -> bool:

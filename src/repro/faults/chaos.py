@@ -145,8 +145,8 @@ def run_chaos(
             :data:`DEFAULT_EXPERIMENTS`).
         workers: pool width of the chaos sweep (>= 2 so worker kills
             exercise ``BrokenProcessPool`` recovery).
-        retries: retry budget of the chaos sweep; must exceed the worst
-            case collateral attempts (own kill + in-flight neighbours).
+        retries: retry budget of the chaos sweep; must exceed the failures
+            one case can suffer (a neighbour's kill is never charged).
         root: scratch directory (default: a fresh temp dir).
         keep: leave the scratch directory behind for inspection.
 

@@ -59,13 +59,9 @@ class Scenario:
         """The scenario's study configuration."""
         return self.config_factory()
 
-    def study(
-        self, *, cache: StageCache | None = None, propagation_workers: int = 1
-    ) -> Study:
+    def study(self, *, cache: StageCache | None = None) -> Study:
         """A :class:`Study` of this scenario (sharing the global cache by default)."""
-        return Study(
-            self.config(), cache=cache, propagation_workers=propagation_workers
-        )
+        return Study(self.config(), cache=cache)
 
 
 _SCENARIOS: dict[str, Scenario] = {}
@@ -153,17 +149,9 @@ class ScenarioFamily:
             config_factory=lambda: config,
         )
 
-    def study(
-        self,
-        seed: int,
-        *,
-        cache: StageCache | None = None,
-        propagation_workers: int = 1,
-    ) -> Study:
+    def study(self, seed: int, *, cache: StageCache | None = None) -> Study:
         """A :class:`Study` of the sample at ``seed``."""
-        return Study(
-            self.sample(seed), cache=cache, propagation_workers=propagation_workers
-        )
+        return Study(self.sample(seed), cache=cache)
 
 
 _FAMILIES: dict[str, ScenarioFamily] = {}

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 
 from repro.data.dataset import ASInfo, StudyDataset
 from repro.data.rpsl import IrrDatabase
-from repro.exceptions import SimulationError
 from repro.session.cache import GLOBAL_CACHE, StageCache, fingerprint
 from repro.session.stages import (
     ALL_STAGES,
@@ -61,10 +60,6 @@ class Study:
         cache: the stage cache to build into.  Defaults to the process-wide
             cache so scenario studies and the dataset helpers share
             artifacts; pass a fresh :class:`StageCache` for isolation.
-        propagation_workers: per-prefix fan-out width of the propagation
-            stage; ``1`` runs in-process, ``N > 1`` shards the originated
-            prefixes over a zero-copy process pool.  The merged artifact is
-            byte-identical for every width, so it never enters a stage key.
     """
 
     def __init__(
@@ -72,16 +67,10 @@ class Study:
         config: StudyConfig | None = None,
         *,
         cache: StageCache | None = None,
-        propagation_workers: int = 1,
     ):
         self.config = config or StudyConfig()
         self.config.validate()
-        if propagation_workers < 1:
-            raise SimulationError(
-                f"propagation workers must be >= 1, got {propagation_workers}"
-            )
         self.cache = cache if cache is not None else GLOBAL_CACHE
-        self.propagation_workers = propagation_workers
 
     # -- derivation ------------------------------------------------------------
 
@@ -110,11 +99,7 @@ class Study:
             )
             if value is not None
         }
-        return Study(
-            replace(self.config, **overrides),
-            cache=self.cache,
-            propagation_workers=self.propagation_workers,
-        )
+        return Study(replace(self.config, **overrides), cache=self.cache)
 
     def seeded(self, seed: int) -> "Study":
         """A study whose every stage seed derives deterministically from ``seed``.
@@ -129,9 +114,7 @@ class Study:
             observation=replace(self.config.observation, seed=seed + 2),
             irr=replace(self.config.irr, seed=seed + 2),
         )
-        return Study(
-            config, cache=self.cache, propagation_workers=self.propagation_workers
-        )
+        return Study(config, cache=self.cache)
 
     # -- stage keys ------------------------------------------------------------
 
@@ -148,8 +131,6 @@ class Study:
                 config.policy,
             )
         if stage is Stage.PROPAGATION:
-            # The worker count is not part of the key: sharding never
-            # changes the merged artifact.
             return fingerprint(Stage.PROPAGATION, self.stage_key(Stage.POLICIES))
         if stage is Stage.OBSERVATION:
             return fingerprint(
@@ -234,71 +215,16 @@ class Study:
             assignment=assignment,
         )
 
-    def _compiled_topology_key(self) -> str:
-        """Content address of the compiled-topology tier.
-
-        Keyed by the policies stage (compilation depends only on topology,
-        policies and the observation plan) so every sweep case sharing those
-        upstream stages attaches the same artifact — the worker count never
-        enters the key.
-        """
-        from repro.simulation.fastpath import shm
-
-        return fingerprint(shm.STAGE, self.stage_key(Stage.POLICIES))
-
-    def _compiled_topology(self, plan: PolicyStageArtifact):
-        """A compiled topology for the fast engine, store-backed when possible.
-
-        With a disk tier attached, the lowered topology is cached as a
-        ``compiled-topology`` artifact: on a hit the artifact file is
-        mmap'ed and a zero-copy :class:`SharedTopologyView` is returned —
-        pool workers then re-attach the same file by path (sharing OS page
-        cache) instead of the parent publishing a fresh shared-memory
-        segment.  Without a disk tier the topology is compiled in-process.
-        """
-        from repro.simulation.fastpath import shm
-
-        disk = self.cache.disk
-        if disk is None:
-            return None  # engine compiles in-process
-        key = self._compiled_topology_key()
-        artifact = disk.read_view(shm.STAGE, key)
-        if artifact is not None:
-            try:
-                return shm.view_over_payload(
-                    artifact.payload, ("file", str(artifact.path)), retain=artifact
-                )
-            except Exception:
-                artifact.close()
-        from repro.simulation.fastpath import compile_topology
-
-        compiled = compile_topology(
-            self.topology(), plan.assignment, sorted(set(plan.observed_ases))
-        )
-        try:
-            disk.write(shm.STAGE, key, shm.pack_topology(compiled))
-        except OSError:
-            pass  # best-effort: a read-only store never blocks the run
-        return compiled
-
     def propagation(self) -> SimulationResult:
         """The propagation run observed at the planned vantage ASes (stage 3).
 
-        Executed by the compiled fast engine, with optional per-prefix
-        process-pool fan-out (``propagation_workers``) over the zero-copy
-        shared topology.  With a disk cache attached, the compiled topology
-        itself is a store tier (``compiled-topology``), so concurrent sweep
-        cases attach one mmap'ed artifact instead of each re-compiling.
+        Executed in-process by the compiled fast engine.
         """
 
         def build() -> SimulationResult:
             plan = self.policies()
             return FastPropagationEngine(
-                self.topology(),
-                plan.assignment,
-                observed_ases=plan.observed_ases,
-                workers=self.propagation_workers,
-                compiled=self._compiled_topology(plan),
+                self.topology(), plan.assignment, observed_ases=plan.observed_ases
             ).run()
 
         return self._build(Stage.PROPAGATION, build)

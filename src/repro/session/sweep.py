@@ -25,10 +25,11 @@ attached to one shared disk tier (``--cache-dir``):
 * **fault tolerance** (see ``docs/robustness.md``) — failed case attempts
   are retried with exponential backoff and deterministic jitter
   (``retries`` attempts); a dead worker process (``BrokenProcessPool``)
-  respawns the executor, costs only the in-flight cases an attempt, and
-  the sweep keeps draining; a case that exhausts its attempts is
-  *quarantined* (status ``"quarantined"``, recorded in the manifest so a
-  resume does not retry poison) instead of aborting the sweep.
+  respawns the executor and the sweep keeps draining — only a case that
+  breaks the pool while it is the single case in flight pays an attempt
+  (cases in flight together re-run one at a time); a case that exhausts its
+  attempts is *quarantined* (status ``"quarantined"``, recorded in the
+  manifest so a resume does not retry poison) instead of aborting the sweep.
   Deterministic configuration errors (:class:`~repro.exceptions.ReproError`)
   are never retried — they fail the case immediately.  Error messages are
   normalized (paths, PIDs, addresses) so timing-masked sweep JSON stays
@@ -307,24 +308,21 @@ def _case_slug(spec: str) -> str:
     return f"{clean}-{fingerprint(spec)[:8]}"
 
 
-def _run_sweep_case(task: tuple[str, tuple[str, ...] | None, str, int]) -> tuple:
+def _run_sweep_case(task: tuple[str, tuple[str, ...] | None, str]) -> tuple:
     """Process-pool entry point: run (or load) one sweep case.
 
     Args:
-        task: ``(spec, experiment ids or None, cache directory,
-        propagation workers)``.
+        task: ``(spec, experiment ids or None, cache directory)``.
 
     Returns:
         ``(spec, report JSON, seconds, cache stats, status)`` where status
         is ``"cached"`` when the report came from the disk tier.
     """
-    spec, experiments, cache_dir, propagation_workers = task
+    spec, experiments, cache_dir = task
     fault_point("worker-kill", spec)
     started = time.perf_counter()
     cache = StageCache(disk=DiskStore(cache_dir))
-    study = resolve_scenario(spec).study(
-        cache=cache, propagation_workers=propagation_workers
-    )
+    study = resolve_scenario(spec).study(cache=cache)
     ids = list(experiments) if experiments else None
 
     def build() -> str:
@@ -450,7 +448,6 @@ def run_sweep(
     retry_delay: float = DEFAULT_RETRY_DELAY,
     case_timeout: float | None = None,
     fault_plan: FaultPlan | str | None = None,
-    propagation_workers: int = 1,
 ) -> SweepReport:
     """Run a list of scenario cases over one shared artifact store.
 
@@ -479,12 +476,6 @@ def run_sweep(
         fault_plan: a :class:`~repro.faults.plan.FaultPlan` (or inline
             JSON / file path) activated for the sweep and exported to the
             workers — deterministic chaos for the robustness tests.
-        propagation_workers: per-prefix fan-out width each case's fast
-            engine uses (zero-copy shard pool).  Because every case shares
-            the disk tier, the compiled topology is attached from the
-            ``compiled-topology`` store artifact rather than re-compiled or
-            re-published per case.  Never enters any cache key — the merged
-            artifact is identical for every width.
 
     Returns:
         The :class:`SweepReport`; per-case JSON files live under
@@ -501,10 +492,6 @@ def run_sweep(
         raise ExperimentError(f"sweep retries must be >= 0, got {retries}")
     if case_timeout is not None and case_timeout <= 0:
         raise ExperimentError(f"case timeout must be > 0 seconds, got {case_timeout}")
-    if propagation_workers < 1:
-        raise ExperimentError(
-            f"propagation workers must be >= 1, got {propagation_workers}"
-        )
     for spec in specs:
         resolve_scenario(spec)  # validate every case before starting work
     if fail_after is None:
@@ -527,7 +514,6 @@ def run_sweep(
             retries=retries,
             retry_delay=retry_delay,
             case_timeout=case_timeout,
-            propagation_workers=propagation_workers,
         )
     finally:
         if plan is not None:
@@ -550,7 +536,6 @@ def _run_sweep(
     retries,
     retry_delay,
     case_timeout,
-    propagation_workers=1,
 ) -> SweepReport:
     """The sweep body (fault-plan activation handled by :func:`run_sweep`)."""
     cache_root = pathlib.Path(cache_dir)
@@ -649,12 +634,7 @@ def _run_sweep(
         )
 
     def task_for(spec: str) -> tuple:
-        return (
-            spec,
-            tuple(experiment_ids) if experiment_ids else None,
-            str(cache_root),
-            propagation_workers,
-        )
+        return (spec, tuple(experiment_ids) if experiment_ids else None, str(cache_root))
 
     cases_dir.mkdir(parents=True, exist_ok=True)
     if workers == 1 or len(pending) <= 1:
@@ -718,49 +698,66 @@ def _run_pool(
 
     At most ``workers`` cases are outstanding at any moment, so when the
     pool breaks (a worker died abruptly) the doomed futures are exactly
-    the in-flight cases: each costs one attempt and is rescheduled, the
-    executor is respawned, and the queued remainder is untouched.  A case
-    past its ``case_timeout`` deadline is abandoned (the attempt counts as
-    a failure and is retried); its worker keeps running until the attempt
-    finishes, but the scheduler no longer waits for it.
+    the in-flight cases; the executor is respawned and the queued remainder
+    is untouched.  A break with one case in flight charges that case an
+    attempt.  A break with several cases in flight cannot tell whose worker
+    died, so none of them is charged: they re-run one at a time, and a
+    case that breaks the pool alone is charged then.  An innocent case is
+    therefore never quarantined for a neighbour's crashes.  A case past its
+    ``case_timeout`` deadline is abandoned (the attempt counts as a failure
+    and is retried); its worker keeps running until the attempt finishes,
+    but the scheduler no longer waits for it.
     """
     queue: deque[str] = deque(pending)
+    # Cases in flight together when the pool broke, re-run one at a time.
+    suspects: deque[str] = deque()
+    # Failed attempts charged against each case's budget; ``attempts``
+    # also counts the uncharged re-runs of suspects.
+    charged = dict.fromkeys(pending, 0)
     retry_ready: dict[str, float] = {}
     outstanding: dict = {}
+    solo = False  # the case in flight is a suspect: nothing joins it
     abandoned = False
     pool = ProcessPoolExecutor(max_workers=workers, initializer=mark_worker)
 
-    def respawn(reason: str) -> None:
+    def respawn(lost: list[str]) -> None:
         nonlocal pool
-        for spec, _deadline in outstanding.values():
-            _attempt_failed(spec, RuntimeError(reason))
+        if len(lost) == 1:
+            _attempt_failed(lost[0], RuntimeError(_WORKER_DIED))
+        else:
+            suspects.extend(lost)
         outstanding.clear()
         pool.shutdown(wait=False, cancel_futures=True)
         pool = ProcessPoolExecutor(max_workers=workers, initializer=mark_worker)
 
     def _attempt_failed(spec: str, error: BaseException) -> None:
-        if attempts[spec] >= max_attempts:
+        charged[spec] += 1
+        if charged[spec] >= max_attempts:
             quarantine(spec, error)
         else:
             retry_ready[spec] = time.monotonic() + _backoff_delay(
-                retry_delay, spec, attempts[spec]
+                retry_delay, spec, charged[spec]
             )
 
     try:
-        while queue or retry_ready or outstanding:
+        while queue or suspects or retry_ready or outstanding:
             now = time.monotonic()
             for spec in [s for s, ready in retry_ready.items() if ready <= now]:
                 retry_ready.pop(spec)
                 queue.append(spec)
-            while queue and len(outstanding) < workers:
-                spec = queue.popleft()
+            while (suspects or queue) and len(outstanding) < (
+                1 if suspects or solo else workers
+            ):
+                solo = bool(suspects)
+                source = suspects if solo else queue
+                spec = source.popleft()
                 attempts[spec] += 1
                 try:
                     future = pool.submit(_run_sweep_case, task_for(spec))
                 except BrokenProcessPool:
                     attempts[spec] -= 1
-                    queue.appendleft(spec)
-                    respawn(_WORKER_DIED)
+                    source.appendleft(spec)
+                    respawn([s for s, _deadline in outstanding.values()])
                     continue
                 deadline = now + case_timeout if case_timeout is not None else None
                 outstanding[future] = (spec, deadline)
@@ -778,14 +775,14 @@ def _run_pool(
             done, _ = wait(
                 set(outstanding), timeout=timeout, return_when=FIRST_COMPLETED
             )
-            broken = False
-            for future in done:
+            lost = []
+            # Submission order, so the suspects re-run in a stable order.
+            for future in [f for f in outstanding if f in done]:
                 spec, _deadline = outstanding.pop(future)
                 try:
                     result = future.result()
                 except BrokenProcessPool:
-                    broken = True
-                    _attempt_failed(spec, RuntimeError(_WORKER_DIED))
+                    lost.append(spec)
                 except SweepInterrupted:
                     raise
                 except ReproError as error:
@@ -794,8 +791,8 @@ def _run_pool(
                     _attempt_failed(spec, error)
                 else:
                     record(*result)
-            if broken:
-                respawn(_WORKER_DIED)
+            if lost:
+                respawn(lost + [s for s, _deadline in outstanding.values()])
                 continue
             now = time.monotonic()
             expired = [

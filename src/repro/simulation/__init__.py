@@ -13,9 +13,9 @@ observed at collector and Looking Glass vantage points.
   message-passing engine (decision process, Gao–Rexford export rules and the
   configured policies), kept as the test oracle of the fast path.
 * :mod:`repro.simulation.fastpath` — the compiled fast propagation core
-  (interned flat-graph engine, incremental best-route selection, parallel
-  per-prefix fan-out); the one production engine, behind the session layer,
-  the timeline and the figure scenarios.
+  (interned flat-graph engine, incremental best-route selection); the one
+  production engine, behind the session layer, the timeline and the figure
+  scenarios.
 * :mod:`repro.simulation.collector` — RouteViews-style collectors and
   Looking Glass views (including multi-router views of one AS).
 * :mod:`repro.simulation.timeline` — repeated simulation under policy churn,

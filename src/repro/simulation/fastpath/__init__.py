@@ -13,36 +13,21 @@ that work into two phases:
 * :mod:`repro.simulation.fastpath.engine` — the
   :class:`FastPropagationEngine`, which replays the exact message schedule of
   the legacy engine over the compiled arrays with interned AS paths and
-  community sets, an O(1) challenge-the-incumbent best-route update, and an
-  optional per-prefix process-pool fan-out (prefixes are independent).
-* :mod:`repro.simulation.fastpath.shm` — the zero-copy parallel path:
-  publishes the compiled topology into a ``multiprocessing.shared_memory``
-  segment (or attaches a cached ``compiled-topology`` store artifact via
-  mmap) and reconstructs a read-only :class:`SharedTopologyView` over the
-  shared buffer, so pool workers attach by name instead of unpickling.
+  community sets and an O(1) challenge-the-incumbent best-route update, one
+  prefix after another in the calling process.
 
 The fast engine is a drop-in replacement: for the same inputs it produces a
 :class:`~repro.simulation.propagation.SimulationResult` with identical
 observed tables, message counts and truncated prefixes (asserted by
 ``tests/simulation/test_fastpath_equivalence.py`` across every registered
-scenario and worker counts {1, 2, 4}).
+scenario).
 """
 
 from repro.simulation.fastpath.compile import CompiledTopology, compile_topology
 from repro.simulation.fastpath.engine import FastPropagationEngine
-from repro.simulation.fastpath.shm import (
-    SharedTopologyHandle,
-    SharedTopologyView,
-    attach,
-    publish,
-)
 
 __all__ = [
     "CompiledTopology",
     "FastPropagationEngine",
-    "SharedTopologyHandle",
-    "SharedTopologyView",
-    "attach",
     "compile_topology",
-    "publish",
 ]

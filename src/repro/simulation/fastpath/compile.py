@@ -14,9 +14,7 @@ schedule identical to the legacy engine's):
   the receiver attaches, ``-1`` when it does not tag) and ``edge_rel``
   (relationship code) — plus a sparse ``edge_overrides`` map holding the
   receiver's per-prefix LOCAL_PREF overrides for the few slots that have
-  any.  Flat integer columns (instead of the former list of 4-tuples) are
-  what lets :mod:`repro.simulation.fastpath.shm` expose the same data as
-  zero-copy array views over a shared-memory segment;
+  any;
 * per-AS export templates for the three route classes of Section 2.2.2
   (locally originated, learned from a customer/sibling, learned from a
   peer/provider), with the transit-level selective-export restriction
@@ -27,10 +25,6 @@ schedule identical to the legacy engine's):
   scoped / peer-withholding export policy as ordered announcement groups;
 * an initial community-set intern table (id 0 is the empty set; scoped
   announcements intern their "do not propagate" marker at compile time).
-
-A process-pool fan-out never pickles the compiled object: the parent lowers
-it into a shared-memory segment (:mod:`repro.simulation.fastpath.shm`) and
-workers attach zero-copy views by segment name.
 """
 
 from __future__ import annotations
@@ -93,7 +87,7 @@ class CompiledTopology:
     All per-AS arrays are indexed by dense id; the ``edge_*`` columns are
     indexed by CSR slot (``nbr_slot[u][v]``).  ``comm_table`` / ``comm_index``
     hold the *initial* community-set intern table; engines copy and extend it
-    per process.
+    per run.
     """
 
     asns: tuple[ASN, ...]

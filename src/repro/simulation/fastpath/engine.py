@@ -3,7 +3,7 @@
 :class:`FastPropagationEngine` replays the legacy engine's message-passing
 algorithm — same FIFO schedule, same export rules, same budget accounting —
 over the arrays of a :class:`~repro.simulation.fastpath.compile.CompiledTopology`.
-Four things make it fast:
+Three things make it fast:
 
 * **No per-message object churn.**  AS paths and community sets are interned
   (a path/set is a small integer id; prepends and tag-adds are memo-table
@@ -25,17 +25,11 @@ Four things make it fast:
   tie" exactly.  A new announcement therefore challenges the incumbent in
   O(1); a full re-scan happens only when the incumbent itself is displaced
   or withdrawn.
-* **Zero-copy parallel fan-out.**  Prefixes propagate independently, so the
-  originated-prefix list is cut into contiguous shards over a
-  ``ProcessPoolExecutor``.  Nothing bulky crosses the process boundary in
-  either direction: the parent publishes the compiled topology once into a
-  shared-memory segment (:mod:`repro.simulation.fastpath.shm`) and ships
-  each worker only ``(descriptor, shard range)``; workers attach read-only
-  array views by segment name and return observed tables in lowered form
-  (flat integer columns plus their interned path/community tables), which
-  the parent materializes into :class:`Route` objects while merging shards
-  in task order — keeping the result bit-identical to a serial run for any
-  worker count.
+
+Every prefix runs in the calling process, in task order, through one
+:class:`_Core` whose intern tables are shared across prefixes.  Parallelism
+lives one level up, in ``repro sweep``, where whole cases are independent
+and nothing has to be merged.
 
 The ORIGIN attribute is constant (``originate`` always emits ``Origin.IGP``
 and no policy knob rewrites it), so it is excluded from the decision key and
@@ -45,17 +39,13 @@ invariant.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from time import perf_counter
 
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF, Community, CommunitySet, Origin
 from repro.bgp.decision import DecisionProcess
 from repro.bgp.rib import LocRib
 from repro.bgp.route import NeighborKind, Route, RouteSource
 from repro.exceptions import SimulationError
-from repro.faults.runtime import fault_point, mark_worker
 from repro.net.asn import ASN
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
@@ -69,12 +59,6 @@ from repro.simulation.fastpath.compile import (
     SeedPlan,
     compile_seed_plan,
     compile_topology,
-)
-from repro.simulation.fastpath.shm import (
-    AttachCache,
-    SharedTopologyView,
-    attach,
-    publish,
 )
 from repro.simulation.policies import PolicyAssignment
 from repro.simulation.propagation import PrefixRun, PrefixState, SimulationResult
@@ -134,16 +118,14 @@ class _State:
 
 
 class _Core:
-    """Single-process propagation over a compiled topology.
+    """Propagation over a compiled topology.
 
-    Holds the per-process intern tables (paths, community sets, export
+    Holds the intern tables (paths, community sets, export
     target memos) and the recycled state slots; one core serves every prefix
     of a run, so interned structure is shared across prefixes.
     """
 
-    def __init__(
-        self, topology: CompiledTopology | SharedTopologyView, message_budget: int
-    ) -> None:
+    def __init__(self, topology: CompiledTopology, message_budget: int) -> None:
         self.topology = topology
         self.message_budget = message_budget
         # Recycled per-AS state slots, validated by generation stamp.
@@ -573,182 +555,6 @@ class _Core:
             tables[asns[asn_idx]] = (routes, best_route)
         return tables
 
-    # -- lowered results (process-pool wire format) --------------------------
-
-    def lowered_observed(self, out: array) -> tuple:
-        """Append the last ``run_task``'s observed candidates to ``out``.
-
-        The wire format of a worker's results: five integers per candidate
-        row — sender, LOCAL_PREF, path id, community id, kind — appended in
-        the exact per-AS insertion order :meth:`observed_routes` would
-        materialize, plus a returned meta tuple of ``(asn_idx, best_sender,
-        candidate count)`` per observed AS.  Flat columns pickle as raw
-        machine bytes, so shipping a shard's tables back to the parent
-        costs a fraction of pickling materialized :class:`Route` objects.
-        """
-        meta = []
-        states = self._states
-        gen = self._generation
-        for asn_idx in self.topology.observed:
-            state = states[asn_idx]
-            if state is None or state.gen != gen or not state.cand:
-                continue
-            best_sender = state.best_sender
-            meta.append(
-                (asn_idx, -1 if best_sender is None else best_sender, len(state.cand))
-            )
-            for sender, cand in state.cand.items():
-                out.extend((sender, cand[0], cand[2], cand[3], cand[4]))
-        return tuple(meta)
-
-    def lowered_tables(self) -> tuple[array, array, array, array]:
-        """The core's intern tables in flat column form.
-
-        ``(path_indptr, path_flat, comm_indptr, comm_flat)`` — the id
-        spaces referenced by :meth:`lowered_observed` rows, for the parent
-        to rebuild :class:`ASPath`/:class:`CommunitySet` objects from.
-        """
-        path_indptr = array("q", [0])
-        path_flat = array("q")
-        for path in self._paths:
-            path_flat.extend(path)
-            path_indptr.append(len(path_flat))
-        comm_indptr = array("q", [0])
-        comm_flat = array("q")
-        for members in self._comm_members:
-            for pair in members:
-                comm_flat.extend(pair)
-            comm_indptr.append(len(comm_flat))
-        return path_indptr, path_flat, comm_indptr, comm_flat
-
-
-# -- process-pool fan-out ------------------------------------------------------
-
-#: Worker-side memo of attached cores, keyed by ``(descriptor, budget)``
-#: shipped with each shard — a pure function of the task arguments, which
-#: is what makes this module-level state pool-safe (see ``AttachCache``).
-_SHARD_CORES = AttachCache(lambda key: _Core(attach(key[0]), key[1]))
-
-
-def _shard_ranges(task_count: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous, near-equal task ranges covering ``range(task_count)``.
-
-    More shards than workers (up to 4× as many) keeps the pool load-balanced
-    when per-prefix cost is skewed, while each shard stays large enough to
-    amortize its attach + result-shipping overhead.
-    """
-    shard_count = min(task_count, workers * 4)
-    base, extra = divmod(task_count, shard_count)
-    ranges = []
-    start = 0
-    for index in range(shard_count):
-        stop = start + base + (1 if index < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
-
-
-def _run_shard(
-    descriptor: tuple, message_budget: int, start: int, stop: int
-) -> tuple[list, array, tuple]:
-    """Propagate one contiguous task range against the attached topology.
-
-    Workers never see a pickled topology: ``descriptor`` names a shared
-    segment (or a cached artifact file) and the attached zero-copy view is
-    memoized per process, so every shard after the first is pure compute.
-    """
-    fault_point("worker-kill", f"propagation-shard:{start}:{stop}")
-    core = _SHARD_CORES.get((descriptor, message_budget))
-    topology = core.topology
-    cand = array("q")
-    meta = []
-    for task_index in range(start, stop):
-        origin_idx, prefix = topology.origin_tasks[task_index]
-        processed, truncated = core.run_task(
-            origin_idx, prefix, topology.seed_for(task_index)
-        )
-        meta.append((task_index, processed, truncated, core.lowered_observed(cand)))
-    return meta, cand, core.lowered_tables()
-
-
-class _ShardMerger:
-    """Parent-side materialization of lowered shard results.
-
-    Rebuilds :class:`ASPath` and :class:`CommunitySet` objects from each
-    shard's interned tables, memoized across shards (by dense path tuple /
-    community pair set) so structure shared between shards is built once.
-    """
-
-    def __init__(self, topology: CompiledTopology | SharedTopologyView) -> None:
-        self._asns = topology.asns
-        self._aspath_memo: dict[tuple[int, ...], ASPath] = {}
-        self._comm_memo: dict[frozenset, CommunitySet] = {}
-
-    def load_shard(self, tables: tuple) -> None:
-        """Switch to one shard's id spaces (its interned tables)."""
-        path_indptr, path_flat, comm_indptr, comm_flat = tables
-        self._path_indptr = path_indptr
-        self._path_flat = path_flat
-        self._path_cache: list[ASPath | None] = [None] * (len(path_indptr) - 1)
-        self._comm_indptr = comm_indptr
-        self._comm_flat = comm_flat
-        self._comm_cache: list[CommunitySet | None] = [None] * (len(comm_indptr) - 1)
-
-    def _aspath_of(self, path_id: int) -> ASPath:
-        as_path = self._path_cache[path_id]
-        if as_path is None:
-            indptr = self._path_indptr
-            dense = tuple(self._path_flat[indptr[path_id] : indptr[path_id + 1]])
-            as_path = self._aspath_memo.get(dense)
-            if as_path is None:
-                asns = self._asns
-                as_path = ASPath._from_validated(tuple(asns[i] for i in dense))
-                self._aspath_memo[dense] = as_path
-            self._path_cache[path_id] = as_path
-        return as_path
-
-    def _communities_of(self, comm_id: int) -> CommunitySet:
-        communities = self._comm_cache[comm_id]
-        if communities is None:
-            indptr = self._comm_indptr
-            flat = self._comm_flat
-            pairs = frozenset(
-                (flat[k], flat[k + 1])
-                for k in range(indptr[comm_id], indptr[comm_id + 1], 2)
-            )
-            communities = self._comm_memo.get(pairs)
-            if communities is None:
-                communities = CommunitySet(
-                    Community(asn, value) for asn, value in pairs
-                )
-                self._comm_memo[pairs] = communities
-            self._comm_cache[comm_id] = communities
-        return communities
-
-    def route_of(
-        self, prefix: Prefix, sender_idx: int, lp: int, path_id: int, comm_id: int, kind: int
-    ) -> Route:
-        """Materialize one lowered candidate row (same fields as the core)."""
-        route = Route.__new__(Route)
-        set_field = _SET_FIELD
-        set_field(route, "prefix", prefix)
-        set_field(route, "as_path", self._aspath_of(path_id))
-        set_field(route, "origin", Origin.IGP)
-        set_field(route, "med", 0)
-        set_field(route, "communities", self._communities_of(comm_id))
-        set_field(route, "learned_from", self._asns[sender_idx])
-        set_field(route, "igp_metric", 0)
-        set_field(route, "router_id", 0)
-        if kind == KIND_LOCAL:
-            set_field(route, "local_pref", DEFAULT_LOCAL_PREF)
-            set_field(route, "source", RouteSource.LOCAL)
-            set_field(route, "neighbor_kind", NeighborKind.UNKNOWN)
-        else:
-            set_field(route, "local_pref", lp)
-            set_field(route, "source", RouteSource.EBGP)
-            set_field(route, "neighbor_kind", _KIND_TO_NEIGHBOR_KIND[kind])
-        return route
-
 
 class FastPropagationEngine:
     """Drop-in fast replacement for :class:`PropagationEngine`.
@@ -760,24 +566,8 @@ class FastPropagationEngine:
             Tier-1 clique.
         message_budget_per_prefix: safety valve against policy-induced
             oscillation (same semantics as the legacy engine).
-        workers: per-prefix fan-out width.  ``1`` runs in-process; ``N > 1``
-            cuts the originated-prefix list into contiguous shards over a
-            process pool on the zero-copy path — the compiled topology is
-            published to shared memory (or attached from a cached artifact
-            file) and workers attach by name — then merges the lowered
-            shard results deterministically in task order.
-        compiled: an already-compiled topology to reuse (skips
-            compilation); either a :class:`CompiledTopology` or a
-            :class:`SharedTopologyView` attached from the store, in which
-            case pool workers re-attach the same artifact instead of the
-            parent publishing a segment.
 
-    Attributes:
-        last_run_phases: wall-clock seconds of the most recent :meth:`run`,
-            split into ``compile`` (topology compilation, paid in the
-            constructor), ``publish`` (lowering + shared-memory copy),
-            ``compute`` (pool execution, or the whole serial loop) and
-            ``merge`` (parent-side materialization of shard results).
+    The constructor compiles the topology; :meth:`run` propagates.
     """
 
     def __init__(
@@ -786,8 +576,6 @@ class FastPropagationEngine:
         assignment: PolicyAssignment,
         observed_ases: list[ASN] | None = None,
         message_budget_per_prefix: int = 500_000,
-        workers: int = 1,
-        compiled: CompiledTopology | SharedTopologyView | None = None,
     ) -> None:
         self.internet = internet
         self.assignment = assignment
@@ -796,16 +584,8 @@ class FastPropagationEngine:
             set(observed_ases if observed_ases is not None else internet.tier1)
         )
         self.message_budget_per_prefix = message_budget_per_prefix
-        self.workers = max(1, int(workers))
         self.decision = DecisionProcess()
-        started = perf_counter()
-        self.compiled = (
-            compiled
-            if compiled is not None
-            else compile_topology(internet, assignment, self.observed_ases)
-        )
-        self._compile_seconds = 0.0 if compiled is not None else perf_counter() - started
-        self.last_run_phases: dict[str, float] = {}
+        self.compiled = compile_topology(internet, assignment, self.observed_ases)
         self._core: _Core | None = None
 
     # -- public API ----------------------------------------------------------
@@ -815,96 +595,17 @@ class FastPropagationEngine:
         result = SimulationResult(internet=self.internet, assignment=self.assignment)
         for asn in self.observed_ases:
             result.tables[asn] = LocRib(owner=asn, decision=self.decision)
-        topology = self.compiled
-        tasks = topology.origin_tasks
-        if self.workers == 1 or len(tasks) <= 1:
-            started = perf_counter()
-            core = self._local_core()
-            seeds = topology.seeds
-            for origin_idx, prefix in tasks:
-                processed, truncated = core.run_task(
-                    origin_idx, prefix, seeds[(origin_idx, prefix)]
-                )
-                result.message_count += processed
-                if truncated:
-                    result.truncated_prefixes.append(prefix)
-                for asn, (routes, best) in core.observed_routes(prefix).items():
-                    result.tables[asn].load_entry(prefix, routes, best)
-            self.last_run_phases = {
-                "compile": self._compile_seconds,
-                "publish": 0.0,
-                "compute": perf_counter() - started,
-                "merge": 0.0,
-            }
-            return result
-
-        # Zero-copy fan-out: publish once (unless the topology is already an
-        # attached artifact view), ship only (descriptor, range) per shard,
-        # and always unlink the owned segment — engine exceptions and killed
-        # workers included.
-        shards = _shard_ranges(len(tasks), self.workers)
-        budget = self.message_budget_per_prefix
-        publish_seconds = 0.0
-        handle = None
-        descriptor = getattr(topology, "descriptor", None)
-        if descriptor is None:
-            started = perf_counter()
-            handle = publish(topology)
-            descriptor = handle.descriptor
-            publish_seconds = perf_counter() - started
-        started = perf_counter()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=self.workers, initializer=mark_worker
-            ) as pool:
-                futures = [
-                    pool.submit(_run_shard, descriptor, budget, start, stop)
-                    for start, stop in shards
-                ]
-                shard_results = [future.result() for future in futures]
-        finally:
-            if handle is not None:
-                handle.unlink()
-        compute_seconds = perf_counter() - started
-
-        # Shards are contiguous and submitted in task order, so walking them
-        # in submission order is the deterministic task-order merge.
-        started = perf_counter()
-        asns = topology.asns
-        merger = _ShardMerger(topology)
-        for meta, cand, intern_tables in shard_results:
-            merger.load_shard(intern_tables)
-            route_of = merger.route_of
-            cursor = 0
-            for task_index, processed, truncated, table_meta in meta:
-                result.message_count += processed
-                prefix = tasks[task_index][1]
-                if truncated:
-                    result.truncated_prefixes.append(prefix)
-                for asn_idx, best_sender, count in table_meta:
-                    routes = []
-                    best_route = None
-                    for _ in range(count):
-                        sender = cand[cursor]
-                        route = route_of(
-                            prefix,
-                            sender,
-                            cand[cursor + 1],
-                            cand[cursor + 2],
-                            cand[cursor + 3],
-                            cand[cursor + 4],
-                        )
-                        cursor += 5
-                        routes.append(route)
-                        if sender == best_sender:
-                            best_route = route
-                    result.tables[asns[asn_idx]].load_entry(prefix, routes, best_route)
-        self.last_run_phases = {
-            "compile": self._compile_seconds,
-            "publish": publish_seconds,
-            "compute": compute_seconds,
-            "merge": perf_counter() - started,
-        }
+        core = self._local_core()
+        seeds = self.compiled.seeds
+        for origin_idx, prefix in self.compiled.origin_tasks:
+            processed, truncated = core.run_task(
+                origin_idx, prefix, seeds[(origin_idx, prefix)]
+            )
+            result.message_count += processed
+            if truncated:
+                result.truncated_prefixes.append(prefix)
+            for asn, (routes, best) in core.observed_routes(prefix).items():
+                result.tables[asn].load_entry(prefix, routes, best)
         return result
 
     def run_prefix(self, prefix: Prefix, origin: ASN) -> PrefixRun:

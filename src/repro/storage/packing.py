@@ -34,13 +34,6 @@ tag   type       payload
 Array columns use the machine byte order for speed (they are the bulk of
 an artifact); :class:`repro.storage.store.DiskStore` records the byte
 order in the file header and refuses cross-endian reads.
-
-:func:`unpack` copies every node out of the input buffer.  :func:`unpack_view`
-is the zero-copy variant: array and bytes nodes come back as
-:class:`memoryview` slices *over the caller's buffer* (cast to the stored
-typecode), which is what lets a shared-memory segment or an mmap'ed artifact
-file back live array views without duplicating the bulk columns.  The caller
-owns the buffer's lifetime: the views are only valid while it stays mapped.
 """
 
 from __future__ import annotations
@@ -156,17 +149,17 @@ def pack(obj: object) -> bytes:
 
 
 class _Reader:
-    """Cursor over a packed byte string (or memoryview)."""
+    """Cursor over a packed byte string."""
 
     __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes | memoryview) -> None:
+    def __init__(self, data: bytes) -> None:
         """Start a cursor at the beginning of ``data``."""
         self.data = data
         self.pos = 0
 
-    def take(self, count: int) -> bytes | memoryview:
-        """Consume and return the next ``count`` bytes (a slice of ``data``)."""
+    def take(self, count: int) -> bytes:
+        """Consume and return the next ``count`` bytes."""
         end = self.pos + count
         if end > len(self.data):
             raise StorageError("truncated packed data")
@@ -194,13 +187,8 @@ class _Reader:
         return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1)
 
 
-def _unpack_from(reader: _Reader, zero_copy: bool = False) -> object:
-    """Read one primitive-tree node from ``reader``.
-
-    With ``zero_copy`` the reader's buffer must be a :class:`memoryview`;
-    array and bytes nodes are returned as casts/slices of it instead of
-    copies.
-    """
+def _unpack_from(reader: _Reader) -> object:
+    """Read one primitive-tree node from ``reader``."""
     tag = reader.take(1)[0]
     if tag == _TAG_NONE:
         return None
@@ -213,28 +201,17 @@ def _unpack_from(reader: _Reader, zero_copy: bool = False) -> object:
     if tag == _TAG_FLOAT:
         return _FLOAT.unpack(reader.take(8))[0]
     if tag == _TAG_STR:
-        return str(reader.take(reader.uvarint()), "utf-8")
+        return reader.take(reader.uvarint()).decode("utf-8")
     if tag == _TAG_BYTES:
-        chunk = reader.take(reader.uvarint())
-        return chunk if zero_copy else bytes(chunk)
+        return reader.take(reader.uvarint())
     if tag == _TAG_TUPLE:
-        return tuple(
-            _unpack_from(reader, zero_copy) for _ in range(reader.uvarint())
-        )
+        return tuple(_unpack_from(reader) for _ in range(reader.uvarint()))
     if tag == _TAG_LIST:
-        return [_unpack_from(reader, zero_copy) for _ in range(reader.uvarint())]
+        return [_unpack_from(reader) for _ in range(reader.uvarint())]
     if tag == _TAG_ARRAY:
         typecode = chr(reader.take(1)[0])
-        raw = reader.take(reader.uvarint())
-        if zero_copy:
-            try:
-                return raw.cast(typecode)
-            except (TypeError, ValueError) as exc:
-                raise StorageError(
-                    f"array typecode {typecode!r} does not support zero-copy views"
-                ) from exc
         column = array(typecode)
-        column.frombytes(raw)
+        column.frombytes(reader.take(reader.uvarint()))
         return column
     raise StorageError(f"unknown packing tag 0x{tag:02x}")
 
@@ -257,37 +234,5 @@ def unpack(data: bytes) -> object:
     if reader.pos != len(data):
         raise StorageError(
             f"{len(data) - reader.pos} trailing byte(s) after packed tree"
-        )
-    return tree
-
-
-def unpack_view(data: bytes | bytearray | memoryview) -> object:
-    """Deserialize packed bytes *without copying the bulk columns*.
-
-    Args:
-        data: a buffer holding bytes produced by :func:`pack` — typically a
-            :class:`memoryview` over a shared-memory segment or an mmap'ed
-            artifact file.
-
-    Returns:
-        The primitive tree, with two deviations from :func:`unpack`: array
-        nodes are returned as read-only :class:`memoryview` objects cast to
-        the stored typecode, and bytes nodes as plain memoryview slices —
-        both windows into ``data`` rather than copies.  Scalars, strings and
-        containers are materialized as usual.  The views are valid only as
-        long as the caller keeps ``data``'s underlying buffer alive/mapped.
-
-    Raises:
-        StorageError: on truncated input, unknown tags, trailing bytes, or a
-            typecode that cannot back a zero-copy view.
-    """
-    base = data if isinstance(data, memoryview) else memoryview(data)
-    if not base.contiguous:
-        raise StorageError("unpack_view needs a contiguous buffer")
-    reader = _Reader(base.cast("B") if base.format != "B" else base)
-    tree = _unpack_from(reader, zero_copy=True)
-    if reader.pos != len(reader.data):
-        raise StorageError(
-            f"{len(reader.data) - reader.pos} trailing byte(s) after packed tree"
         )
     return tree

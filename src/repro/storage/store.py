@@ -35,15 +35,13 @@ Failure handling (see ``docs/robustness.md``):
 
 from __future__ import annotations
 
-import mmap
 import os
 import pathlib
 import sys
 import tempfile
 
-from repro.exceptions import StorageError
 from repro.faults.runtime import corrupt_artifact, fault_point
-from repro.storage.packing import pack, unpack, unpack_view
+from repro.storage.packing import pack, unpack
 from repro.storage.versions import CODEC_VERSIONS, SCHEMA_VERSION
 
 #: Leading marker of every artifact file header.
@@ -61,96 +59,6 @@ DEGRADE_AFTER = 3
 
 #: Directories under the root that are not content-addressed stage tiers.
 _NON_STAGE_DIRS = frozenset({"sweeps", QUARANTINE_DIR})
-
-
-def _expected_header(stage: str) -> tuple:
-    """The file header every valid artifact of ``stage`` must carry."""
-    from repro import __version__
-
-    return (
-        _MAGIC,
-        SCHEMA_VERSION,
-        stage,
-        CODEC_VERSIONS.get(stage, 0),
-        __version__,
-        sys.byteorder,
-    )
-
-
-class ArtifactView:
-    """A validated, mmap-backed window onto one artifact's payload.
-
-    Attributes:
-        payload: read-only :class:`memoryview` of the codec payload bytes,
-            backed directly by the OS page cache — multiple processes
-            opening the same artifact share the physical pages.
-        path: the artifact file the view is mapped from.
-
-    The view owns the mapping: keep it (or the payload) alive while any
-    derived array views are in use, and :meth:`close` when done.  Closing
-    is best-effort — if derived views still pin the buffer the mapping
-    stays until they are garbage collected.
-    """
-
-    def __init__(self, payload: memoryview, mapping: mmap.mmap, path: pathlib.Path) -> None:
-        """Bind the payload view to the mapping that backs it."""
-        self.payload: memoryview | None = payload
-        self.path = path
-        self._mmap: mmap.mmap | None = mapping
-
-    def close(self) -> None:
-        """Release the payload view and unmap the file (best-effort)."""
-        payload = self.payload
-        self.payload = None
-        if payload is not None:
-            payload.release()
-        mapping = self._mmap
-        self._mmap = None
-        if mapping is not None:
-            try:
-                mapping.close()
-            except BufferError:
-                pass
-
-    def __enter__(self) -> "ArtifactView":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def open_artifact_view(path: str | os.PathLike, stage: str) -> ArtifactView:
-    """mmap one artifact file and validate it without copying the payload.
-
-    Unlike :meth:`DiskStore.read_view` this is addressed by *path* (no
-    store instance needed), which is what lets pool workers attach a
-    cached compiled topology shipped to them as a file descriptor.
-
-    Raises:
-        OSError: when the file cannot be opened or mapped.
-        StorageError: when the bytes are not a valid artifact of ``stage``
-            (wrong header, corruption, or a truncated tree).
-    """
-    path = pathlib.Path(path)
-    with open(path, "rb") as handle:
-        try:
-            mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except ValueError as exc:  # zero-length file: cannot be a valid artifact
-            raise StorageError(f"not an artifact file: {path}") from exc
-    try:
-        tree = unpack_view(memoryview(mapping))
-        if not (isinstance(tree, tuple) and len(tree) == 2):
-            raise StorageError(f"not an artifact file: {path}")
-        header, payload = tree
-        if header != _expected_header(stage) or not isinstance(payload, memoryview):
-            raise StorageError(f"stale or foreign {stage} artifact: {path}")
-    except Exception:
-        try:
-            mapping.close()
-        except BufferError:
-            pass
-        raise
-    return ArtifactView(payload, mapping, path)
 
 
 class DiskStore:
@@ -224,27 +132,6 @@ class DiskStore:
             self._quarantine(stage, path)
             return None
         return payload
-
-    def read_view(self, stage: str, key: str) -> ArtifactView | None:
-        """A zero-copy mmap view of an artifact's payload, or ``None``.
-
-        Same miss/quarantine contract as :meth:`read`, but the payload
-        comes back as an :class:`ArtifactView` backed by the OS page
-        cache instead of copied bytes — the read path that lets a cached
-        compiled topology directly back a shared zero-copy engine view
-        (see :mod:`repro.simulation.fastpath.shm`).
-        """
-        path = self.path_for(stage, key)
-        fault_point("latency", f"{stage}/{key}")
-        try:
-            return open_artifact_view(path, stage)
-        except OSError:
-            return None
-        except Exception:
-            # Same contract as ``read``: corruption and version drift are
-            # misses; the invalid file is quarantined, never re-decoded.
-            self._quarantine(stage, path)
-            return None
 
     def write(self, stage: str, key: str, payload: bytes) -> pathlib.Path | None:
         """Atomically persist one artifact payload.
@@ -320,7 +207,16 @@ class DiskStore:
 
     def _header(self, stage: str) -> tuple:
         """The expected file header of one stage's artifacts."""
-        return _expected_header(stage)
+        from repro import __version__
+
+        return (
+            _MAGIC,
+            SCHEMA_VERSION,
+            stage,
+            CODEC_VERSIONS.get(stage, 0),
+            __version__,
+            sys.byteorder,
+        )
 
     # -- maintenance -----------------------------------------------------------
 

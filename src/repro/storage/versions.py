@@ -36,9 +36,6 @@ CODEC_VERSIONS: dict[str, int] = {
     "irr": 1,
     "analysis": 1,
     "report": 1,
-    # The lowered CompiledTopology tree (repro.simulation.fastpath.shm);
-    # mirrors shm.FORMAT_VERSION so stale lowerings are never attached.
-    "compiled-topology": 1,
 }
 
 

@@ -50,42 +50,9 @@ class TestCleanFixture:
         )
         assert findings == []
 
-    def test_attach_cache_memo_is_sanctioned(self, lint_source):
-        # AttachCache entries derive purely from task arguments, so the
-        # per-process-copy hazard cannot occur: reading one in a worker is
-        # the sanctioned pattern, not a finding.
-        findings = lint_source(
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "from repro.simulation.fastpath.shm import AttachCache, attach\n"
-            "_CORES = AttachCache(lambda key: attach(key))\n"
-            "def _worker(descriptor, start, stop):\n"
-            "    return _CORES.get(descriptor)\n"
-            "def fan_out(tasks):\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        return [pool.submit(_worker, *task) for task in tasks]\n"
-        )
-        assert findings == []
-
-    def test_attach_cache_global_rebind_is_sanctioned(self, lint_source):
-        # Even the initializer-rebind spelling stays exempt: the rebound
-        # value is still a pure-function-of-key memo.
-        findings = lint_source(
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "from repro.simulation.fastpath.shm import AttachCache, attach\n"
-            "_CORES = AttachCache(attach)\n"
-            "def _init():\n"
-            "    global _CORES\n"
-            "    _CORES = AttachCache(attach)\n"
-            "def _worker(descriptor):\n"
-            "    return _CORES.get(descriptor)\n"
-            "def fan_out(tasks):\n"
-            "    with ProcessPoolExecutor(initializer=_init) as pool:\n"
-            "        return [pool.submit(_worker, task) for task in tasks]\n"
-        )
-        assert findings == []
-
     def test_plain_dict_worker_memo_still_fires(self, lint_source):
-        # The unsanctioned spelling of the same memo remains a finding.
+        # A worker-side memo in a module-level dict is a per-process copy:
+        # each worker fills its own, the parent never sees it.
         findings = lint_source(
             "from concurrent.futures import ProcessPoolExecutor\n"
             "_CORES = {}\n"
@@ -101,21 +68,6 @@ class TestCleanFixture:
 
 
 class TestRealModules:
-    def test_fastpath_worker_needs_no_suppression(self):
-        # The zero-copy attach path replaced the initializer-owned
-        # _WORKER_CORE global (and its inline POOL002 rationale) with a
-        # sanctioned AttachCache: the engine lints clean with no
-        # suppressions left in the file.
-        path = REPO_ROOT / "src/repro/simulation/fastpath/engine.py"
-        module = ModuleUnderLint.parse(
-            "src/repro/simulation/fastpath/engine.py", path.read_text()
-        )
-        context = LintContext(root=REPO_ROOT, src_roots=(REPO_ROOT / "src",))
-        findings = lint_module(module, context, rules=[get_rule("POOL002")])
-        assert findings == []
-        assert not [s for s in module.suppressions if "POOL002" in s.rules]
-        assert "AttachCache" in path.read_text()
-
     def test_sweep_and_fuzz_pools_are_clean(self):
         context = LintContext(root=REPO_ROOT, src_roots=(REPO_ROOT / "src",))
         rules = [get_rule("POOL001"), get_rule("POOL002")]

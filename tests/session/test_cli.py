@@ -135,19 +135,6 @@ class TestCommands:
         )
         assert json.loads(out)["workers"] == 2
 
-    def test_run_propagation_workers_flag(self, capsys):
-        out = run_cli(
-            capsys, "run", "table1", "--scenario", "small",
-            "--propagation-workers", "2",
-        )
-        assert "table1" in out
-
-    def test_invalid_propagation_workers_fails_cleanly(self, capsys):
-        assert cli_main(
-            ["run", "table1", "--scenario", "small", "--propagation-workers", "0"]
-        ) == 2
-        assert "workers" in capsys.readouterr().err
-
 
 class TestCacheCommands:
     def test_run_with_cache_dir_persists_artifacts(self, capsys, tmp_path):

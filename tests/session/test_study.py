@@ -146,27 +146,6 @@ class TestDatasetCompatibilityView:
             )
 
 
-class TestPropagationSettings:
-    """The propagation stage's one execution setting: its worker count."""
-
-    def test_default_is_fast_single_worker(self, study):
-        assert study.propagation_workers == 1
-
-    def test_settings_survive_with_and_seeded(self, cache):
-        study = Study(TINY, cache=cache, propagation_workers=2)
-        assert study.with_(irr=IrrParameters(seed=9)).propagation_workers == 2
-        assert study.seeded(5).propagation_workers == 2
-
-    def test_worker_count_does_not_change_the_stage_key(self, cache):
-        one = Study(TINY, cache=cache, propagation_workers=1)
-        four = Study(TINY, cache=cache, propagation_workers=4)
-        assert one.stage_key(Stage.PROPAGATION) == four.stage_key(Stage.PROPAGATION)
-
-    def test_invalid_settings_are_rejected(self, cache):
-        with pytest.raises(SimulationError):
-            Study(TINY, cache=cache, propagation_workers=0)
-
-
 class TestConfigConversion:
     def test_parameters_are_hashable(self):
         assert hash(StudyConfig()) == hash(StudyConfig())

@@ -155,6 +155,31 @@ class TestPoolRecovery:
         assert by_spec["collector-size@0"].status == "quarantined"
         assert by_spec["collector-size@1"].status in ("completed", "cached")
 
+    def test_innocent_case_in_flight_is_never_charged(self, tmp_path):
+        # Slow store operations keep collector-size@1 in flight when the
+        # poison case kills its worker at the start of its first attempt,
+        # so that break hits both cases.  With no retries, charging it to
+        # both would quarantine the innocent case too.
+        plan = FaultPlan(
+            seed=0,
+            state_dir=str(tmp_path / "fault-state"),
+            rules=(
+                FaultRule("worker-kill", rate=1.0, times=None, match="collector-size@0"),
+                FaultRule("latency", rate=1.0, times=None, param=0.05),
+            ),
+        )
+        report = run_sweep(
+            CASES,
+            cache_dir=tmp_path / "cache",
+            experiments=EXPERIMENTS,
+            workers=2,
+            fault_plan=plan,
+            retries=0,
+        )
+        by_spec = {case.spec: case for case in report.cases}
+        assert by_spec["collector-size@0"].status == "quarantined"
+        assert by_spec["collector-size@1"].status == "completed"
+
     def test_pool_and_serial_reports_are_byte_identical(self, tmp_path):
         # The chaos invariant in miniature: a sweep that needed crash
         # recovery produces the same timing-masked reports as a clean one.

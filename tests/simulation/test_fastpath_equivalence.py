@@ -2,9 +2,8 @@
 
 The fast engine's contract is *semantic identity* with the legacy engine:
 same observed tables (candidates, best routes, attributes), same message
-counts, same truncated prefixes — for every registered scenario, for the
-hand-built figure scenarios, and for both the in-process and the
-process-pool execution paths.  The fast engine is the only production
+counts, same truncated prefixes — for every registered scenario and for the
+hand-built figure scenarios.  The fast engine is the only production
 propagation path (the session layer, ``Timeline`` and ``Scenario.run`` all
 use it), so this suite is the gate that keeps it honest.
 
@@ -28,10 +27,6 @@ from repro.simulation.scenario import (
     figure8_multihomed_scenario,
     figure8_singlehomed_scenario,
 )
-
-#: workers=1 exercises the in-process core; workers=2 and 4 the zero-copy
-#: process pool (different shard cuts, same deterministic task-order merge).
-WORKER_COUNTS = (1, 2, 4)
 
 #: The hand-built scenarios of the paper's illustrative figures, by name;
 #: ``Scenario.run`` propagates them with the fast engine.
@@ -71,13 +66,10 @@ def assert_equivalent(legacy: SimulationResult, fast: SimulationResult) -> None:
     check_propagation_equivalence(legacy, fast)
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("scenario", sorted(scenario_names()) + sorted(FIGURES))
-def test_fast_engine_matches_legacy(scenario: str, workers: int) -> None:
+def test_fast_engine_matches_legacy(scenario: str) -> None:
     internet, assignment, observed, legacy = _scenario_runs(scenario)
-    fast = FastPropagationEngine(
-        internet, assignment, observed_ases=observed, workers=workers
-    ).run()
+    fast = FastPropagationEngine(internet, assignment, observed_ases=observed).run()
     assert_equivalent(legacy, fast)
 
 

@@ -53,56 +53,6 @@ class TestDeterminism:
             assert unpack(pack(value)) == value
 
 
-class TestZeroCopyView:
-    def test_arrays_stay_views_over_the_source_buffer(self):
-        from repro.storage.packing import unpack_view
-
-        column = array("q", [0, -5, 2**40])
-        data = pack((column, b"blob", "text", 7))
-        tree = unpack_view(data)
-        restored_column, blob, text, number = tree
-        assert isinstance(restored_column, memoryview)
-        assert restored_column.format == "q"
-        assert list(restored_column) == column.tolist()
-        assert isinstance(blob, memoryview)
-        assert bytes(blob) == b"blob"
-        assert text == "text" and number == 7
-
-    def test_accepts_memoryview_input_without_copy(self):
-        from repro.storage.packing import unpack_view
-
-        data = pack(array("q", [1, 2, 3]))
-        view = unpack_view(memoryview(data))
-        assert list(view) == [1, 2, 3]
-
-    def test_matches_copying_unpack(self):
-        from repro.storage.packing import unpack_view
-
-        tree = (array("q", [9, -9]), (b"x", "y"), [1.5, None, True])
-        copied = unpack(pack(tree))
-        viewed = unpack_view(pack(tree))
-        assert list(viewed[0]) == copied[0].tolist()
-        assert bytes(viewed[1][0]) == copied[1][0]
-        assert viewed[1][1] == copied[1][1]
-        assert viewed[2] == copied[2]
-
-    def test_rejects_noncontiguous_buffers(self):
-        from repro.storage.packing import unpack_view
-
-        data = pack(1) * 2
-        with pytest.raises(StorageError):
-            unpack_view(memoryview(data)[::2])
-
-    def test_truncated_and_trailing_bytes(self):
-        from repro.storage.packing import unpack_view
-
-        data = pack((1, array("q", [2])))
-        with pytest.raises(StorageError):
-            unpack_view(data[:-1])
-        with pytest.raises(StorageError):
-            unpack_view(data + b"\x00")
-
-
 class TestErrors:
     def test_rejects_hash_ordered_containers(self):
         with pytest.raises(StorageError):

@@ -186,62 +186,3 @@ class TestDegradation:
         store.degraded = True
         assert store.read("topology", "k") == b"payload"
         assert store.write("topology", "other", b"x") is None
-
-
-class TestReadView:
-    def test_round_trip_is_zero_copy(self, tmp_path):
-        store = DiskStore(tmp_path)
-        store.write("topology", "abc123", b"payload")
-        view = store.read_view("topology", "abc123")
-        assert view is not None
-        assert isinstance(view.payload, memoryview)
-        assert bytes(view.payload) == b"payload"
-        assert view.path == store.path_for("topology", "abc123")
-        view.close()
-        assert view.payload is None
-
-    def test_missing_is_none(self, tmp_path):
-        assert DiskStore(tmp_path).read_view("topology", "nope") is None
-
-    def test_corrupt_file_is_a_miss_and_quarantined(self, tmp_path):
-        store = DiskStore(tmp_path)
-        path = store.write("topology", "abc123", b"payload")
-        path.write_bytes(b"garbage")
-        assert store.read_view("topology", "abc123") is None
-        assert not path.exists()
-        assert store.health()["quarantined_reads"] == 1
-
-    def test_stage_mismatch_is_a_miss(self, tmp_path):
-        store = DiskStore(tmp_path)
-        path = store.write("topology", "abcdef", b"payload")
-        moved = tmp_path / "policies" / "ab"
-        moved.mkdir(parents=True)
-        (moved / path.name).write_bytes(path.read_bytes())
-        assert store.read_view("policies", "abcdef") is None
-
-    def test_context_manager_closes(self, tmp_path):
-        store = DiskStore(tmp_path)
-        store.write("topology", "abc123", b"payload")
-        with store.read_view("topology", "abc123") as view:
-            assert bytes(view.payload) == b"payload"
-        assert view.payload is None
-
-    def test_open_artifact_view_by_path(self, tmp_path):
-        from repro.exceptions import StorageError
-        from repro.storage.store import open_artifact_view
-
-        store = DiskStore(tmp_path)
-        path = store.write("topology", "abc123", b"payload")
-        with open_artifact_view(path, "topology") as view:
-            assert bytes(view.payload) == b"payload"
-        with pytest.raises(StorageError):
-            open_artifact_view(path, "policies")  # wrong stage header
-
-    def test_open_artifact_view_rejects_empty_file(self, tmp_path):
-        from repro.exceptions import StorageError
-        from repro.storage.store import open_artifact_view
-
-        empty = tmp_path / "empty.art"
-        empty.touch()
-        with pytest.raises(StorageError):
-            open_artifact_view(empty, "topology")
