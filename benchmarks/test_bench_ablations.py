@@ -1,4 +1,4 @@
-"""Benchmark: the DESIGN.md ablations.
+"""Benchmark: the ablations of paper Sections 4.3 and 5.1.5 (see docs/paper-map.md).
 
 Shape expectations:
 * replacing ground-truth relationships with Gao-inferred ones moves the SA

@@ -12,11 +12,9 @@ The script
 
 1. sweeps ``selective_announcement_probability`` across five values and
    reports how the Tier-1 SA-prefix fraction (Table 5's headline number)
-   responds,
+   responds, and
 2. asserts via the stage-cache counters that the topology was built exactly
-   once for all five datasets, and
-3. re-runs a suite with four workers and checks the report is byte-identical
-   to the serial run.
+   once for all five datasets.
 
 Run with::
 
@@ -25,12 +23,10 @@ Run with::
 
 from dataclasses import replace
 
-from repro.experiments.common import sa_reports
 from repro.reporting.tables import ascii_table, format_percent
-from repro.session import StageCache, get_scenario, run_suite
+from repro.session import StageCache, get_scenario
 
 SWEEP = (0.1, 0.25, 0.45, 0.65, 0.85)
-SUITE = ("table5", "table8", "table9", "table10")
 
 
 def main() -> None:
@@ -43,7 +39,7 @@ def main() -> None:
             policy=replace(study.config.policy, selective_announcement_probability=probability)
         )
         dataset = variant.dataset()
-        reports = sa_reports(dataset)
+        reports = dataset.analysis_engine().sa_reports()
         customer_prefixes = sum(r.customer_prefix_count for r in reports.values())
         sa_prefixes = sum(r.sa_prefix_count for r in reports.values())
         rows.append(
@@ -72,14 +68,6 @@ def main() -> None:
     print(
         f"\nstage cache: topology built {topology.builds}x "
         f"(+{topology.hits} cache hits) across {len(SWEEP)} datasets"
-    )
-
-    serial = run_suite(study, SUITE, workers=1)
-    parallel = run_suite(study, SUITE, workers=4)
-    assert serial.to_json(include_timing=False) == parallel.to_json(include_timing=False)
-    print(
-        f"run_suite: {len(SUITE)} experiments, workers=4 report is byte-identical "
-        f"to workers=1 ({parallel.total_seconds:.2f}s vs {serial.total_seconds:.2f}s)"
     )
 
 

@@ -3,13 +3,13 @@ Internet Routing Policies" (IMC 2003).
 
 The front door is the **session API**: a staged, cacheable
 :class:`~repro.session.study.Study` (``topology -> policies -> propagation
--> observation -> irr -> analysis``) with named scenario presets and a
-parallel experiment runner::
+-> observation -> irr -> analysis``) with named scenario presets and an
+experiment runner::
 
     from repro.session import get_scenario, run_suite
 
     study = get_scenario("small").study()
-    report = run_suite(study, ["table5", "table9"], workers=2)
+    report = run_suite(study, ["table5", "table9"])
     print(report.render())
 
 ``study.with_(policy=...)`` derives a variant that reuses every cached

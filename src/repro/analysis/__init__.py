@@ -7,11 +7,12 @@ observation stage and the paper's analyses:
   collector table, the Looking Glass views and the IRR database into dense
   columnar arrays with interned prefixes/AS paths and precomputed groupings.
 * :mod:`repro.analysis.engine` — :class:`AnalysisEngine` runs every
-  :mod:`repro.core` analysis as a one-pass query over the shared index,
-  with results identical to the legacy analyzers (golden equivalence suite
-  in ``tests/analysis/``).
+  analysis the experiments need as a one-pass query over the shared index,
+  with results identical to the legacy :mod:`repro.core` analyzers, its
+  test oracles (golden equivalence suite in ``tests/analysis/``).
 * :mod:`repro.analysis.persistence` — the Figs. 6/7 persistence study
-  (Section 5.1.4) over timeline snapshots.
+  (Section 5.1.4) over timeline snapshots, which have no index; it is the
+  one production user of a legacy analyzer (``ExportPolicyAnalyzer``).
 
 The session layer exposes the engine as the cached ``ANALYSIS`` stage
 (``Stage.ANALYSIS`` / ``StageView.analysis``); experiments declare it in

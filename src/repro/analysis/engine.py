@@ -1,17 +1,19 @@
 """One-pass analyzer engine over the compiled measurement index.
 
-:class:`AnalysisEngine` exposes every :mod:`repro.core` analysis — policy
+:class:`AnalysisEngine` exposes every analysis the experiments run — policy
 atoms, import-policy typicality (tables and IRR), LOCAL_PREF consistency,
-SA-prefix inference and verification, SA causes, peer export behaviour and
-community semantics — as queries over one shared
-:class:`~repro.analysis.index.MeasurementIndex`.
+SA-prefix inference and verification, SA causes, peer export behaviour,
+community semantics and the ablations' inferred-graph and vantage-subset
+variants — as queries over one shared
+:class:`~repro.analysis.index.MeasurementIndex`.  It is the only analysis
+code production runs; the :mod:`repro.core` analyzers are its test oracles.
 
-The engine's contract is *result identity* with the legacy analyzers: for
-the same dataset, every query returns objects equal to what the
-corresponding :mod:`repro.core` class produces (the golden suite in
+The engine's contract is *result identity* with those analyzers: for the
+same dataset, every query returns objects equal to what the corresponding
+:mod:`repro.core` class produces (the golden suite in
 ``tests/analysis/test_engine_equivalence.py`` asserts this on all five
-registered scenarios).  The speed comes from three properties the legacy
-analyzers lack:
+registered scenarios, and ``repro fuzz`` on sampled ones).  The speed comes
+from three properties the legacy analyzers lack:
 
 * **Precomputed groupings** — collector rows grouped by prefix and by path
   member AS turn the per-SA-prefix table scans of the Case-3 and Table-7
@@ -22,21 +24,19 @@ analyzers lack:
 * **Columnar loops** — the hot loops run over interned integer arrays, not
   ``Route``/``ASPath`` object graphs.
 
-Queries are thread-safe (``run_suite`` workers share one engine); all
-memoisation happens under a single lock, while result objects are built
-outside it.
+Queries run in one thread, so every memo is a plain dict filled on first
+use.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from collections import Counter
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable
 
-from repro.core.atoms import AtomStatistics, PolicyAtom, PolicyAtomAnalyzer
-from repro.core.causes import Case3Result, CauseAnalyzer, CauseBreakdown, HomingBreakdown
+from repro.core.atoms import AtomStatistics, PolicyAtom
+from repro.core.causes import Case3Result, CauseBreakdown, HomingBreakdown
 from repro.core.community import (
     CommunitySemantics,
     CommunityVerificationResult,
@@ -62,19 +62,19 @@ from repro.exceptions import InferenceError, SimulationError
 from repro.net.asn import ASN
 from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
+from repro.relationships.gao import GaoInference
 from repro.topology.graph import AnnotatedASGraph, Relationship
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.index import MeasurementIndex
-    from repro.bgp.rib import LocRib
     from repro.session.stages import AnalysisParameters
-    from repro.simulation.policies import CommunityPlan
 
 
-#: Sentinel default distinguishing "use the ground-truth prefix ownership"
-#: from an explicit ``None`` (which selects observed origins, like the
-#: legacy analyzer's ``originated=None`` branch).
-_GROUND_TRUTH_ORIGINATED: dict = {}
+#: Community-semantics anchors (the Appendix heuristic): a neighbor
+#: announcing at least this fraction of the table is a provider ...
+_FULL_TABLE_FRACTION = 0.8
+#: ... and one announcing at most this many prefixes is a customer.
+_CUSTOMER_PREFIX_THRESHOLD = 3
 
 
 class _GlassScan:
@@ -114,73 +114,66 @@ class AnalysisEngine:
         parameters: session-level analysis knobs; only
             ``study_provider_count`` (how many Tier-1 providers the
             SA-prefix studies cover) is consulted here.
+        graph: the relationship graph the queries classify against;
+            ``None`` means the ground truth.  :meth:`inferred` passes the
+            Gao-inferred graph.
     """
 
     #: Default number of studied providers (the paper's AS1/AS3549/AS7018).
     DEFAULT_PROVIDER_COUNT = 3
 
     def __init__(
-        self, index: "MeasurementIndex", parameters: "AnalysisParameters | None" = None
+        self,
+        index: "MeasurementIndex",
+        parameters: "AnalysisParameters | None" = None,
+        graph: AnnotatedASGraph | None = None,
     ) -> None:
         """Wrap a compiled index; every memo table starts empty."""
         self.index = index
-        self.graph: AnnotatedASGraph = index.graph
+        self.parameters = parameters
+        self.graph: AnnotatedASGraph = graph if graph is not None else index.graph
         self.provider_count = (
             parameters.study_provider_count
             if parameters is not None
             else self.DEFAULT_PROVIDER_COUNT
         )
-        self._lock = threading.RLock()
         self._cones: dict[ASN, set[ASN]] = {}
         self._customer_paths: dict[tuple[ASN, ASN], tuple[ASN, ...] | None] = {}
-        self._sa_reports: dict[tuple[ASN, bool], SAPrefixReport] = {}
-        self._sa_report_maps: dict[int, dict[ASN, SAPrefixReport]] = {}
-        self._provider_tables: dict[int, dict[ASN, "LocRib"]] = {}
+        self._sa_reports: dict[ASN, SAPrefixReport] = {}
         self._glass_scans: dict[ASN, _GlassScan] = {}
         self._semantics: dict[ASN, CommunitySemantics] = {}
         self._candidate_next_hops: dict[ASN, dict[Prefix, set[ASN]]] = {}
         self._best_tries: dict[ASN, PrefixTrie] = {}
         self._active_paths: dict[tuple[ASN, ...], bool] = {}
-        self._inferred_graph: AnnotatedASGraph | None = None
+        self._inferred: AnalysisEngine | None = None
         self._atoms: list[PolicyAtom] | None = None
 
     # -- shared intermediates ----------------------------------------------------
 
     def _cone(self, provider: ASN) -> set[ASN]:
         """The provider's customer cone, computed once."""
-        with self._lock:
-            cone = self._cones.get(provider)
+        cone = self._cones.get(provider)
         if cone is None:
-            cone = self.graph.customer_cone(provider)
-            with self._lock:
-                self._cones[provider] = cone
+            cone = self._cones[provider] = self.graph.customer_cone(provider)
         return cone
 
     def _customer_path(self, provider: ASN, origin: ASN) -> tuple[ASN, ...] | None:
         """One provider→customer path down to ``origin``, memoised."""
         key = (provider, origin)
-        with self._lock:
-            if key in self._customer_paths:
-                return self._customer_paths[key]
-        path = self.graph.find_customer_path(provider, origin)
-        value = tuple(path) if path is not None else None
-        with self._lock:
-            self._customer_paths[key] = value
-        return value
+        if key not in self._customer_paths:
+            path = self.graph.find_customer_path(provider, origin)
+            self._customer_paths[key] = tuple(path) if path is not None else None
+        return self._customer_paths[key]
 
-    def inferred_graph(self) -> AnnotatedASGraph:
-        """The Gao-inferred relationship graph over the collector's AS paths.
+    def inferred(self) -> "AnalysisEngine":
+        """This engine over the Gao-inferred relationship graph, built once.
 
-        Computed once and shared by every verification/ablation query (the
-        legacy pipeline re-ran the inference per experiment).
+        The sibling shares the index and the parameters; its cones, customer
+        paths and SA reports are memoised against the inferred graph.
+        Table 4 verifies the inferred relationships, and the relationship
+        ablation re-runs the Fig. 4 algorithm with them.
         """
-        with self._lock:
-            graph = self._inferred_graph
-        if graph is None:
-            from collections import Counter
-
-            from repro.relationships.gao import GaoInference
-
+        if self._inferred is None:
             # Columnar fast path: the index interns paths, so the table is a
             # column of path ids.  Feed each distinct collapsed path once with
             # its row multiplicity — Gao's votes are linear in multiplicity
@@ -196,27 +189,12 @@ class AnalysisEngine:
                 )
                 .graph
             )
-            with self._lock:
-                self._inferred_graph = graph
-        return graph
+            self._inferred = AnalysisEngine(idx, self.parameters, graph=graph)
+        return self._inferred
 
-    def providers_under_study(self, count: int | None = None) -> list[ASN]:
-        """The studied (largest Tier-1) providers."""
-        return self.index.providers_under_study(count or self.provider_count)
-
-    def provider_tables(self, count: int | None = None) -> dict[ASN, "LocRib"]:
-        """The studied providers' routing tables (legacy ``LocRib`` objects)."""
-        key = count or self.provider_count
-        with self._lock:
-            tables = self._provider_tables.get(key)
-        if tables is None:
-            tables = {
-                provider: self.index.result.table_of(provider)
-                for provider in self.providers_under_study(key)
-            }
-            with self._lock:
-                tables = self._provider_tables.setdefault(key, tables)
-        return tables
+    def providers_under_study(self) -> list[ASN]:
+        """The studied (largest Tier-1) providers, ranked on the ground truth."""
+        return self.index.dataset.providers_under_study(self.provider_count)
 
     def tagging_asns(self) -> list[ASN]:
         """Looking Glass ASes that tag routes with relationship communities."""
@@ -226,9 +204,8 @@ class AnalysisEngine:
 
     def atoms(self) -> list[PolicyAtom]:
         """Policy atoms of the collector table, largest first."""
-        with self._lock:
-            if self._atoms is not None:
-                return self._atoms
+        if self._atoms is not None:
+            return self._atoms
         idx = self.index
         vectors: dict[int, dict[ASN, int]] = {}
         col_prefix, col_vantage, col_path = idx.col_prefix, idx.col_vantage, idx.col_path
@@ -251,24 +228,35 @@ class AnalysisEngine:
                 atom.origin_ases.add(idx.path_origin[next(iter(by_vantage.values()))])
         result = list(atoms.values())
         result.sort(key=lambda atom: atom.size, reverse=True)
-        with self._lock:
-            self._atoms = result
+        self._atoms = result
         return result
 
     def atom_statistics(
         self, atoms: list[PolicyAtom] | None = None, sa_prefixes: set[Prefix] | None = None
     ) -> AtomStatistics:
-        """Summary statistics of an atom decomposition."""
-        return PolicyAtomAnalyzer().statistics(
-            atoms if atoms is not None else self.atoms(), sa_prefixes=sa_prefixes
-        )
+        """Summary statistics of an atom decomposition (default: :meth:`atoms`).
+
+        ``atoms_with_sa_prefixes`` counts the atoms holding any of
+        ``sa_prefixes``; it stays 0 when none are given.
+        """
+        atoms = atoms if atoms is not None else self.atoms()
+        stats = AtomStatistics(atom_count=len(atoms))
+        for atom in atoms:
+            stats.prefix_count += atom.size
+            stats.largest_atom_size = max(stats.largest_atom_size, atom.size)
+            if atom.size == 1:
+                stats.single_prefix_atoms += 1
+            if len(atom.origin_ases) == 1:
+                stats.single_origin_atoms += 1
+            if sa_prefixes and any(prefix in sa_prefixes for prefix in atom.prefixes):
+                stats.atoms_with_sa_prefixes += 1
+        return stats
 
     # -- Looking Glass sweeps ----------------------------------------------------
 
     def _glass_scan(self, asn: ASN) -> _GlassScan:
         """One combined sweep over a glass's route rows, cached per glass."""
-        with self._lock:
-            scan = self._glass_scans.get(asn)
+        scan = self._glass_scans.get(asn)
         if scan is not None:
             return scan
         view = self.index.glasses[asn]
@@ -302,29 +290,22 @@ class AnalysisEngine:
                 per_neighbor[pref] += 1
                 observations.append((neighbor, pref))
             scan.entry_observations.append(observations)
-        with self._lock:
-            self._glass_scans[asn] = scan
+        self._glass_scans[asn] = scan
         return scan
 
     # -- import policy (Tables 2 and 3) ---------------------------------------------
 
-    def import_typicality(
-        self, relationships: AnnotatedASGraph | None = None
-    ) -> list[TypicalityResult]:
+    def import_typicality(self) -> list[TypicalityResult]:
         """Table 2: typical-LOCAL_PREF statistics for every Looking Glass AS."""
-        relationships = relationships if relationships is not None else self.graph
         return [
-            self._import_typicality_one(asn, relationships)
-            for asn in self.index.looking_glass_ases
+            self._import_typicality_one(asn) for asn in self.index.looking_glass_ases
         ]
 
-    def _import_typicality_one(
-        self, asn: ASN, relationships: AnnotatedASGraph
-    ) -> TypicalityResult:
+    def _import_typicality_one(self, asn: ASN) -> TypicalityResult:
         """The Table 2 row of one Looking Glass AS."""
         view = self.index.glasses[asn]
         scan = self._glass_scan(asn)
-        relationship_of = relationships.relationship
+        relationship_of = self.graph.relationship
         result = TypicalityResult(asn=asn)
         for entry_index, raw in enumerate(scan.entry_observations):
             observations: list[tuple[Relationship, int]] = []
@@ -351,13 +332,11 @@ class AnalysisEngine:
         self,
         min_neighbors: int = 10,
         updated_during: str | None = "2002",
-        relationships: AnnotatedASGraph | None = None,
     ) -> list[IrrTypicalityResult]:
         """Table 3: typical-LOCAL_PREF statistics from the IRR rows."""
         if min_neighbors < 2:
             raise InferenceError("min_neighbors must be at least 2")
-        relationships = relationships if relationships is not None else self.graph
-        relationship_of = relationships.relationship
+        relationship_of = self.graph.relationship
         results: list[IrrTypicalityResult] = []
         for row in self.index.irr_rows:
             if updated_during is not None and not row.last_updated.startswith(
@@ -425,28 +404,20 @@ class AnalysisEngine:
             key=lambda asn: self.index.glasses[asn].entry_count,
         )
 
-    def consistency_by_router(
-        self,
-        asn: ASN | None = None,
-        router_count: int = 30,
-        per_prefix_override_fraction: float = 0.05,
-        seed: int = 7,
-    ) -> list[ConsistencyResult]:
-        """Fig. 2(b): per-router consistency inside one AS.
+    def consistency_by_router(self, router_count: int = 30) -> list[ConsistencyResult]:
+        """Fig. 2(b): per-router consistency inside the biggest Looking Glass AS.
 
-        Replays the Looking Glass's synthetic router-view construction —
-        same RNG draw sequence, same per-prefix overrides — directly over
-        the best-route columns, without materialising the 30 ``LocRib``
-        copies the legacy path builds.
+        Replays the Looking Glass's synthetic router-view construction
+        (``LookingGlass.router_views`` with its default override fraction
+        and seed) — same RNG draw sequence, same per-prefix overrides —
+        directly over the best-route columns, without materialising the
+        ``LocRib`` copies the legacy path builds.
         """
         if router_count < 1:
             raise SimulationError("router_count must be at least 1")
-        if not (0.0 <= per_prefix_override_fraction <= 1.0):
-            raise SimulationError("per_prefix_override_fraction must be a probability")
-        if asn is None:
-            asn = self.biggest_glass_asn()
+        asn = self.biggest_glass_asn()
         view = self.index.glasses[asn]
-        rng = random.Random(seed)
+        rng = random.Random(7)
         override_choices = (80, 85, 95, 115, 120)
         results: list[ConsistencyResult] = []
         next_hop = view.best_next_hop
@@ -457,7 +428,7 @@ class AnalysisEngine:
             for row in range(len(next_hop)):
                 # The RNG is consumed for every best route — local ones
                 # included — exactly like LookingGlass.router_views.
-                if rng.random() < per_prefix_override_fraction:
+                if rng.random() < 0.05:
                     pref = rng.choice(override_choices)
                 else:
                     pref = local_pref[row]
@@ -473,30 +444,21 @@ class AnalysisEngine:
 
     # -- export policy: SA prefixes (Fig. 4, Tables 5 and 6) ----------------------------
 
-    def sa_report(
-        self, provider: ASN, *, with_known_prefixes: bool = True
-    ) -> SAPrefixReport:
+    def sa_report(self, provider: ASN) -> SAPrefixReport:
         """The Fig. 4 SA-prefix report of one provider, cached.
 
-        Args:
-            provider: the provider AS whose table is classified.
-            with_known_prefixes: when true (the experiments' configuration),
-                the ground-truth prefix ownership is consulted to count
-                customer prefixes missing from the table entirely.
+        The ground-truth prefix ownership counts the customer prefixes
+        missing from the provider's table entirely.
+
+        Raises:
+            InferenceError: if the provider is not in this engine's graph.
         """
-        key = (provider, with_known_prefixes)
-        with self._lock:
-            report = self._sa_reports.get(key)
-        if report is not None:
-            return report
-        report = self._compute_sa_report(provider, with_known_prefixes)
-        with self._lock:
-            self._sa_reports[key] = report
+        report = self._sa_reports.get(provider)
+        if report is None:
+            report = self._sa_reports[provider] = self._compute_sa_report(provider)
         return report
 
-    def _compute_sa_report(
-        self, provider: ASN, with_known_prefixes: bool
-    ) -> SAPrefixReport:
+    def _compute_sa_report(self, provider: ASN) -> SAPrefixReport:
         """Run the Fig. 4 algorithm over one provider's best-route columns."""
         if provider not in self.graph:
             raise InferenceError(f"AS{provider} is not in the relationship graph")
@@ -531,34 +493,26 @@ class AnalysisEngine:
                     customer_path=list(customer_path) if customer_path else [],
                 )
             )
-        if with_known_prefixes:
-            # A prefix is missing when the provider's table has no best
-            # route for it: either it was never observed anywhere (no
-            # interned id) or it has no row in this table.  (The legacy
-            # `prefix not in seen_prefixes` guard is implied: every seen
-            # prefix has a best-route row.)
-            for origin, prefixes in idx.internet.originated.items():
-                if origin not in cone:
-                    continue
-                for prefix in prefixes:
-                    pid = idx.prefix_ids.get(prefix)
-                    if pid is None or pid not in view.row_of_prefix:
-                        report.missing_prefix_count += 1
+        # A prefix is missing when the provider's table has no best route
+        # for it: either it was never observed anywhere (no interned id) or
+        # it has no row in this table.  (The legacy `prefix not in
+        # seen_prefixes` guard is implied: every seen prefix has a
+        # best-route row.)
+        for origin, prefixes in idx.internet.originated.items():
+            if origin not in cone:
+                continue
+            for prefix in prefixes:
+                pid = idx.prefix_ids.get(prefix)
+                if pid is None or pid not in view.row_of_prefix:
+                    report.missing_prefix_count += 1
         return report
 
-    def sa_reports(self, count: int | None = None) -> dict[ASN, SAPrefixReport]:
+    def sa_reports(self) -> dict[ASN, SAPrefixReport]:
         """SA-prefix reports of the studied providers (Table 5's core rows)."""
-        key = count or self.provider_count
-        with self._lock:
-            reports = self._sa_report_maps.get(key)
-        if reports is None:
-            reports = {
-                provider: self.sa_report(provider)
-                for provider in self.providers_under_study(key)
-            }
-            with self._lock:
-                reports = self._sa_report_maps.setdefault(key, reports)
-        return reports
+        return {
+            provider: self.sa_report(provider)
+            for provider in self.providers_under_study()
+        }
 
     def all_provider_reports(self) -> dict[ASN, SAPrefixReport]:
         """SA-prefix reports for every observed AS with customers (Table 5)."""
@@ -614,8 +568,7 @@ class AnalysisEngine:
 
     def _candidates(self, asn: ASN) -> dict[Prefix, set[ASN]]:
         """Per prefix, the non-local candidate next hops in an AS's table."""
-        with self._lock:
-            cached = self._candidate_next_hops.get(asn)
+        cached = self._candidate_next_hops.get(asn)
         if cached is not None:
             return cached
         table = self.index.result.table_of(asn)
@@ -625,25 +578,17 @@ class AnalysisEngine:
             for route in entry.routes:
                 if not route.is_local:
                     hops.add(route.next_hop_as)
-        with self._lock:
-            self._candidate_next_hops[asn] = candidates
+        self._candidate_next_hops[asn] = candidates
         return candidates
 
     def peer_export_report(
-        self,
-        asn: ASN,
-        originated: dict[ASN, list[Prefix]] | None = _GROUND_TRUTH_ORIGINATED,
-        full_export_threshold: float = 1.0,
+        self, asn: ASN, full_export_threshold: float = 1.0
     ) -> PeerExportReport:
         """Table 10: how the AS's peers announce their own prefixes to it.
 
-        ``originated`` defaults to the ground-truth prefix ownership (what
-        the experiments pass); an explicit ``None`` falls back to the origins
-        observed in the table, mirroring the legacy analyzer.
+        Each peer's prefixes come from the ground-truth prefix ownership.
         """
-        idx = self.index
-        if originated is _GROUND_TRUTH_ORIGINATED:
-            originated = idx.internet.originated
+        originated = self.index.internet.originated
         report = PeerExportReport(asn=asn, full_export_threshold=full_export_threshold)
         peers = [
             neighbor
@@ -651,16 +596,8 @@ class AnalysisEngine:
             if self.graph.relationship(asn, neighbor) is Relationship.PEER
         ]
         candidates = self._candidates(asn)
-        view = idx.tables[asn]
         for peer in sorted(peers):
-            if originated is not None:
-                peer_prefixes = list(originated.get(peer, []))
-            else:
-                peer_prefixes = [
-                    idx.prefixes[view.best_prefix[row]]
-                    for row in range(view.best_count)
-                    if view.best_origin[row] == peer
-                ]
+            peer_prefixes = originated.get(peer, [])
             if not peer_prefixes:
                 continue
             behaviour = PeerBehaviour(peer=peer, originated_prefixes=len(peer_prefixes))
@@ -671,13 +608,11 @@ class AnalysisEngine:
         return report
 
     def peer_export_reports(
-        self,
-        originated: dict[ASN, list[Prefix]] | None = _GROUND_TRUTH_ORIGINATED,
-        full_export_threshold: float = 1.0,
+        self, full_export_threshold: float = 1.0
     ) -> dict[ASN, PeerExportReport]:
         """Table 10 for every studied provider."""
         return {
-            asn: self.peer_export_report(asn, originated, full_export_threshold)
+            asn: self.peer_export_report(asn, full_export_threshold)
             for asn in self.providers_under_study()
         }
 
@@ -685,20 +620,25 @@ class AnalysisEngine:
 
     def homing_breakdown(self, provider: ASN) -> HomingBreakdown:
         """Table 8: homing of the provider's SA-prefix origins."""
-        return CauseAnalyzer(self.graph).homing_breakdown(self.sa_report(provider))
+        breakdown = HomingBreakdown(provider=provider)
+        is_multihomed = self.graph.is_multihomed
+        for origin in self.sa_report(provider).origins_with_sa_prefixes():
+            if is_multihomed(origin):
+                breakdown.multihomed_origins.add(origin)
+            else:
+                breakdown.singlehomed_origins.add(origin)
+        return breakdown
 
     def _best_trie(self, provider: ASN) -> PrefixTrie:
         """A radix trie over the provider's best routes, built once."""
-        with self._lock:
-            trie = self._best_tries.get(provider)
+        trie = self._best_tries.get(provider)
         if trie is not None:
             return trie
         trie = PrefixTrie()
         view = self.index.tables[provider]
         for row in range(view.best_count):
             trie.insert(self.index.prefixes[view.best_prefix[row]], view.best_route[row])
-        with self._lock:
-            self._best_tries[provider] = trie
+        self._best_tries[provider] = trie
         return trie
 
     def cause_breakdown(self, provider: ASN) -> CauseBreakdown:
@@ -737,9 +677,18 @@ class AnalysisEngine:
                 breakdown.selective_count += 1
         return breakdown
 
-    def case3(self, provider: ASN) -> Case3Result:
-        """Section 5.1.5 Case 3 for one provider, via the by-prefix grouping."""
+    def case3(
+        self, provider: ASN, vantages: Iterable[ASN] | None = None
+    ) -> Case3Result:
+        """Section 5.1.5 Case 3 for one provider, via the by-prefix grouping.
+
+        ``vantages`` keeps only the collector rows of those peer ASes (all
+        rows when ``None``).  That is exactly the table a collector peering
+        with just them would hold, because each vantage's rows come from
+        its own routing table alone; the vantage-count ablation uses it.
+        """
         idx = self.index
+        keep = frozenset(vantages) if vantages is not None else None
         report = self.sa_report(provider)
         result = Case3Result(
             provider=provider, sa_prefix_count=report.sa_prefix_count
@@ -750,6 +699,8 @@ class AnalysisEngine:
             direct_provider = item.customer_path[-2]
             pid = idx.prefix_ids.get(item.prefix)
             rows = idx.rows_by_prefix.get(pid, []) if pid is not None else []
+            if keep is not None:
+                rows = [row for row in rows if idx.col_vantage[row] in keep]
             observed_paths = [idx.collapsed[idx.col_path[row]] for row in rows]
             if not observed_paths:
                 continue
@@ -785,66 +736,36 @@ class AnalysisEngine:
             )
         return signatures
 
-    def infer_semantics(
-        self,
-        asn: ASN,
-        published_plan: "CommunityPlan | None" = None,
-        has_providers: bool | None = None,
-        full_table_fraction: float = 0.8,
-        customer_prefix_threshold: int = 3,
-    ) -> CommunitySemantics:
+    def infer_semantics(self, asn: ASN) -> CommunitySemantics:
         """Infer what each community value range means for one tagging AS.
 
         Mirrors :meth:`repro.core.community.CommunityAnalyzer.infer_semantics`
-        (default parameters) over the cached per-glass sweep; the
-        default-parameter result is memoised per AS.
+        (default parameters, no published plan) over the cached per-glass
+        sweep; memoised per AS.
         """
-        cacheable = (
-            published_plan is None
-            and has_providers is None
-            and full_table_fraction == 0.8
-            and customer_prefix_threshold == 3
-        )
-        if cacheable:
-            with self._lock:
-                cached = self._semantics.get(asn)
-            if cached is not None:
-                return cached
+        cached = self._semantics.get(asn)
+        if cached is not None:
+            return cached
         semantics = CommunitySemantics(asn=asn)
         semantics.signatures = self.neighbor_signatures(asn)
-        if not semantics.signatures:
-            return semantics
-        if published_plan is not None:
-            for signature in semantics.signatures.values():
-                if signature.community is None:
-                    continue
-                relationship = published_plan.relationship_of(signature.community)
-                if relationship is not None:
-                    semantics.value_to_relationship[bucket_of(signature.community)] = (
-                        relationship
-                    )
-            return semantics
-
         total_prefixes = self.index.glasses[asn].entry_count
         ranked = sorted(
             semantics.signatures.values(), key=lambda s: s.prefix_count, reverse=True
         )
         provider_anchors = [
-            s for s in ranked if s.prefix_count >= full_table_fraction * total_prefixes
+            s for s in ranked if s.prefix_count >= _FULL_TABLE_FRACTION * total_prefixes
         ]
-        if has_providers is None:
-            has_providers = bool(provider_anchors)
         customer_anchors = [
-            s for s in ranked if s.prefix_count <= customer_prefix_threshold
+            s for s in ranked if s.prefix_count <= _CUSTOMER_PREFIX_THRESHOLD
         ]
-        peer_floor = max(customer_prefix_threshold * 4, int(0.02 * total_prefixes))
+        peer_floor = max(_CUSTOMER_PREFIX_THRESHOLD * 4, int(0.02 * total_prefixes))
         non_provider = [s for s in ranked if s not in provider_anchors]
         peer_candidates = [s for s in non_provider if s.prefix_count >= peer_floor]
         peer_anchors = (
             peer_candidates[: max(1, len(peer_candidates) // 3)] if peer_candidates else []
         )
         for anchor_set, relationship in (
-            (provider_anchors if has_providers else [], Relationship.PROVIDER),
+            (provider_anchors, Relationship.PROVIDER),
             (peer_anchors, Relationship.PEER),
             (customer_anchors, Relationship.CUSTOMER),
         ):
@@ -855,30 +776,19 @@ class AnalysisEngine:
                 if bucket not in semantics.value_to_relationship:
                     semantics.value_to_relationship[bucket] = relationship
                     semantics.anchors[signature.neighbor] = relationship
-        if cacheable:
-            with self._lock:
-                self._semantics[asn] = semantics
+        self._semantics[asn] = semantics
         return semantics
 
-    def verify_relationships(
-        self,
-        relationships: AnnotatedASGraph | None = None,
-        published_plans: dict[ASN, "CommunityPlan"] | None = None,
-    ) -> list[CommunityVerificationResult]:
+    def verify_relationships(self) -> list[CommunityVerificationResult]:
         """Table 4: verify each tagging AS's relationships via communities.
 
-        Defaults to the Gao-inferred graph, like the paper (it verifies
+        Checks the Gao-inferred graph, like the paper (it verifies
         *inferred* relationships).
         """
-        relationships = (
-            relationships if relationships is not None else self.inferred_graph()
-        )
-        published_plans = published_plans or {}
+        relationships = self.inferred().graph
         results: list[CommunityVerificationResult] = []
         for asn in self.tagging_asns():
-            semantics = self.infer_semantics(
-                asn, published_plan=published_plans.get(asn)
-            )
+            semantics = self.infer_semantics(asn)
             if not semantics.value_to_relationship:
                 continue
             result = CommunityVerificationResult(asn=asn)
@@ -905,8 +815,7 @@ class AnalysisEngine:
 
     def _customer_path_is_active(self, path: tuple[ASN, ...]) -> bool:
         """Whether a customer path is traversed by observed routes, memoised."""
-        with self._lock:
-            cached = self._active_paths.get(path)
+        cached = self._active_paths.get(path)
         if cached is not None:
             return cached
         idx = self.index
@@ -933,25 +842,17 @@ class AnalysisEngine:
                 else list(zip(path, path[1:]))
             )
             active = bool(pairs) and all(pair in idx.adjacency for pair in pairs)
-        with self._lock:
-            self._active_paths[path] = active
+        self._active_paths[path] = active
         return active
 
-    def verify_sa_report(
-        self,
-        report: SAPrefixReport,
-        verified_neighbor_ases: set[ASN] | None = None,
-    ) -> SAVerificationResult:
+    def verify_sa_report(self, report: SAPrefixReport) -> SAVerificationResult:
         """Table 7: verify one provider's SA prefixes against observed paths."""
         result = SAVerificationResult(provider=report.provider)
         provider = report.provider
         relationship_of = self.graph.relationship
         for item in report.sa_prefixes:
             result.sa_prefix_count += 1
-            step1_ok = item.next_hop_relationship is not None
-            if verified_neighbor_ases is not None:
-                step1_ok = step1_ok and item.next_hop_as in verified_neighbor_ases
-            if not step1_ok:
+            if item.next_hop_relationship is None:
                 result.step1_failures += 1
                 continue
             if not item.customer_path:
@@ -961,8 +862,6 @@ class AnalysisEngine:
                 step2_ok = (
                     relationship_of(provider, item.origin_as) is Relationship.CUSTOMER
                 )
-                if verified_neighbor_ases is not None:
-                    step2_ok = step2_ok and item.origin_as in verified_neighbor_ases
             else:
                 step2_ok = self._customer_path_is_active(tuple(item.customer_path))
             if step2_ok:
@@ -971,19 +870,11 @@ class AnalysisEngine:
                 result.step2_failures += 1
         return result
 
-    def verify_sa_prefixes(
-        self,
-        reports: dict[ASN, SAPrefixReport] | None = None,
-        verified_neighbor_ases: dict[ASN, set[ASN]] | None = None,
-    ) -> dict[ASN, SAVerificationResult]:
-        """Table 7 for several providers (defaults to the studied ones)."""
-        reports = reports if reports is not None else self.sa_reports()
-        verified_neighbor_ases = verified_neighbor_ases or {}
+    def verify_sa_prefixes(self) -> dict[ASN, SAVerificationResult]:
+        """Table 7 for the studied providers."""
         return {
-            provider: self.verify_sa_report(
-                report, verified_neighbor_ases.get(provider)
-            )
-            for provider, report in reports.items()
+            provider: self.verify_sa_report(report)
+            for provider, report in self.sa_reports().items()
         }
 
     # -- ablation support ---------------------------------------------------------

@@ -320,12 +320,6 @@ class MeasurementIndex:
         """
         return self.tables[asn]
 
-    def providers_under_study(self, count: int = 3) -> list[ASN]:
-        """The largest Tier-1 ASes by degree (mirrors the dataset helper)."""
-        return sorted(
-            self.internet.tier1, key=self.graph.degree, reverse=True
-        )[:count]
-
     def tagging_asns(self) -> list[ASN]:
         """Looking Glass ASes that tag routes with relationship communities."""
         return [

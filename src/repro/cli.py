@@ -4,7 +4,7 @@ Usage::
 
     python -m repro run                          # every experiment, standard scenario
     python -m repro run table5 fig2 --scenario small
-    python -m repro run --scenario large --workers 4 --json
+    python -m repro run --scenario large --json
     python -m repro run --scenario multihoming@7 # one scenario-family sample
     python -m repro run table5 --seed 42 --output-dir out/
     python -m repro run --cache-dir .repro-cache # persist stage artifacts on disk
@@ -117,12 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="derive every stage seed from this value (default: the scenario's seeds)",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="thread-pool size for independent experiments (default: 1)",
     )
     run.add_argument(
         "--json",
@@ -381,12 +375,7 @@ def _command_run(args: argparse.Namespace) -> int:
     study = resolve_scenario(args.scenario).study(cache=_study_cache(args))
     if args.seed is not None:
         study = study.seeded(args.seed)
-    report = run_suite(
-        study,
-        args.experiments or None,
-        workers=args.workers,
-        scenario=args.scenario,
-    )
+    report = run_suite(study, args.experiments or None, scenario=args.scenario)
     if args.as_json:
         print(report.to_json())
     else:

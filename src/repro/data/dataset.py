@@ -18,7 +18,6 @@ prefer the session API::
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -79,9 +78,6 @@ class StudyDataset:
     _analysis_engine: "AnalysisEngine | None" = field(
         default=None, repr=False, init=False
     )
-    _analysis_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, init=False
-    )
 
     # -- convenience used across experiments -----------------------------------
 
@@ -94,11 +90,6 @@ class StudyDataset:
     def ground_truth_graph(self):
         """The ground-truth annotated AS graph."""
         return self.internet.graph
-
-    @property
-    def cache_token(self) -> int:
-        """Identity token used by per-dataset memo caches (experiments.common)."""
-        return id(self)
 
     def looking_glass_of(self, asn: ASN) -> LookingGlass:
         """Return the Looking Glass view of an AS.
@@ -127,23 +118,19 @@ class StudyDataset:
     def analysis_engine(self) -> "AnalysisEngine":
         """The one-pass analyzer engine over this dataset's measurement index.
 
-        Built lazily on first use and memoised on the dataset (thread-safe,
-        so concurrent ``run_suite`` workers compile the index exactly once).
-        The session layer's ``ANALYSIS`` stage routes through this memo, so
-        a :class:`~repro.session.study.Study` and a bare dataset share the
-        same engine.
+        Built lazily on first use and memoised on the dataset, so the index
+        is compiled once.  The session layer's ``ANALYSIS`` stage routes
+        through this memo, so a :class:`~repro.session.study.Study` and a
+        bare dataset share the same engine.
         """
-        with self._analysis_lock:
-            engine = self._analysis_engine
-            if engine is None:
-                from repro.analysis.engine import AnalysisEngine
-                from repro.analysis.index import MeasurementIndex
+        if self._analysis_engine is None:
+            from repro.analysis.engine import AnalysisEngine
+            from repro.analysis.index import MeasurementIndex
 
-                engine = AnalysisEngine(
-                    MeasurementIndex.from_dataset(self), self.analysis_parameters
-                )
-                self._analysis_engine = engine
-        return engine
+            self._analysis_engine = AnalysisEngine(
+                MeasurementIndex.from_dataset(self), self.analysis_parameters
+            )
+        return self._analysis_engine
 
     def adopt_analysis_engine(self, engine: "AnalysisEngine") -> "AnalysisEngine":
         """Install an externally built analyzer engine into the dataset memo.
@@ -152,12 +139,12 @@ class StudyDataset:
         the disk tier: the restored engine becomes this dataset's memoised
         engine so that :meth:`analysis_engine` callers and the session's
         ``ANALYSIS`` stage share it.  If an engine is already memoised it
-        wins (first writer), keeping the memo stable under races.
+        wins, so callers that reached the dataset's engine before the decode
+        keep seeing the same object.
         """
-        with self._analysis_lock:
-            if self._analysis_engine is None:
-                self._analysis_engine = engine
-            return self._analysis_engine
+        if self._analysis_engine is None:
+            self._analysis_engine = engine
+        return self._analysis_engine
 
 
 def default_dataset() -> StudyDataset:

@@ -1,6 +1,7 @@
-"""Ablations of the design choices called out in DESIGN.md.
+"""Ablations of the pipeline's design choices (paper Sections 4.3 and 5.1.5).
 
-Three cheap ablations run on the standard dataset:
+Three cheap ablations run on the standard dataset (``docs/paper-map.md``
+lists them next to the paper sections they support):
 
 * **relationships** — run the SA-prefix pipeline with Gao-inferred
   relationships instead of ground truth (the paper's Section 4.3 argument
@@ -15,15 +16,11 @@ Three cheap ablations run on the standard dataset:
 
 from __future__ import annotations
 
-from repro.core.causes import CauseAnalyzer
-from repro.core.export_policy import ExportPolicyAnalyzer
 from repro.exceptions import InferenceError
 from repro.session.stages import Stage, StageView
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.common import provider_tables, sa_reports
 from repro.experiments.registry import register
 from repro.reporting.tables import format_percent
-from repro.simulation.collector import CollectorTable, RouteViewsCollector
 
 
 @register
@@ -33,9 +30,7 @@ class AblationExperiment(Experiment):
     experiment_id = "ablations"
     title = "Ablations: inferred relationships, route visibility, vantage count"
     paper_reference = "DESIGN.md Section 5 (supports paper Sections 4.3 and 5.1.5)"
-    requires = frozenset(
-        {Stage.TOPOLOGY, Stage.PROPAGATION, Stage.OBSERVATION, Stage.ANALYSIS}
-    )
+    requires = frozenset({Stage.OBSERVATION, Stage.ANALYSIS})
 
     def run(self, dataset: StageView) -> ExperimentResult:
         result = self._result()
@@ -49,15 +44,12 @@ class AblationExperiment(Experiment):
 
     def _relationship_ablation(self, dataset: StageView, result: ExperimentResult) -> None:
         # The Gao inference is shared with Table 4 through the engine cache.
-        inferred_graph = dataset.analysis.inferred_graph()
-        inferred_analyzer = ExportPolicyAnalyzer(inferred_graph)
-        tables = provider_tables(dataset)
-        baseline = sa_reports(dataset)
+        engine = dataset.analysis
+        inferred = engine.inferred()
         skipped = []
-        for provider, table in tables.items():
-            truth_report = baseline[provider]
+        for provider, truth_report in engine.sa_reports().items():
             try:
-                inferred_report = inferred_analyzer.find_sa_prefixes(provider, table)
+                inferred_report = inferred.sa_report(provider)
             except InferenceError:  # the provider is absent from the inferred graph
                 skipped.append(f"AS{provider}")
                 continue
@@ -83,7 +75,7 @@ class AblationExperiment(Experiment):
 
     def _visibility_ablation(self, dataset: StageView, result: ExperimentResult) -> None:
         engine = dataset.analysis
-        for provider, report in sa_reports(dataset).items():
+        for provider, report in engine.sa_reports().items():
             strict_sa = engine.strict_sa_count(provider)
             result.rows.append(
                 ["visibility", f"AS{provider}", "best routes (paper)", report.sa_prefix_count]
@@ -99,15 +91,12 @@ class AblationExperiment(Experiment):
     # -- collector vantage count ------------------------------------------------------------
 
     def _vantage_ablation(self, dataset: StageView, result: ExperimentResult) -> None:
-        analyzer = CauseAnalyzer(dataset.ground_truth_graph)
-        reports = sa_reports(dataset)
-        provider = next(iter(reports))
-        report = reports[provider]
+        engine = dataset.analysis
+        provider = next(iter(engine.sa_reports()))
         full_vantages = dataset.vantage_ases
         for fraction, label in ((1.0, "all vantages"), (0.5, "half"), (0.25, "quarter")):
             count = max(1, int(len(full_vantages) * fraction))
-            collector = self._collector_subset(dataset, full_vantages[:count])
-            case3 = analyzer.case3_analysis(report, collector)
+            case3 = engine.case3(provider, vantages=full_vantages[:count])
             result.rows.append(
                 ["vantage points", f"AS{provider}", f"{label} ({count})",
                  format_percent(case3.percent_identified, 0) + " identified"]
@@ -116,7 +105,3 @@ class AblationExperiment(Experiment):
             "vantage points: fewer collector peers leave more SA prefixes unclassifiable "
             "(the paper could identify ~90% from Oregon's 56 peers)."
         )
-
-    @staticmethod
-    def _collector_subset(dataset: StageView, vantages: list[int]) -> CollectorTable:
-        return RouteViewsCollector(vantages).collect(dataset.result)

@@ -49,8 +49,7 @@ class Experiment(abc.ABC):
     Subclasses declare ``requires`` — the pipeline stages their analysis
     reads.  ``run_suite`` hands ``run`` a :class:`StageView` exposing exactly
     those stages (accessing anything else raises), which keeps the declared
-    dependencies honest and lets independent experiments run concurrently
-    over the same read-only stage artifacts.
+    dependencies honest.
     """
 
     #: Registry identifier, e.g. ``"table5"``.

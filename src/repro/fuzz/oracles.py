@@ -49,14 +49,16 @@ from repro.core.export_policy import ExportPolicyAnalyzer
 from repro.core.import_policy import ImportPolicyAnalyzer
 from repro.core.peer_export import PeerExportAnalyzer
 from repro.core.verification import Verifier
-from repro.exceptions import ReproError
+from repro.exceptions import InferenceError, ReproError
 from repro.relationships.gao import GaoInference
 from repro.relationships.sark import RankBasedInference
 from repro.relationships.validation import compare_with_ground_truth
+from repro.simulation.collector import RouteViewsCollector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.engine import AnalysisEngine
     from repro.data.dataset import StudyDataset
+    from repro.net.asn import ASN
     from repro.session.stages import StudyConfig
     from repro.simulation.collector import CollectorTable
     from repro.simulation.propagation import SimulationResult
@@ -108,6 +110,21 @@ class FuzzContext:
 def _diverged(oracle: str, what: str) -> OracleViolation:
     """A standard divergence violation for a differential oracle."""
     return OracleViolation(oracle, f"{what} differ between the two implementations")
+
+
+def vantage_subsets(vantages: list["ASN"]) -> list[list["ASN"]]:
+    """The ablation's collector subsets: all, half and a quarter of the vantages."""
+    return [
+        vantages[: max(1, int(len(vantages) * fraction))] for fraction in (1.0, 0.5, 0.25)
+    ]
+
+
+def outcome(query: Callable[[], object]) -> object:
+    """The query's result, or the :class:`InferenceError` class if it raises one."""
+    try:
+        return query()
+    except InferenceError:
+        return InferenceError
 
 
 # -- differential: fast engine vs legacy engine -------------------------------------
@@ -162,9 +179,11 @@ def check_propagation_equivalence(
 def check_analysis_equivalence(dataset: "StudyDataset", engine: "AnalysisEngine") -> None:
     """Assert the indexed engine equals every legacy analyzer on one dataset.
 
-    Runs the full legacy analyzer pass (atoms, Tables 2/3, Fig. 2, SA
-    reports, Tables 5-10, causes/Case 3, community semantics, Table 4/7
-    verification) and compares the result objects with ``==``.
+    Runs the full legacy analyzer pass (atoms and their statistics, Tables
+    2/3, Fig. 2, SA reports, Tables 5-10, causes/Case 3, community
+    semantics, Table 4/7 verification, and the ablations' vantage-subset
+    Case 3 and inferred-graph SA reports) and compares the result objects
+    with ``==``.
 
     Args:
         dataset: the assembled study dataset both sides analyse.
@@ -178,16 +197,21 @@ def check_analysis_equivalence(dataset: "StudyDataset", engine: "AnalysisEngine"
     glasses = [dataset.looking_glass_of(asn) for asn in dataset.looking_glass_ases]
     providers = dataset.providers_under_study(3)
     tables = {provider: dataset.result.table_of(provider) for provider in providers}
+    originated = dataset.internet.originated
     export_analyzer = ExportPolicyAnalyzer(graph)
     reports = export_analyzer.analyze_providers(
-        tables, known_customer_prefixes=dataset.internet.originated
+        tables, known_customer_prefixes=originated
     )
+    inferred_graph = GaoInference().infer(dataset.collector.all_paths()).graph
+    atoms = PolicyAtomAnalyzer().compute_atoms(dataset.collector)
+    sa_prefixes = set().union(*(report.sa_prefix_set() for report in reports.values()))
 
     checks: list[tuple[str, Callable[[], object], Callable[[], object]]] = [
+        ("policy atoms", lambda: atoms, engine.atoms),
         (
-            "policy atoms",
-            lambda: PolicyAtomAnalyzer().compute_atoms(dataset.collector),
-            engine.atoms,
+            "policy atom statistics",
+            lambda: PolicyAtomAnalyzer().statistics(atoms, sa_prefixes=sa_prefixes),
+            lambda: engine.atom_statistics(engine.atoms(), sa_prefixes=sa_prefixes),
         ),
         (
             "Table 2 import typicality",
@@ -220,9 +244,7 @@ def check_analysis_equivalence(dataset: "StudyDataset", engine: "AnalysisEngine"
         ),
         (
             "Table 10 peer export",
-            lambda: PeerExportAnalyzer(graph).analyze_many(
-                tables, originated=dataset.internet.originated
-            ),
+            lambda: PeerExportAnalyzer(graph).analyze_many(tables, originated=originated),
             engine.peer_export_reports,
         ),
         (
@@ -232,10 +254,7 @@ def check_analysis_equivalence(dataset: "StudyDataset", engine: "AnalysisEngine"
         ),
         (
             "Table 4 relationship verification",
-            lambda: Verifier(
-                GaoInference().infer(dataset.collector.all_paths()).graph,
-                CommunityAnalyzer(),
-            ).verify_relationships(
+            lambda: Verifier(inferred_graph, CommunityAnalyzer()).verify_relationships(
                 [
                     glass
                     for glass in glasses
@@ -261,6 +280,28 @@ def check_analysis_equivalence(dataset: "StudyDataset", engine: "AnalysisEngine"
             report, dataset.collector
         ):
             raise _diverged(oracle, f"Case 3 results for AS{provider}")
+
+    # The ablations: Case 3 over collector subsets, Fig. 4 over the inferred
+    # graph (a provider missing from it must raise on both sides).
+    for vantages in vantage_subsets(dataset.vantage_ases):
+        collector = RouteViewsCollector(vantages).collect(dataset.result)
+        for provider, report in reports.items():
+            if engine.case3(provider, vantages=vantages) != cause_analyzer.case3_analysis(
+                report, collector
+            ):
+                raise _diverged(
+                    oracle, f"Case 3 results over {len(vantages)} vantages for AS{provider}"
+                )
+    inferred_analyzer = ExportPolicyAnalyzer(inferred_graph)
+    absent = max(graph.ases()) + 1
+    for provider, table in [*tables.items(), (absent, next(iter(tables.values())))]:
+        legacy = outcome(
+            lambda: inferred_analyzer.find_sa_prefixes(
+                provider, table, known_customer_prefixes=originated
+            )
+        )
+        if outcome(lambda: engine.inferred().sa_report(provider)) != legacy:
+            raise _diverged(oracle, f"inferred-graph SA reports for AS{provider}")
 
 
 # -- ground truth: valley-free observed routes --------------------------------------

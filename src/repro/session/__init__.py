@@ -11,7 +11,7 @@ each built lazily and cached by content-addressed keys:
   :class:`ScenarioFamily` samplers (``peering-density``, ``multihoming``,
   ...) whose samples are addressable as ``family@seed`` scenarios.
 * :func:`run_suite` — executes experiments (each declaring the stages it
-  ``requires``) concurrently over the shared read-only dataset and returns a
+  ``requires``) one after another over the shared dataset and returns a
   structured, JSON-serializable :class:`SuiteReport`.
 
 Quick tour::
@@ -20,7 +20,7 @@ Quick tour::
     from repro.simulation.policies import PolicyParameters
 
     study = get_scenario("small").study(cache=StageCache())
-    report = run_suite(study, ["table5", "table9"], workers=2)
+    report = run_suite(study, ["table5", "table9"])
     print(report.render())
 
     sweep = [study.with_(policy=PolicyParameters(seed=s)) for s in range(5)]

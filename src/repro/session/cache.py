@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -92,10 +91,8 @@ _MISSING = object()
 class StageCache:
     """A two-tier keyed artifact store shared by studies derived via ``with_``.
 
-    Thread-safe with per-key build coordination: concurrent ``get_or_build``
-    calls for the same key build the artifact once (waiters count as hits),
-    while builds for *different* keys proceed in parallel — the lock guards
-    only the bookkeeping, never a build, a decode or disk I/O.
+    Used from one thread: a build may itself resolve other (upstream) keys,
+    and a build that raises stores nothing, so the next call retries it.
 
     Args:
         max_entries: bound of the in-memory LRU tier; ``None`` means
@@ -114,8 +111,6 @@ class StageCache:
         self.disk = disk
         self._entries: OrderedDict[str, Any] = OrderedDict()
         self._stats: dict[str, StageStats] = {}
-        self._lock = threading.RLock()
-        self._inflight: dict[str, threading.Event] = {}
 
     def get_or_build(
         self,
@@ -141,75 +136,56 @@ class StageCache:
                 builder.
 
         Returns:
-            The artifact (possibly shared with concurrent callers).
+            The artifact.
         """
-        while True:
-            with self._lock:
-                stats = self._stats.setdefault(stage, StageStats())
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                    stats.hits += 1
-                    return self._entries[key]
-                pending = self._inflight.get(key)
-                if pending is None:
-                    self._inflight[key] = threading.Event()
-                    break  # this thread owns the build
-            # Another thread is building this key; wait and re-check (the
-            # builder may have failed, in which case the loop retries).
-            pending.wait()
+        stats = self._stats.setdefault(stage, StageStats())
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            stats.hits += 1
+            return self._entries[key]
 
         value = _MISSING
         from_disk = False
-        try:
-            if self.disk is not None and decode is not None:
-                payload = self.disk.read(stage, key)
-                if payload is not None:
-                    try:
-                        value = decode(payload)
-                        from_disk = True
-                    except Exception:
-                        value = _MISSING  # corrupt artifact: rebuild below
-            if value is _MISSING:
-                value = builder()
-                if self.disk is not None and encode is not None:
-                    try:
-                        self.disk.write(stage, key, encode(value))
-                    except (OSError, StorageError):
-                        # The disk tier is best-effort: a full disk or an
-                        # artifact a codec cannot round-trip must not crash
-                        # a computation that already succeeded.
-                        pass
-        except BaseException:
-            with self._lock:
-                self._inflight.pop(key).set()
-            raise
+        if self.disk is not None and decode is not None:
+            payload = self.disk.read(stage, key)
+            if payload is not None:
+                try:
+                    value = decode(payload)
+                    from_disk = True
+                except Exception:
+                    value = _MISSING  # corrupt artifact: rebuild below
+        if value is _MISSING:
+            value = builder()
+            if self.disk is not None and encode is not None:
+                try:
+                    self.disk.write(stage, key, encode(value))
+                except (OSError, StorageError):
+                    # The disk tier is best-effort: a full disk or an
+                    # artifact a codec cannot round-trip must not crash a
+                    # computation that already succeeded.
+                    pass
 
-        with self._lock:
-            if from_disk:
-                stats.disk_hits += 1
-            else:
-                stats.misses += 1
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            if self.max_entries is not None:
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-            self._inflight.pop(key).set()
+        if from_disk:
+            stats.disk_hits += 1
+        else:
+            stats.misses += 1
+        self._entries[key] = value
+        if self.max_entries is not None:
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
         return value
 
     def stats_for(self, stage: str) -> StageStats:
         """The hit/miss counters of one stage (zeros if never touched)."""
-        with self._lock:
-            return self._stats.setdefault(stage, StageStats())
+        return self._stats.setdefault(stage, StageStats())
 
     @property
     def stats(self) -> dict[str, StageStats]:
         """A snapshot of every stage's counters, keyed by stage name."""
-        with self._lock:
-            return {
-                stage: StageStats(s.hits, s.disk_hits, s.misses)
-                for stage, s in sorted(self._stats.items())
-            }
+        return {
+            stage: StageStats(s.hits, s.disk_hits, s.misses)
+            for stage, s in sorted(self._stats.items())
+        }
 
     def stats_dict(self) -> dict[str, dict[str, int]]:
         """Every stage's counters as a JSON-ready nested mapping."""
@@ -231,15 +207,13 @@ class StageCache:
         Args:
             disk: when ``True``, also delete the disk tier's artifact files.
         """
-        with self._lock:
-            self._entries.clear()
-            self._stats.clear()
+        self._entries.clear()
+        self._stats.clear()
         if disk and self.disk is not None:
             self.disk.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 def cache_from_env() -> StageCache:

@@ -12,7 +12,7 @@ explicit stage with its own frozen parameter set:
   Looking Glass list feeds the generator's prefix-based LOCAL_PREF draw).
 * **propagation** — run the compiled BGP propagation engine
   (:class:`~repro.simulation.fastpath.FastPropagationEngine`) observed at
-  the planned vantage ASes, optionally over a per-prefix worker pool.
+  the planned vantage ASes, one prefix after another in the calling process.
 * **observation** — collect the RouteViews-style table, the Looking Glass
   views and the Table 1 inventory.
 * **irr** — synthesise the IRR database (:class:`IrrParameters`).
@@ -202,8 +202,7 @@ class StageView:
     attribute of a stage outside ``allowed`` raises
     :class:`~repro.exceptions.ExperimentError`.  ``run_suite`` builds one
     view per experiment from its declared ``requires``, which keeps the
-    declared stage dependencies honest and lets independent experiments run
-    concurrently over the same read-only dataset.
+    declared stage dependencies honest.
     """
 
     __slots__ = ("_dataset", "_allowed")
@@ -225,16 +224,6 @@ class StageView:
     def allowed_stages(self) -> frozenset[Stage]:
         """The stages this view exposes."""
         return self._allowed
-
-    @property
-    def cache_token(self) -> int:
-        """Identity of the underlying dataset, for per-dataset memo caches.
-
-        Two views over the same dataset share the token, so shared
-        intermediate products (:mod:`repro.experiments.common`) are computed
-        once per dataset, not once per experiment.
-        """
-        return id(self._dataset)  # repro: noqa[DET002] -- per-process memo identity; never persisted or fingerprinted
 
     def restricted(self, requires: frozenset[Stage]) -> "StageView":
         """A narrower view over the same dataset."""

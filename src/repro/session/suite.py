@@ -1,23 +1,22 @@
-"""Parallel experiment runner and the structured suite report.
+"""Experiment runner and the structured suite report.
 
-``run_suite`` executes a set of registered experiments against one study.
-Each experiment class declares ``requires: frozenset[Stage]``; the runner
-instantiates the class fresh (experiments may keep per-run state), hands it a
+``run_suite`` executes a set of registered experiments against one study,
+one after another in the calling thread.  Each experiment class declares
+``requires: frozenset[Stage]``; the runner instantiates the class fresh
+(experiments may keep per-run state), hands it a
 :class:`~repro.session.stages.StageView` restricted to exactly those stages,
-and times the run.  Analyses are CPU-light and operate over shared read-only
-stage artifacts, so independent experiments run concurrently on a thread
-pool when ``workers > 1``.
+and times the run.  Process-level parallelism lives in ``repro sweep``,
+where whole studies are independent.
 
 Results come back as a :class:`SuiteReport` ordered by experiment id — the
-JSON serialization is deterministic, and byte-identical between serial and
-parallel runs when timings are masked (``include_timing=False``).
+JSON serialization is deterministic, and byte-identical between runs when
+timings are masked (``include_timing=False``).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -99,14 +98,12 @@ class SuiteReport:
         scenario: scenario name the suite ran against (``None`` for ad-hoc
             configurations).
         experiments: per-experiment reports, ordered by experiment id.
-        workers: how many worker threads executed the suite.
         total_seconds: wall-clock cost of the whole suite (excludes dataset
             construction, which is paid by the stage cache).
     """
 
     experiments: list[ExperimentReport] = field(default_factory=list)
     scenario: str | None = None
-    workers: int = 1
     total_seconds: float = 0.0
 
     def get(self, experiment_id: str) -> ExperimentReport:
@@ -124,19 +121,23 @@ class SuiteReport:
         )
 
     def to_dict(self, *, include_timing: bool = True) -> dict:
-        """A JSON-ready dict; ``include_timing=False`` masks all timings."""
+        """A JSON-ready dict; ``include_timing=False`` masks all timings.
+
+        ``workers`` is always 1 (experiments run in one thread); the key
+        stays so the report schema matches earlier releases.
+        """
         return {
             "scenario": self.scenario,
             "experiments": [
                 report.to_dict(include_timing=include_timing)
                 for report in self.experiments
             ],
-            "workers": self.workers if include_timing else None,
+            "workers": 1 if include_timing else None,
             "total_seconds": round(self.total_seconds, 6) if include_timing else None,
         }
 
     def to_json(self, *, include_timing: bool = True, indent: int | None = 2) -> str:
-        """Deterministic JSON; byte-identical across worker counts when
+        """Deterministic JSON; byte-identical across runs when
         ``include_timing=False``."""
         return json.dumps(
             self.to_dict(include_timing=include_timing),
@@ -153,7 +154,6 @@ def run_suite(
     study: "Study | StudyDataset",
     ids: Iterable[str] | None = None,
     *,
-    workers: int = 1,
     scenario: str | None = None,
 ) -> SuiteReport:
     """Run experiments against a study (or an already-assembled dataset).
@@ -161,9 +161,6 @@ def run_suite(
     Args:
         study: a :class:`Study` or a flat :class:`StudyDataset`.
         ids: experiment identifiers to run (default: every registered one).
-        workers: thread-pool size; ``1`` runs serially.  Experiments are
-            deterministic over the shared read-only dataset, so the report
-            content is identical for any worker count.
         scenario: optional scenario name recorded in the report.
 
     Returns:
@@ -173,44 +170,28 @@ def run_suite(
     # scope, so the reverse import must happen at call time.
     from repro.experiments.registry import experiment_class, experiment_ids
 
-    if workers < 1:
-        raise ExperimentError(f"workers must be >= 1, got {workers}")
-
     selected = sorted(set(ids)) if ids is not None else experiment_ids()
     classes = {identifier: experiment_class(identifier) for identifier in selected}
     is_study = hasattr(study, "dataset")
     dataset = study.dataset() if is_study else study
     if any(Stage.ANALYSIS in cls.requires for cls in classes.values()):
-        # Compile the measurement index once, up front: every
-        # analysis-backed experiment then shares it instead of racing to
-        # build it inside the worker pool.  A Study routes through the stage
-        # cache (recording hit/miss accounting); a bare dataset goes through
-        # its own memo.
+        # Compile the measurement index once, up front, so every
+        # analysis-backed experiment shares it.  A Study routes through the
+        # stage cache (recording hit/miss accounting); a bare dataset goes
+        # through its own memo.
         if is_study:
             study.analysis()
         else:
             dataset.analysis_engine()
 
-    def run_one(identifier: str) -> ExperimentReport:
+    started = time.perf_counter()
+    reports = []
+    for identifier in selected:
         cls = classes[identifier]
         experiment = cls()
         view = StageView(dataset, cls.requires)
         start = time.perf_counter()
         result = experiment.run(view)
-        return ExperimentReport.from_result(result, time.perf_counter() - start)
-
-    started = time.perf_counter()
-    if workers == 1 or len(selected) <= 1:
-        reports = [run_one(identifier) for identifier in selected]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_one, selected))
+        reports.append(ExperimentReport.from_result(result, time.perf_counter() - start))
     total = time.perf_counter() - started
-
-    reports.sort(key=lambda report: report.experiment_id)
-    return SuiteReport(
-        experiments=reports,
-        scenario=scenario,
-        workers=workers,
-        total_seconds=total,
-    )
+    return SuiteReport(experiments=reports, scenario=scenario, total_seconds=total)

@@ -280,9 +280,9 @@ class PolicyParameters:
 #: An atypical scheme: provider routes preferred over peer routes.  Customer
 #: routes stay strictly preferred so that the Gao–Rexford convergence
 #: condition still holds — the simulation only generates atypical policies of
-#: this convergence-safe form (documented in DESIGN.md), which still count as
-#: "atypical" under the paper's definition ("the local preference of provider
-#: routes is not lower than that of peer routes").
+#: this convergence-safe form, which still count as "atypical" under the
+#: paper's definition ("the local preference of provider routes is not lower
+#: than that of peer routes").
 ATYPICAL_SCHEME = LocalPrefScheme(customer=110, peer=90, provider=100)
 
 

@@ -21,9 +21,12 @@ from repro.core.export_policy import ExportPolicyAnalyzer
 from repro.core.import_policy import ImportPolicyAnalyzer
 from repro.core.peer_export import PeerExportAnalyzer
 from repro.core.verification import Verifier
+from repro.exceptions import InferenceError
 from repro.experiments.common import persistence_snapshots
+from repro.fuzz.oracles import outcome, vantage_subsets
 from repro.relationships.gao import GaoInference
 from repro.session.scenarios import get_scenario, scenario_names
+from repro.simulation.collector import RouteViewsCollector
 
 SCENARIOS = sorted(scenario_names())
 
@@ -51,6 +54,7 @@ def _context(name: str) -> dict:
             "dataset": dataset,
             "engine": dataset.analysis_engine(),
             "graph": graph,
+            "inferred": GaoInference().infer(dataset.collector.all_paths()).graph,
             "providers": providers,
             "tables": tables,
             "reports": reports,
@@ -65,6 +69,18 @@ def test_atoms_equivalent(scenario):
     ctx = _context(scenario)
     legacy = PolicyAtomAnalyzer().compute_atoms(ctx["dataset"].collector)
     assert ctx["engine"].atoms() == legacy
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_atom_statistics_equivalent(scenario):
+    ctx = _context(scenario)
+    atoms = PolicyAtomAnalyzer().compute_atoms(ctx["dataset"].collector)
+    sa_prefixes = set().union(*(r.sa_prefix_set() for r in ctx["reports"].values()))
+    engine = ctx["engine"]
+    assert engine.atom_statistics(
+        engine.atoms(), sa_prefixes=sa_prefixes
+    ) == PolicyAtomAnalyzer().statistics(atoms, sa_prefixes=sa_prefixes)
+    assert engine.atom_statistics() == PolicyAtomAnalyzer().statistics(atoms)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -151,6 +167,44 @@ def test_causes_equivalent(scenario):
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
+def test_vantage_subset_case3_equivalent(scenario):
+    """The ablation's Case 3 over fewer vantages equals a re-collected table."""
+    ctx = _context(scenario)
+    analyzer = CauseAnalyzer(ctx["graph"])
+    engine = ctx["engine"]
+    subsets = vantage_subsets(ctx["dataset"].vantage_ases)
+    assert len({len(vantages) for vantages in subsets}) == 3
+    for vantages in subsets:
+        collector = RouteViewsCollector(vantages).collect(ctx["dataset"].result)
+        for provider, report in ctx["reports"].items():
+            assert engine.case3(provider, vantages=vantages) == analyzer.case3_analysis(
+                report, collector
+            )
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_inferred_graph_sa_reports_equivalent(scenario):
+    """The relationship ablation's SA reports over the Gao-inferred graph."""
+    ctx = _context(scenario)
+    inferred = ctx["engine"].inferred()
+    assert inferred.index is ctx["engine"].index
+    assert ctx["engine"].inferred() is inferred
+    analyzer = ExportPolicyAnalyzer(ctx["inferred"])
+    originated = ctx["dataset"].internet.originated
+    for provider, table in ctx["tables"].items():
+        assert outcome(lambda: inferred.sa_report(provider)) == outcome(
+            lambda: analyzer.find_sa_prefixes(
+                provider, table, known_customer_prefixes=originated
+            )
+        )
+    absent = max(ctx["graph"].ases()) + 1
+    with pytest.raises(InferenceError):
+        inferred.sa_report(absent)
+    with pytest.raises(InferenceError):
+        analyzer.find_sa_prefixes(absent, next(iter(ctx["tables"].values())))
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
 def test_community_equivalent(scenario):
     ctx = _context(scenario)
     analyzer = CommunityAnalyzer()
@@ -171,8 +225,9 @@ def test_community_equivalent(scenario):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_relationship_verification_equivalent(scenario):
     ctx = _context(scenario)
-    inferred = GaoInference().infer(ctx["dataset"].collector.all_paths()).graph
-    legacy = Verifier(inferred, CommunityAnalyzer()).verify_relationships(ctx["tagging"])
+    legacy = Verifier(ctx["inferred"], CommunityAnalyzer()).verify_relationships(
+        ctx["tagging"]
+    )
     assert ctx["engine"].verify_relationships() == legacy
 
 

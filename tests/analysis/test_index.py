@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.engine import AnalysisEngine
 from repro.analysis.index import MeasurementIndex
 from repro.data.dataset import small_dataset
 
@@ -111,4 +112,6 @@ class TestIrrRowsAndStats:
         assert stats["interned_prefixes"] == len(index.prefixes)
 
     def test_providers_under_study_matches_dataset(self, index, dataset):
-        assert index.providers_under_study(3) == dataset.providers_under_study(3)
+        assert AnalysisEngine(index).providers_under_study() == (
+            dataset.providers_under_study(3)
+        )

@@ -102,8 +102,9 @@ class TestStageViewGating:
 
 class TestSuiteAmortisation:
     def test_run_suite_builds_the_index_once(self, study, cache):
-        report = run_suite(study, ["table2", "table7", "atoms", "case3"], workers=4)
+        report = run_suite(study, ["table2", "table7", "atoms", "case3", "ablations"])
         assert [r.experiment_id for r in report.experiments] == [
+            "ablations",
             "atoms",
             "case3",
             "table2",
@@ -118,8 +119,8 @@ class TestSuiteAmortisation:
         assert [r.experiment_id for r in report.experiments] == ["case3", "table2"]
 
     def test_common_helpers_honour_study_provider_count(self, cache):
-        from repro.experiments.common import provider_tables, sa_reports
-
+        # Every way an experiment reaches the engine (a bare dataset, a stage
+        # view, the inferred-graph sibling) studies the configured providers.
         study = Study(
             StudyConfig(
                 topology=TINY.topology,
@@ -128,12 +129,10 @@ class TestSuiteAmortisation:
             cache=cache,
         )
         dataset = study.dataset()
-        assert len(sa_reports(dataset)) == 2
-        assert len(provider_tables(dataset)) == 2
-
-    def test_suite_content_identical_across_workers(self, study):
-        serial = run_suite(study, ["table5", "table9", "fig2"], workers=1)
-        parallel = run_suite(study, ["table5", "table9", "fig2"], workers=4)
-        assert serial.to_json(include_timing=False) == parallel.to_json(
-            include_timing=False
-        )
+        view = StageView(dataset, frozenset({Stage.ANALYSIS}))
+        providers = dataset.providers_under_study(2)
+        assert list(dataset.analysis.sa_reports()) == providers
+        assert list(view.analysis.peer_export_reports()) == providers
+        inferred = view.analysis.inferred()
+        assert inferred.provider_count == 2
+        assert inferred.providers_under_study() == providers

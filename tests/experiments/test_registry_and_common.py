@@ -1,18 +1,16 @@
-"""Tests for the experiment registry, base classes and shared caches."""
+"""Tests for the experiment registry and base classes."""
 
 import pytest
 
 from repro.exceptions import ExperimentError
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.common import provider_tables, sa_reports
 from repro.experiments.registry import (
     all_experiments,
     experiment_class,
     get_experiment,
     register,
 )
-from repro.data.dataset import small_dataset
-from repro.session import ALL_STAGES, StageView
+from repro.session import ALL_STAGES
 
 
 class TestExperimentResult:
@@ -72,25 +70,3 @@ class TestRegistry:
             assert isinstance(experiment.requires, frozenset)
             assert experiment.requires <= ALL_STAGES
 
-
-class TestCommonCaches:
-    def test_provider_tables_cached_per_dataset(self):
-        dataset = small_dataset()
-        first = provider_tables(dataset)
-        second = provider_tables(dataset)
-        assert first is second
-        assert len(first) == 3
-
-    def test_sa_reports_cached_and_consistent(self):
-        dataset = small_dataset()
-        first = sa_reports(dataset)
-        second = sa_reports(dataset)
-        assert first is second
-        assert set(first) == set(provider_tables(dataset))
-
-    def test_stage_views_share_the_dataset_cache(self):
-        dataset = small_dataset()
-        one = provider_tables(StageView(dataset, ALL_STAGES))
-        other = provider_tables(StageView(dataset, ALL_STAGES))
-        assert one is other
-        assert one is provider_tables(dataset)

@@ -50,38 +50,6 @@ class TestStageCache:
         assert cache.stats_for("policies").misses == 1
         assert cache.stats_for("never-touched").misses == 0
 
-    def test_concurrent_same_key_builds_once(self):
-        import threading
-
-        cache = StageCache()
-        built = []
-        release = threading.Event()
-
-        def slow_builder():
-            release.wait(timeout=5)
-            built.append(1)
-            return "artifact"
-
-        results = []
-        threads = [
-            threading.Thread(
-                target=lambda: results.append(
-                    cache.get_or_build("s", "k", slow_builder)
-                )
-            )
-            for _ in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        release.set()
-        for thread in threads:
-            thread.join(timeout=10)
-
-        assert results == ["artifact"] * 4
-        assert built == [1]
-        stats = cache.stats_for("s")
-        assert (stats.misses, stats.hits) == (1, 3)
-
     def test_failed_build_retried_by_waiters(self):
         cache = StageCache()
         attempts = []

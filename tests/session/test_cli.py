@@ -128,12 +128,16 @@ class TestCommands:
         assert cli_main(["run", "table99", "--scenario", "small"]) == 2
         assert capsys.readouterr().err.startswith("error: unknown experiment")
 
-    def test_run_parallel_workers(self, capsys):
-        out = run_cli(
-            capsys, "run", "table1", "table5", "--scenario", "small",
-            "--workers", "2", "--json",
-        )
-        assert json.loads(out)["workers"] == 2
+    def test_only_process_pool_commands_take_workers(self, capsys):
+        # Experiments run in one thread; fuzz, sweep and chaos fan cases out
+        # over processes.
+        with pytest.raises(SystemExit):
+            cli_main(["run", "table1", "--workers", "2"])
+        assert "--workers" in capsys.readouterr().err
+        for command in ("fuzz", "sweep", "chaos"):
+            with pytest.raises(SystemExit):
+                cli_main([command, "--help"])
+            assert "--workers" in capsys.readouterr().out
 
 
 class TestCacheCommands:

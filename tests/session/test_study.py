@@ -171,10 +171,6 @@ class TestStageView:
         with pytest.raises(ExperimentError, match="policies"):
             view.assignment
 
-    def test_token_never_gated(self, study):
-        view = study.view(frozenset())
-        assert view.cache_token == study.view().cache_token
-
     def test_restricted_narrows(self, study):
         view = study.view()
         narrow = view.restricted(frozenset({Stage.IRR}))
