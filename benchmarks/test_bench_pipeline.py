@@ -47,7 +47,7 @@ def test_bench_route_propagation(benchmark):
 
     result = benchmark.pedantic(propagate, rounds=1, iterations=1, warmup_rounds=0)
     assert result.truncated_prefixes == []
-    assert len(result.tables) == len(internet.tier1)
+    assert len(result.observed_ases) == len(internet.tier1)
 
 
 def test_bench_gao_inference(benchmark, dataset):

@@ -4,15 +4,16 @@ This package is the "compile once, query many" layer between the
 observation stage and the paper's analyses:
 
 * :mod:`repro.analysis.index` — :class:`MeasurementIndex` lowers the
-  collector table, the Looking Glass views and the IRR database into dense
-  columnar arrays with interned prefixes/AS paths and precomputed groupings.
+  collector table, the Looking Glass tables (read from the columnar RIB)
+  and the IRR database into dense columnar arrays with interned
+  prefixes/AS paths and precomputed groupings.
 * :mod:`repro.analysis.engine` — :class:`AnalysisEngine` runs every
   analysis the experiments need as a one-pass query over the shared index,
   with results identical to the legacy :mod:`repro.core` analyzers, its
   test oracles (golden equivalence suite in ``tests/analysis/``).
 * :mod:`repro.analysis.persistence` — the Figs. 6/7 persistence study
-  (Section 5.1.4) over timeline snapshots, which have no index; it is the
-  one production user of a legacy analyzer (``ExportPolicyAnalyzer``).
+  (Section 5.1.4) over timeline snapshots, which have no index: each
+  snapshot's best-route columns go through the engine's Fig. 4 rule.
 
 The session layer exposes the engine as the cached ``ANALYSIS`` stage
 (``Stage.ANALYSIS`` / ``StageView.analysis``); experiments declare it in

@@ -21,8 +21,11 @@ from three properties the legacy analyzers lack:
 * **Shared intermediates** — customer cones, customer paths, per-glass
   sweeps, Gao-inferred graphs and SA reports are computed once and reused
   by every downstream query instead of once per analyzer.
-* **Columnar loops** — the hot loops run over interned integer arrays, not
-  ``Route``/``ASPath`` object graphs.
+* **Columnar loops** — the hot loops run over interned integer arrays
+  (the index's and the columnar RIB's), not ``Route``/``ASPath`` object
+  graphs; a ``Route`` is materialised only as an SA prefix's
+  ``best_route``.  :func:`sa_rows`, the Fig. 4 rule, also classifies the
+  Figs. 6/7 timeline snapshots.
 
 Queries run in one thread, so every memo is a plain dict filled on first
 use.
@@ -63,10 +66,11 @@ from repro.net.asn import ASN
 from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
 from repro.relationships.gao import GaoInference
+from repro.simulation.rib import KIND_LOCAL
 from repro.topology.graph import AnnotatedASGraph, Relationship
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.index import MeasurementIndex
+    from repro.analysis.index import MeasurementIndex, TableIndex
     from repro.session.stages import AnalysisParameters
 
 
@@ -75,6 +79,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _FULL_TABLE_FRACTION = 0.8
 #: ... and one announcing at most this many prefixes is a customer.
 _CUSTOMER_PREFIX_THRESHOLD = 3
+
+
+def sa_rows(
+    view: "TableIndex", graph: AnnotatedASGraph, cone: set[ASN]
+) -> tuple[int, list[tuple[int, Relationship | None]]]:
+    """The Fig. 4 rule over one provider's (``view.owner``) best-route columns.
+
+    A non-local best route to a prefix originated in the provider's
+    customer ``cone`` counts as a customer prefix; it is an SA prefix unless
+    its next hop is a customer of the provider in ``graph``.  Returns the
+    customer-prefix count and, in table order, each SA row with the
+    provider's relationship to its next hop.
+    """
+    provider = view.owner
+    relationship_of = graph.relationship
+    origins, next_hops, is_local = view.best_origin, view.best_next_hop, view.best_is_local
+    customer_prefixes = 0
+    rows: list[tuple[int, Relationship | None]] = []
+    for row in range(view.best_count):
+        if is_local[row] or origins[row] not in cone:
+            continue
+        customer_prefixes += 1
+        relationship = relationship_of(provider, next_hops[row])
+        if relationship is not Relationship.CUSTOMER:
+            rows.append((row, relationship))
+    return customer_prefixes, rows
 
 
 class _GlassScan:
@@ -465,31 +495,23 @@ class AnalysisEngine:
         idx = self.index
         view = idx.tables[provider]
         cone = self._cone(provider)
-        relationship_of = self.graph.relationship
-        report = SAPrefixReport(provider=provider)
-        origins, next_hops = view.best_origin, view.best_next_hop
-        pids, is_local = view.best_prefix, view.best_is_local
-        for row in range(view.best_count):
-            if is_local[row]:
-                continue
-            origin = origins[row]
-            if origin not in cone:
-                continue
-            report.customer_prefix_count += 1
-            pid = pids[row]
-            next_hop = next_hops[row]
-            relationship = relationship_of(provider, next_hop)
-            if relationship is Relationship.CUSTOMER:
-                report.customer_route_prefix_count += 1
-                continue
+        customer_prefixes, rows = sa_rows(view, self.graph, cone)
+        report = SAPrefixReport(
+            provider=provider,
+            customer_prefix_count=customer_prefixes,
+            customer_route_prefix_count=customer_prefixes - len(rows),
+        )
+        for row, relationship in rows:
+            origin = view.best_origin[row]
+            prefix = idx.prefixes[view.best_prefix[row]]
             customer_path = self._customer_path(provider, origin)
             report.sa_prefixes.append(
                 SAPrefix(
-                    prefix=idx.prefixes[pid],
+                    prefix=prefix,
                     origin_as=origin,
-                    next_hop_as=next_hop,
+                    next_hop_as=view.best_next_hop[row],
                     next_hop_relationship=relationship,
-                    best_route=view.best_route[row],
+                    best_route=idx.rib.route(prefix, view.best_route[row]),
                     customer_path=list(customer_path) if customer_path else [],
                 )
             )
@@ -571,13 +593,13 @@ class AnalysisEngine:
         cached = self._candidate_next_hops.get(asn)
         if cached is not None:
             return cached
-        table = self.index.result.table_of(asn)
+        rib = self.index.rib
+        kinds, hops_of = rib.cand_kind, rib.cand_learned_from
         candidates: dict[Prefix, set[ASN]] = {}
-        for entry in table.entries():
-            hops = candidates.setdefault(entry.prefix, set())
-            for route in entry.routes:
-                if not route.is_local:
-                    hops.add(route.next_hop_as)
+        for entry in rib.entries(asn):
+            candidates[rib.prefixes[rib.entry_prefix[entry]]] = {
+                hops_of[row] for row in rib.candidates(entry) if kinds[row] != KIND_LOCAL
+            }
         self._candidate_next_hops[asn] = candidates
         return candidates
 
@@ -630,14 +652,14 @@ class AnalysisEngine:
         return breakdown
 
     def _best_trie(self, provider: ASN) -> PrefixTrie:
-        """A radix trie over the provider's best routes, built once."""
+        """A radix trie of the provider's best-route rows, by prefix, built once."""
         trie = self._best_tries.get(provider)
         if trie is not None:
             return trie
         trie = PrefixTrie()
         view = self.index.tables[provider]
         for row in range(view.best_count):
-            trie.insert(self.index.prefixes[view.best_prefix[row]], view.best_route[row])
+            trie.insert(self.index.prefixes[view.best_prefix[row]], row)
         self._best_tries[provider] = trie
         return trie
 
@@ -645,22 +667,23 @@ class AnalysisEngine:
         """Table 9: SA prefixes explained by splitting / aggregating / selective."""
         report = self.sa_report(provider)
         trie = self._best_trie(provider)
+        view = self.index.tables[provider]
         relationship_of = self.graph.relationship
         breakdown = CauseBreakdown(
             provider=provider, sa_prefix_count=report.sa_prefix_count
         )
         for item in report.sa_prefixes:
             is_splitting = False
-            for other_prefix, other_route in (
+            for other_prefix, other in (
                 *trie.covering(item.prefix),
                 *trie.covered(item.prefix),
             ):
                 if other_prefix == item.prefix:
                     continue
-                if other_route.origin_as != item.origin_as:
+                if view.best_origin[other] != item.origin_as:
                     continue
                 if (
-                    relationship_of(provider, other_route.next_hop_as)
+                    relationship_of(provider, view.best_next_hop[other])
                     is Relationship.CUSTOMER
                 ):
                     is_splitting = True

@@ -1,15 +1,19 @@
-"""The compiled measurement index: observation artifacts as columnar arrays.
+"""The compiled measurement index: the observations as columnar arrays.
 
 The paper's analyses (Tables 2-11, Figs. 2-9) are repeated scans over the
 same three observed artifacts — the RouteViews-style collector table, the
-Looking Glass views and the IRR database — sliced per AS, per prefix and per
-neighbor.  The legacy :mod:`repro.core` analyzers re-walk the Python object
-graph (``CollectorTable`` entries, ``LocRib`` tries, ``Route`` dataclasses)
-once per analysis, which makes the analyzer pass the dominant wall-clock
-cost once propagation itself is fast.
+Looking Glass tables and the IRR database — sliced per AS, per prefix and
+per neighbor.  The legacy :mod:`repro.core` analyzers re-walk the Python
+object graph (``CollectorTable`` entries, ``LocRib`` tries, ``Route``
+dataclasses) once per analysis, which makes the analyzer pass the dominant
+wall-clock cost once propagation itself is fast.
 
-:class:`MeasurementIndex` lowers the observation stage *once* into dense
-columns keyed by interned integer ids:
+:class:`MeasurementIndex` lowers them *once* into dense columns keyed by
+interned integer ids.  The Looking Glass and table columns are read
+straight from the propagation stage's columnar RIB
+(:class:`~repro.simulation.rib.RibColumns`); no ``Route`` or ``LocRib``
+object is built.  Prefix ids are the index's own, assigned in first-sight
+order over the collector, then the glasses, then the tables:
 
 * **Interners** — every :class:`~repro.net.prefix.Prefix` and
   :class:`~repro.net.aspath.ASPath` is assigned a small integer id; path ids
@@ -21,31 +25,33 @@ columns keyed by interned integer ids:
   table-iteration order: next-hop AS, LOCAL_PREF, locality, and the glass's
   own community tags, plus per-entry offsets and best-route columns.
 * **Table columns** — per observed AS, the best-route rows (prefix id,
-  origin, next hop, locality, the route object) in table order.
+  origin, next hop, locality, the RIB candidate row) in table order.
 * **IRR rows** — per registered object: AS, last-update stamp and the
   ``(peer AS, pref)`` import pairs.
 
-The index holds references to the source artifacts (graph, collector,
-tables) so engine queries that need exact legacy semantics — radix-trie
-covering/covered walks, route object identity in reports — can reach them,
-but every hot loop in :class:`~repro.analysis.engine.AnalysisEngine` runs
-over the integer columns.  Build it with :meth:`MeasurementIndex.from_dataset`
-or through the session layer's ``ANALYSIS`` stage.
+The index holds references to the source artifacts (graph, collector, RIB)
+so engine queries can reach them — a report's best route is materialised
+from its RIB row with :meth:`~repro.simulation.rib.RibColumns.route` — but
+every hot loop in :class:`~repro.analysis.engine.AnalysisEngine` runs over
+the integer columns.  Build it with :meth:`MeasurementIndex.from_dataset`
+or through the session layer's ``ANALYSIS`` stage, a derived in-memory
+stage: rebuilding the index from the stored upstream stages costs no more
+than decoding it would.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.net.asn import ASN
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
+from repro.simulation.rib import KIND_LOCAL, RibColumns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bgp.attributes import Community
-    from repro.bgp.route import Route
     from repro.data.dataset import StudyDataset
 
 
@@ -53,10 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class GlassIndex:
     """Columnar view of one Looking Glass table.
 
-    Route rows follow the exact iteration order of the legacy analyzers
-    (``for entry in table.entries(): for route in entry.routes``), so
-    one-pass queries reproduce legacy tie-breaking (e.g. ``Counter``
-    insertion order) bit for bit.
+    Route rows follow the RIB's row order, which is the iteration order of
+    the legacy analyzers (``for entry in table.entries(): for route in
+    entry.routes``), so one-pass queries reproduce legacy tie-breaking
+    (e.g. ``Counter`` insertion order) bit for bit.
 
     Attributes:
         asn: the Looking Glass AS.
@@ -67,7 +73,7 @@ class GlassIndex:
         route_local_pref: LOCAL_PREF per candidate route row.
         route_is_local: 1 for locally-originated route rows, else 0.
         route_own_communities: the glass AS's own community tags per route
-            row, in the route's set-iteration order.
+            row, in the order ``CommunitySet.from_asn`` yields them.
         best_next_hop: next-hop AS per best route, in best-route order.
         best_local_pref: LOCAL_PREF per best route.
         best_is_local: 1 for locally-originated best routes, else 0.
@@ -105,8 +111,8 @@ class TableIndex:
         best_origin: origin AS per best route.
         best_next_hop: next-hop AS per best route.
         best_is_local: 1 for locally-originated best routes, else 0.
-        best_route: the selected :class:`~repro.bgp.route.Route` objects
-            (kept so reports carry the same objects the legacy analyzers do).
+        best_route: the RIB candidate row of each best route
+            (:meth:`~repro.simulation.rib.RibColumns.route` materialises it).
         row_of_prefix: prefix id → row index into the best-route columns.
     """
 
@@ -115,13 +121,37 @@ class TableIndex:
     best_origin: array = field(default_factory=lambda: array("q"))
     best_next_hop: array = field(default_factory=lambda: array("q"))
     best_is_local: bytearray = field(default_factory=bytearray)
-    best_route: list["Route"] = field(default_factory=list)
+    best_route: array = field(default_factory=lambda: array("q"))
     row_of_prefix: dict[int, int] = field(default_factory=dict)
 
     @property
     def best_count(self) -> int:
         """Number of best-route rows."""
         return len(self.best_prefix)
+
+    @classmethod
+    def from_rib(
+        cls, rib: RibColumns, owner: ASN, prefix_id: Callable[[int], int]
+    ) -> "TableIndex":
+        """The best-route columns of one observed AS of ``rib``, in table order.
+
+        ``prefix_id`` maps a RIB prefix id to the id these columns use.
+
+        Raises:
+            SimulationError: if the AS was not observed.
+        """
+        view = cls(owner=owner)
+        paths, cand_path = rib.paths, rib.cand_path
+        hops, kinds = rib.cand_learned_from, rib.cand_kind
+        for entry, row in rib.best_rows(owner):
+            pid = prefix_id(rib.entry_prefix[entry])
+            view.row_of_prefix[pid] = len(view.best_prefix)
+            view.best_prefix.append(pid)
+            view.best_origin.append(paths[cand_path[row]][-1])
+            view.best_next_hop.append(hops[row])
+            view.best_is_local.append(kinds[row] == KIND_LOCAL)
+            view.best_route.append(row)
+        return view
 
 
 @dataclass
@@ -149,26 +179,17 @@ class MeasurementIndex:
     """
 
     def __init__(self, dataset: "StudyDataset") -> None:
-        """Lower a study dataset's observation artifacts into columns.
+        """Lower a study dataset's observations into columns.
 
         Args:
             dataset: the assembled study dataset (flat view); the index
-                keeps references to its graph, collector, tables and IRR.
+                keeps references to its graph, collector, RIB and IRR.
         """
-        self._attach(dataset)
-        self._build_collector()
-        self._build_glasses()
-        self._build_tables()
-        self._build_irr()
-
-    def _attach(self, dataset: "StudyDataset") -> None:
-        """Bind the source references and initialise empty columns."""
         self.dataset = dataset
         self.graph = dataset.ground_truth_graph
         self.internet = dataset.internet
         self.collector = dataset.collector
-        self.looking_glasses = dict(dataset.looking_glasses)
-        self.result = dataset.result
+        self.rib = dataset.result.rib
         self.assignment = dataset.assignment
         self.irr = dataset.irr
         self.looking_glass_ases = list(dataset.looking_glass_ases)
@@ -181,6 +202,8 @@ class MeasurementIndex:
         self.path_ids: dict[ASPath, int] = {}
         self.collapsed: list[tuple[ASN, ...]] = []
         self.path_origin: array = array("q")
+        # RIB prefix id -> index prefix id (-1 until first interned).
+        self._rib_prefix_ids = [-1] * len(self.rib.prefixes)
 
         # -- collector columns ----------------------------------------------
         self.col_vantage: array = array("q")
@@ -195,24 +218,10 @@ class MeasurementIndex:
         self.tables: dict[ASN, TableIndex] = {}
         self.irr_rows: list[IrrRow] = []
 
-    @classmethod
-    def hollow(cls, dataset: "StudyDataset") -> "MeasurementIndex":
-        """An index bound to ``dataset`` with empty columns, builders not run.
-
-        Entry point of the analysis storage codec
-        (:mod:`repro.storage.codecs`): the codec restores the interners and
-        columns it persisted, then re-runs only the cheap builders that
-        reference live objects (:meth:`_build_tables`, :meth:`_build_irr`).
-
-        Args:
-            dataset: the assembled study dataset to bind references to.
-
-        Returns:
-            The hollow index (source references set, every column empty).
-        """
-        index = cls.__new__(cls)
-        index._attach(dataset)
-        return index
+        self._build_collector()
+        self._build_glasses()
+        self._build_tables()
+        self._build_irr()
 
     # -- interning -----------------------------------------------------------
 
@@ -245,6 +254,14 @@ class MeasurementIndex:
         """The id of a prefix, or ``None`` if it was never observed."""
         return self.prefix_ids.get(prefix)
 
+    def _rib_prefix(self, rib_pid: int) -> int:
+        """The index id of a RIB prefix id, interning on first use."""
+        pid = self._rib_prefix_ids[rib_pid]
+        if pid < 0:
+            pid = self.intern_prefix(self.rib.prefixes[rib_pid])
+            self._rib_prefix_ids[rib_pid] = pid
+        return pid
+
     # -- builders ------------------------------------------------------------
 
     def _build_collector(self) -> None:
@@ -262,42 +279,39 @@ class MeasurementIndex:
             self.adjacency.update(zip(collapsed, collapsed[1:]))
 
     def _build_glasses(self) -> None:
-        """Lower every Looking Glass table into route/entry/best columns."""
+        """Copy every Looking Glass's RIB rows into route/entry/best columns."""
+        rib = self.rib
+        offsets, best = rib.entry_offsets, rib.entry_best
+        hops, prefs = rib.cand_learned_from, rib.cand_local_pref
+        kinds, comms = rib.cand_kind, rib.cand_communities
         for asn in self.looking_glass_ases:
-            glass = self.looking_glasses[asn]
             view = GlassIndex(asn=asn)
-            for entry in glass.table.entries():
-                view.entry_prefix.append(self.intern_prefix(entry.prefix))
+            own: dict[int, tuple[Community, ...]] = {}
+            for entry in rib.entries(asn):
+                view.entry_prefix.append(self._rib_prefix(rib.entry_prefix[entry]))
+                start, end = offsets[entry], offsets[entry + 1]
                 view.entry_offsets.append(len(view.route_next_hop))
-                for route in entry.routes:
-                    view.route_next_hop.append(route.next_hop_as)
-                    view.route_local_pref.append(route.local_pref)
-                    view.route_is_local.append(1 if route.is_local else 0)
-                    view.route_own_communities.append(
-                        tuple(route.communities.from_asn(asn))
-                    )
-                best = entry.best
-                if best is not None:
-                    view.best_next_hop.append(best.next_hop_as)
-                    view.best_local_pref.append(best.local_pref)
-                    view.best_is_local.append(1 if best.is_local else 0)
+                view.route_next_hop.extend(hops[start:end])
+                view.route_local_pref.extend(prefs[start:end])
+                for row in range(start, end):
+                    view.route_is_local.append(kinds[row] == KIND_LOCAL)
+                    comm_id = comms[row]
+                    tags = own.get(comm_id)
+                    if tags is None:
+                        tags = own[comm_id] = tuple(rib.community_set(comm_id).from_asn(asn))
+                    view.route_own_communities.append(tags)
+                if best[entry] >= 0:
+                    row = start + best[entry]
+                    view.best_next_hop.append(hops[row])
+                    view.best_local_pref.append(prefs[row])
+                    view.best_is_local.append(kinds[row] == KIND_LOCAL)
             view.entry_offsets.append(len(view.route_next_hop))
             self.glasses[asn] = view
 
     def _build_tables(self) -> None:
-        """Lower the best routes of every observed AS's routing table."""
-        for asn in self.result.observed_ases:
-            table = self.result.table_of(asn)
-            view = TableIndex(owner=asn)
-            for route in table.best_routes():
-                pid = self.intern_prefix(route.prefix)
-                view.row_of_prefix[pid] = len(view.best_prefix)
-                view.best_prefix.append(pid)
-                view.best_origin.append(route.origin_as)
-                view.best_next_hop.append(route.next_hop_as)
-                view.best_is_local.append(1 if route.is_local else 0)
-                view.best_route.append(route)
-            self.tables[asn] = view
+        """The best-route columns of every observed AS's routing table."""
+        for asn in self.rib.owners:
+            self.tables[asn] = TableIndex.from_rib(self.rib, asn, self._rib_prefix)
 
     def _build_irr(self) -> None:
         """Lower the IRR database into plain ``(peer, pref)`` rows."""

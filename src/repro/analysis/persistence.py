@@ -9,18 +9,21 @@ Given a chronological sequence of timeline snapshots (daily over a month, or
   whose SA uptime is lower than their uptime have shifted from SA to non-SA
   at some point (Fig. 7).
 
-Only announcements churn between snapshots, so each function holds one
-memoising :class:`~repro.core.export_policy.ExportPolicyAnalyzer` across the
-whole timeline: every cone and customer-path search of the Fig. 4 algorithm
-is paid once instead of once per snapshot.
+A snapshot has no measurement index, so each one is classified on its own
+columnar RIB: the provider's best rows become one
+:class:`~repro.analysis.index.TableIndex` and the analysis engine's Fig. 4
+rule (:func:`~repro.analysis.engine.sa_rows`) labels them.  Only
+announcements churn between snapshots, so the provider's customer cone is
+computed once per timeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
-from repro.core.export_policy import ExportPolicyAnalyzer
+from repro.analysis.engine import sa_rows
+from repro.analysis.index import TableIndex
 from repro.net.asn import ASN
 from repro.net.prefix import Prefix
 from repro.topology.graph import AnnotatedASGraph
@@ -108,18 +111,31 @@ class UptimeDistribution:
         return 100.0 * len(self.shifting_prefixes()) / len(ever)
 
 
+def _classified(
+    snapshots: list["Snapshot"], provider: ASN, relationships: AnnotatedASGraph
+) -> Iterator[tuple["Snapshot", list[Prefix], set[Prefix]]]:
+    """Per snapshot: the provider's table prefixes and its SA prefixes."""
+    cone: set[ASN] | None = None
+    for snapshot in snapshots:
+        rib = snapshot.result.rib
+        view = TableIndex.from_rib(rib, provider, lambda rib_pid: rib_pid)
+        if cone is None:
+            cone = relationships.customer_cone(provider)
+        _, rows = sa_rows(view, relationships, cone)
+        prefixes = [rib.prefixes[rib.entry_prefix[entry]] for entry in rib.entries(provider)]
+        sa_prefixes = {rib.prefixes[view.best_prefix[row]] for row, _ in rows}
+        yield snapshot, prefixes, sa_prefixes
+
+
 def persistence_series(
     snapshots: list["Snapshot"], provider: ASN, relationships: AnnotatedASGraph
 ) -> PersistenceSeries:
     """Fig. 6: per-snapshot prefix and SA-prefix counts for one provider."""
-    analyzer = ExportPolicyAnalyzer(relationships)
     series = PersistenceSeries(provider=provider)
-    for snapshot in snapshots:
-        table = snapshot.result.table_of(provider)
-        report = analyzer.find_sa_prefixes(provider, table)
+    for snapshot, prefixes, sa_prefixes in _classified(snapshots, provider, relationships):
         series.snapshot_indices.append(snapshot.index)
-        series.all_prefix_counts.append(len(table))
-        series.sa_prefix_counts.append(report.sa_prefix_count)
+        series.all_prefix_counts.append(len(prefixes))
+        series.sa_prefix_counts.append(len(sa_prefixes))
     return series
 
 
@@ -127,13 +143,10 @@ def uptime_distribution(
     snapshots: list["Snapshot"], provider: ASN, relationships: AnnotatedASGraph
 ) -> UptimeDistribution:
     """Fig. 7: uptime and SA-uptime of every prefix seen at the provider."""
-    analyzer = ExportPolicyAnalyzer(relationships)
     distribution = UptimeDistribution(provider=provider, snapshot_count=len(snapshots))
-    for snapshot in snapshots:
-        table = snapshot.result.table_of(provider)
-        sa_set = analyzer.find_sa_prefixes(provider, table).sa_prefix_set()
-        for prefix in table.prefixes():
+    for _, prefixes, sa_prefixes in _classified(snapshots, provider, relationships):
+        for prefix in prefixes:
             distribution.uptime[prefix] = distribution.uptime.get(prefix, 0) + 1
-            if prefix in sa_set:
+            if prefix in sa_prefixes:
                 distribution.sa_uptime[prefix] = distribution.sa_uptime.get(prefix, 0) + 1
     return distribution

@@ -105,21 +105,17 @@ class LocRib:
             self.add_route(route)
 
     def load_entry(self, prefix: Prefix, routes: list[Route], best: Route | None) -> RibEntry:
-        """Install a fully-selected entry in one step.
+        """Install a fully-selected entry for a prefix the table lacks.
 
-        Bulk-loading path used by simulation engines that already ran the
-        decision process: the caller guarantees ``best`` is what
-        :meth:`DecisionProcess.select_best` would pick over ``routes`` (in
-        order) and that the routes come from distinct (neighbor, router,
-        source) triples.  Falls back to :meth:`add_route` when an entry for
-        the prefix already exists, so mixing both APIs stays correct.
+        Bulk-loading path of the columnar RIB's views, whose rows record a
+        decision an engine already made: the caller guarantees ``best`` is
+        what :meth:`DecisionProcess.select_best` would pick over ``routes``
+        (in order) and that the routes come from distinct (neighbor,
+        router, source) triples.
         """
         entry = RibEntry(prefix=prefix, routes=list(routes), best=best)
-        stored = self._entries.insert_if_absent(prefix, entry)
-        if stored is not entry:
-            for route in routes:
-                stored = self.add_route(route)
-        return stored
+        self._entries.insert(prefix, entry)
+        return entry
 
     def withdraw(self, prefix: Prefix, neighbor: ASN) -> None:
         """Remove the route announced by ``neighbor`` for ``prefix``."""

@@ -132,20 +132,6 @@ class StudyDataset:
             )
         return self._analysis_engine
 
-    def adopt_analysis_engine(self, engine: "AnalysisEngine") -> "AnalysisEngine":
-        """Install an externally built analyzer engine into the dataset memo.
-
-        Used by the storage layer when an analysis artifact is decoded from
-        the disk tier: the restored engine becomes this dataset's memoised
-        engine so that :meth:`analysis_engine` callers and the session's
-        ``ANALYSIS`` stage share it.  If an engine is already memoised it
-        wins, so callers that reached the dataset's engine before the decode
-        keep seeing the same object.
-        """
-        if self._analysis_engine is None:
-            self._analysis_engine = engine
-        return self._analysis_engine
-
 
 def default_dataset() -> StudyDataset:
     """The standard dataset shared by experiments and benchmarks.

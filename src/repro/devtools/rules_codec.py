@@ -2,7 +2,7 @@
 
 A :class:`~repro.storage.codecs.StageCodec` must read every field of the
 dataclasses it lowers and write every field when it raises them — a field
-added to ``Route`` or ``ASPolicy`` that no codec touches silently drops
+added to ``RibColumns`` or ``ASPolicy`` that no codec touches silently drops
 data from the durable store, and a codec touching a renamed attribute
 fails only at decode time.  These rules resolve both sides statically:
 
@@ -20,7 +20,7 @@ Rules:
 * :class:`UncoveredFieldRule` (CODEC002) — a dataclass used by the codec
   module has a field no code in the module ever reads or writes.
 
-CODEC002 is restricted to dataclasses: plain classes (``MeasurementIndex``)
+CODEC002 is restricted to dataclasses: plain classes (``AnnotatedASGraph``)
 keep internal derived state a codec legitimately recomputes, so only their
 attribute *existence* is enforced.
 
@@ -143,8 +143,8 @@ def _scope_bindings(
     """Names bound to registry classes within one scope.
 
     A name is bound by an annotated parameter, an annotated assignment, a
-    direct construction (``x = Route(...)``) or a factory-classmethod call
-    (``x = MeasurementIndex.hollow(...)``).
+    direct construction (``x = RibColumns(...)``) or a factory-classmethod
+    call (``x = AddressAllocator.from_state(...)``).
     """
     bindings: dict[str, str] = {}
     if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -324,7 +324,7 @@ class UnknownAttributeRule(Rule):
 class UncoveredFieldRule(Rule):
     """CODEC002: a serialized dataclass has a field no codec code touches.
 
-    The canonical drift: a field added to ``Route``/``ASPolicy``/an
+    The canonical drift: a field added to ``RibColumns``/``ASPolicy``/an
     artifact dataclass whose codec was not updated — round-trips silently
     lose the field until a golden test (or production) notices.
     """

@@ -44,6 +44,7 @@ DET_SCOPE = (
     "src/repro/session/stages.py",
     "src/repro/fuzz/families.py",
     "src/repro/analysis/index.py",
+    "src/repro/simulation/rib.py",
 )
 
 #: ``set``-returning method names (on an already set-valued receiver).

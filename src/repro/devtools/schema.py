@@ -9,9 +9,10 @@ extracts that from source ASTs:
 * dataclasses contribute their annotated fields (``ClassVar`` annotations
   excluded) plus methods/properties;
 * plain classes contribute ``self.X`` assignments (union over all their
-  methods — factory classmethods like ``MeasurementIndex.hollow`` bypass
-  ``__init__``, so restricting to ``__init__`` would miss real schema) and
-  their ``__init__`` parameters as the constructor signature.
+  methods — a factory classmethod may bypass ``__init__`` and a builder
+  method may add attributes, so restricting to ``__init__`` would miss
+  real schema) and their ``__init__`` parameters as the constructor
+  signature.
 """
 
 from __future__ import annotations

@@ -70,30 +70,6 @@ class PrefixTrie(Generic[ValueT]):
         node.value = value
         node.prefix = prefix
 
-    def insert_if_absent(self, prefix: Prefix, value: ValueT) -> ValueT:
-        """Store ``value`` for ``prefix`` unless one exists; return the stored value.
-
-        A single-walk combination of :meth:`get` and :meth:`insert` for bulk
-        loaders that mostly insert fresh prefixes.
-        """
-        node = self._root
-        network = prefix.network
-        shift = IPV4_BITS
-        for _ in range(prefix.length):
-            shift -= 1
-            bit = (network >> shift) & 1
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        if node.has_value:
-            return node.value
-        node.value = value
-        node.prefix = prefix
-        self._size += 1
-        return value
-
     def remove(self, prefix: Prefix) -> None:
         """Remove ``prefix`` from the trie.
 

@@ -2,7 +2,9 @@
 
 The session layer redesigns dataset assembly around six explicit stages
 (``topology -> policies -> propagation -> observation -> irr -> analysis``),
-each built lazily and cached by content-addressed keys:
+each built lazily and cached by content-addressed keys (a disk tier stores
+topology, policies, propagation and irr; observation and analysis are
+derived in memory):
 
 * :class:`Study` — the staged pipeline; ``study.with_(policy=...)`` derives
   a variant that reuses every upstream artifact already built.

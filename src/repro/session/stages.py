@@ -12,14 +12,21 @@ explicit stage with its own frozen parameter set:
   Looking Glass list feeds the generator's prefix-based LOCAL_PREF draw).
 * **propagation** — run the compiled BGP propagation engine
   (:class:`~repro.simulation.fastpath.FastPropagationEngine`) observed at
-  the planned vantage ASes, one prefix after another in the calling process.
-* **observation** — collect the RouteViews-style table, the Looking Glass
-  views and the Table 1 inventory.
+  the planned vantage ASes, one prefix after another in the calling
+  process; its artifact holds the observed tables as a columnar RIB
+  (:class:`~repro.simulation.rib.RibColumns`).
+* **observation** — collect the RouteViews-style table from the RIB's best
+  rows, the Looking Glass views and the Table 1 inventory.
 * **irr** — synthesise the IRR database (:class:`IrrParameters`).
-* **analysis** — compile the observation artifacts into the columnar
-  :class:`~repro.analysis.index.MeasurementIndex` and expose the one-pass
-  :class:`~repro.analysis.engine.AnalysisEngine` over it
+* **analysis** — compile the observations and the RIB columns into the
+  columnar :class:`~repro.analysis.index.MeasurementIndex` and expose the
+  one-pass :class:`~repro.analysis.engine.AnalysisEngine` over it
   (:class:`AnalysisParameters`).
+
+With a disk tier, topology, policies, propagation and irr are stored; the
+observation and analysis stages are derived in memory, like the assembled
+dataset, because rebuilding them from the stored columns costs no more
+than decoding them.
 
 :class:`StageView` is the object an :class:`~repro.experiments.base.Experiment`
 receives: a facade over the assembled dataset that only exposes the stages

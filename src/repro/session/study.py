@@ -3,7 +3,10 @@
 A :class:`Study` is a lazy pipeline over a :class:`~repro.session.stages.StudyConfig`:
 each stage (topology, policies, propagation, observation, irr, analysis) is
 built on first use and stored in a content-addressed :class:`~repro.session.cache.StageCache`
-keyed by the stage's parameters plus its upstream keys.  Studies derived with
+keyed by the stage's parameters plus its upstream keys.  With a disk tier
+attached, the stages that have a codec (topology, policies, propagation,
+irr) are also persisted; observation and analysis are derived in memory
+from them.  Studies derived with
 :meth:`Study.with_` share the cache, so overriding a downstream stage reuses
 every upstream artifact already built::
 
@@ -230,7 +233,11 @@ class Study:
         return self._build(Stage.PROPAGATION, build)
 
     def observation(self) -> ObservationArtifact:
-        """Collector table, Looking Glass views and Table 1 inventory (stage 4)."""
+        """Collector table, Looking Glass views and Table 1 inventory (stage 4).
+
+        Derived in memory from the propagation stage's RIB columns; the
+        glasses materialise their ``LocRib`` views only when asked.
+        """
         return self._build(Stage.OBSERVATION, self._build_observation)
 
     def _build_observation(self) -> ObservationArtifact:
@@ -287,10 +294,13 @@ class Study:
     def analysis(self) -> "AnalysisEngine":
         """The one-pass analyzer engine over the compiled index (stage 6).
 
-        The engine itself is memoised on the assembled dataset (so bare
-        ``StudyDataset`` consumers share it); routing the build through the
-        stage cache additionally records hit/miss accounting and lets
-        ``run_suite`` amortise one index across every experiment of a suite.
+        A derived, memory-only stage: the index is compiled from the
+        dataset (reading the propagation stage's RIB columns), which costs
+        no more than decoding a stored index would.  The engine itself is
+        memoised on the assembled dataset (so bare ``StudyDataset``
+        consumers share it); routing the build through the stage cache
+        additionally records hit/miss accounting and lets ``run_suite``
+        amortise one index across every experiment of a suite.
         """
 
         def build() -> "AnalysisEngine":

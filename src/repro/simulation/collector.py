@@ -9,7 +9,9 @@ The paper combines two kinds of vantage points (Section 3):
   inspected from several backbone routers (the AT&T view of Fig. 2b).
 
 :class:`RouteViewsCollector` and :class:`LookingGlass` reproduce those two
-data granularities on top of a :class:`~repro.simulation.propagation.SimulationResult`.
+data granularities on top of a :class:`~repro.simulation.propagation.SimulationResult`:
+the collector reads the best rows of the run's columnar RIB, and a glass
+built from a result materialises its ``LocRib`` view only when asked.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.net.asn import ASN
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.simulation.propagation import SimulationResult
+from repro.simulation.rib import KIND_LOCAL
 
 
 @dataclass(frozen=True)
@@ -95,17 +98,27 @@ class RouteViewsCollector:
         self.vantage_ases = sorted(set(vantage_ases))
 
     def collect(self, result: SimulationResult) -> CollectorTable:
-        """Assemble the collector table from the observed vantage tables."""
+        """Assemble the collector table from the observed vantage tables.
+
+        Reads each vantage's best rows in table order; a vantage's own
+        prefix keeps its one-AS path.
+        """
+        rib = result.rib
+        prefixes, entry_prefix = rib.prefixes, rib.entry_prefix
+        paths, cand_path, kinds = rib.paths, rib.cand_path, rib.cand_kind
         table = CollectorTable()
+        append = table.entries.append
         for vantage in self.vantage_ases:
-            loc_rib = result.table_of(vantage)
-            for route in loc_rib.best_routes():
-                as_path = route.as_path if route.is_local else route.as_path.prepend(vantage)
-                if route.is_local and route.as_path.origin_as != vantage:
-                    as_path = route.as_path.prepend(vantage)
-                table.entries.append(
-                    CollectorEntry(vantage=vantage, prefix=route.prefix, as_path=as_path)
-                )
+            announced: dict[int, ASPath] = {}
+            for entry, row in rib.best_rows(vantage):
+                path_id = cand_path[row]
+                as_path = announced.get(path_id)
+                if as_path is None:
+                    path = paths[path_id]
+                    if kinds[row] != KIND_LOCAL or path[-1] != vantage:
+                        path = (vantage, *path)
+                    as_path = announced[path_id] = ASPath._from_validated(path)
+                append(CollectorEntry(vantage, prefixes[entry_prefix[entry]], as_path))
         return table
 
 
@@ -119,12 +132,27 @@ class LookingGlass:
 
     def __init__(self, asn: ASN, table: LocRib) -> None:
         self.asn = asn
-        self.table = table
+        self._table: LocRib | None = table
+        self._result: SimulationResult | None = None
 
     @classmethod
     def from_result(cls, result: SimulationResult, asn: ASN) -> "LookingGlass":
-        """Build the Looking Glass of an observed AS."""
-        return cls(asn, result.table_of(asn))
+        """The Looking Glass of an observed AS; its table is resolved lazily.
+
+        Raises:
+            SimulationError: if the AS was not observed.
+        """
+        result.rib.entries(asn)  # raises for an unobserved AS
+        glass = cls(asn, None)
+        glass._result = result
+        return glass
+
+    @property
+    def table(self) -> LocRib:
+        """The glass's Loc-RIB: for a glass over a result, the result's view."""
+        if self._table is None:
+            self._table = self._result.table_of(self.asn)
+        return self._table
 
     # -- queries mirroring the paper's usage -----------------------------------
 

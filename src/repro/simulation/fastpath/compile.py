@@ -41,17 +41,13 @@ from repro.simulation.policies import (
     PolicyAssignment,
     scoped_community,
 )
+from repro.simulation.rib import REL_CUSTOMER, REL_PEER, REL_PROVIDER, REL_SIBLING
 from repro.topology.generator import SyntheticInternet
 from repro.topology.graph import Relationship
 
-#: Dense relationship codes (what the *sender* is to the receiving AS).
-REL_CUSTOMER = 0
-REL_PEER = 1
-REL_PROVIDER = 2
-REL_SIBLING = 3
-#: Pseudo-kind of a locally originated route (not a relationship).
-KIND_LOCAL = 4
-
+#: Dense relationship codes (what the *sender* is to the receiving AS) are
+#: the columnar RIB's candidate kind codes, so the engine's candidates carry
+#: their RIB kind (``KIND_LOCAL`` for an originated route) unchanged.
 _REL_CODE = {
     Relationship.CUSTOMER: REL_CUSTOMER,
     Relationship.PEER: REL_PEER,

@@ -41,20 +41,13 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.bgp.attributes import DEFAULT_LOCAL_PREF, Community, CommunitySet, Origin
-from repro.bgp.decision import DecisionProcess
-from repro.bgp.rib import LocRib
-from repro.bgp.route import NeighborKind, Route, RouteSource
+from repro.bgp.attributes import DEFAULT_LOCAL_PREF, Community, CommunitySet
+from repro.bgp.route import Route
 from repro.exceptions import SimulationError
 from repro.net.asn import ASN
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.simulation.fastpath.compile import (
-    KIND_LOCAL,
-    REL_CUSTOMER,
-    REL_PEER,
-    REL_PROVIDER,
-    REL_SIBLING,
     CompiledTopology,
     SeedPlan,
     compile_seed_plan,
@@ -62,18 +55,18 @@ from repro.simulation.fastpath.compile import (
 )
 from repro.simulation.policies import PolicyAssignment
 from repro.simulation.propagation import PrefixRun, PrefixState, SimulationResult
+from repro.simulation.rib import (
+    KIND_LOCAL,
+    REL_CUSTOMER,
+    REL_PEER,
+    REL_PROVIDER,
+    REL_SIBLING,
+    RibWriter,
+    candidate_route,
+)
 from repro.topology.generator import SyntheticInternet
 
-_KIND_TO_NEIGHBOR_KIND = {
-    REL_CUSTOMER: NeighborKind.CUSTOMER,
-    REL_PEER: NeighborKind.PEER,
-    REL_PROVIDER: NeighborKind.PROVIDER,
-    REL_SIBLING: NeighborKind.SIBLING,
-}
-
 _EMPTY_SET: frozenset[int] = frozenset()
-
-_SET_FIELD = object.__setattr__
 
 # Candidate tuple layout: (local_pref, path_len, path_id, comm_id, kind, seq).
 _LP, _PLEN, _PATH, _COMM, _KIND, _SEQ = range(6)
@@ -138,16 +131,14 @@ class _Core:
         self._prepend_memo: dict[tuple[int, int], int] = {}
         # Community-set interning, seeded from the compiled table.  The run
         # representation of a set is a frozenset of (asn, value) int pairs —
-        # value-deduplicated so id equality is set equality — and the real
-        # CommunitySet is materialized lazily, only for observed routes.
+        # value-deduplicated so id equality is set equality; no CommunitySet
+        # is built while propagating.
         self._comm_members: list[frozenset[tuple[int, int]]] = []
         self._comm_lookup: dict[frozenset[tuple[int, int]], int] = {}
-        self._comm_cs: list[CommunitySet | None] = []
         for communities in topology.comm_table:
             pairs = frozenset((c.asn, c.value) for c in communities.communities)
             self._comm_lookup[pairs] = len(self._comm_members)
             self._comm_members.append(pairs)
-            self._comm_cs.append(communities)
         self._tag_pairs = [(t.asn, t.value) for t in topology.tag_communities]
         # Per-tag memo of comm_id -> comm_id-with-tag (int keys, no tuples).
         self._comm_tag_memos: list[dict[int, int]] = [
@@ -155,8 +146,6 @@ class _Core:
         ]
         # Export target memo: (as, class, excluded next hop) -> (pairs, set).
         self._target_memo: dict[tuple[int, bool, int], tuple[tuple, frozenset]] = {}
-        # Materialization memo: path id -> ASPath.
-        self._aspath_memo: dict[int, ASPath] = {}
         # Aliases for the export path (one attribute hop instead of two).
         self._exp_local = topology.exp_local
         self._exp_local_set = topology.exp_local_set
@@ -192,7 +181,6 @@ class _Core:
             comm_id = len(self._comm_members)
             self._comm_lookup[pairs] = comm_id
             self._comm_members.append(pairs)
-            self._comm_cs.append(communities)
         return comm_id
 
     def _comm_add(self, comm_id: int, tag_id: int) -> int:
@@ -202,18 +190,8 @@ class _Core:
             new_id = len(self._comm_members)
             self._comm_lookup[members] = new_id
             self._comm_members.append(members)
-            self._comm_cs.append(None)
         self._comm_tag_memos[tag_id][comm_id] = new_id
         return new_id
-
-    def _communities_of(self, comm_id: int) -> CommunitySet:
-        communities = self._comm_cs[comm_id]
-        if communities is None:
-            communities = CommunitySet(
-                Community(asn, value) for asn, value in self._comm_members[comm_id]
-            )
-            self._comm_cs[comm_id] = communities
-        return communities
 
     # -- propagation --------------------------------------------------------
 
@@ -222,7 +200,7 @@ class _Core:
 
         Returns ``(messages processed, truncated?)``; the resulting per-AS
         states stay in the core's slot array (current generation) until the
-        next ``run_task`` call — read them via :meth:`observed_routes` or
+        next ``run_task`` call — read them via :meth:`write_observed` or
         :meth:`states`.  The hot loop is deliberately inlined: per-message
         work is a handful of array and dict operations over interned ids.
         """
@@ -486,74 +464,56 @@ class _Core:
             if state is not None and state.gen == gen
         }
 
-    def _aspath_of(self, path_id: int) -> ASPath:
-        as_path = self._aspath_memo.get(path_id)
-        if as_path is None:
-            asns = self.topology.asns
-            as_path = ASPath._from_validated(
-                tuple(asns[i] for i in self._paths[path_id])
-            )
-            self._aspath_memo[path_id] = as_path
-        return as_path
+    def path_asns(self, path_id: int) -> tuple[ASN, ...]:
+        """An interned path as AS numbers (receiver first)."""
+        asns = self.topology.asns
+        return tuple(asns[i] for i in self._paths[path_id])
+
+    def community_pairs(self, comm_id: int) -> tuple[tuple[int, int], ...]:
+        """An interned community set in the RIB's pair form.
+
+        The pairs keep the member set's iteration order, which is the order
+        :meth:`route_of` and the RIB's views build a ``CommunitySet`` in.
+        """
+        return tuple(self._comm_members[comm_id])
 
     def route_of(self, prefix: Prefix, sender_idx: int, cand: tuple) -> Route:
-        """Materialize one candidate tuple back into a :class:`Route`.
-
-        Builds the frozen dataclass directly via ``object.__setattr__`` —
-        every field is assigned explicitly (``__post_init__`` would be a
-        no-op because ``learned_from`` is set), and observed tables hold
-        tens of thousands of these.
-        """
+        """Materialize one candidate tuple back into a :class:`Route`."""
         lp, _, path_id, comm_id, kind, _ = cand
-        route = Route.__new__(Route)
-        set_field = _SET_FIELD
-        set_field(route, "prefix", prefix)
-        set_field(route, "as_path", self._aspath_of(path_id))
-        set_field(route, "origin", Origin.IGP)
-        set_field(route, "med", 0)
-        set_field(route, "communities", self._communities_of(comm_id))
-        set_field(route, "learned_from", self.topology.asns[sender_idx])
-        set_field(route, "igp_metric", 0)
-        set_field(route, "router_id", 0)
-        if kind == KIND_LOCAL:
-            set_field(route, "local_pref", DEFAULT_LOCAL_PREF)
-            set_field(route, "source", RouteSource.LOCAL)
-            set_field(route, "neighbor_kind", NeighborKind.UNKNOWN)
-        else:
-            set_field(route, "local_pref", lp)
-            set_field(route, "source", RouteSource.EBGP)
-            set_field(route, "neighbor_kind", _KIND_TO_NEIGHBOR_KIND[kind])
-        return route
+        return candidate_route(
+            prefix,
+            ASPath._from_validated(self.path_asns(path_id)),
+            lp,
+            CommunitySet(Community(asn, value) for asn, value in self.community_pairs(comm_id)),
+            kind,
+            self.topology.asns[sender_idx],
+        )
 
-    def observed_routes(self, prefix: Prefix) -> dict[ASN, tuple[list[Route], Route | None]]:
-        """Candidate routes (insertion order) + best route per observed AS.
+    def write_observed(self, prefix: Prefix, writer: RibWriter) -> None:
+        """Append the observed ASes' entries for ``prefix`` to ``writer``.
 
-        Reads the most recent ``run_task``'s states.  The best route is the
-        same object as its entry in the candidate list, so downstream
-        identity checks (``RibEntry.alternatives``) behave exactly as with
-        the legacy engine.
+        Reads the most recent ``run_task``'s states: per observed AS, the
+        candidates in insertion order as RIB rows (interned path and
+        community ids, LOCAL_PREF, kind, learned-from AS) plus the best
+        candidate's position.  A state whose candidates were all withdrawn
+        is recorded as no entry at all, exactly like the legacy
+        ``_record_observed``.
         """
-        tables: dict[ASN, tuple[list[Route], Route | None]] = {}
         asns = self.topology.asns
         states = self._states
         gen = self._generation
-        route_of = self.route_of
-        for asn_idx in self.topology.observed:
+        for slot, asn_idx in enumerate(self.topology.observed):
             state = states[asn_idx]
-            # A state whose candidates were all withdrawn is recorded as no
-            # entry at all, exactly like the legacy `_record_observed`.
             if state is None or state.gen != gen or not state.cand:
                 continue
-            routes: list[Route] = []
-            best_route: Route | None = None
             best_sender = state.best_sender
+            best = -1
+            rows = []
             for sender, cand in state.cand.items():
-                route = route_of(prefix, sender, cand)
-                routes.append(route)
                 if sender == best_sender:
-                    best_route = route
-            tables[asns[asn_idx]] = (routes, best_route)
-        return tables
+                    best = len(rows)
+                rows.append((cand[2], cand[3], cand[0], cand[4], asns[sender]))
+            writer.add(slot, prefix, rows, best)
 
 
 class FastPropagationEngine:
@@ -584,29 +544,35 @@ class FastPropagationEngine:
             set(observed_ases if observed_ases is not None else internet.tier1)
         )
         self.message_budget_per_prefix = message_budget_per_prefix
-        self.decision = DecisionProcess()
         self.compiled = compile_topology(internet, assignment, self.observed_ases)
         self._core: _Core | None = None
 
     # -- public API ----------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        """Propagate every originated prefix and return the observed tables."""
-        result = SimulationResult(internet=self.internet, assignment=self.assignment)
-        for asn in self.observed_ases:
-            result.tables[asn] = LocRib(owner=asn, decision=self.decision)
+        """Propagate every originated prefix and return the observed tables.
+
+        Each prefix's observed entries go straight from the per-AS states
+        into the columnar RIB; no route object is built.
+        """
         core = self._local_core()
         seeds = self.compiled.seeds
+        writer = RibWriter(self.observed_ases, core.path_asns, core.community_pairs)
+        message_count = 0
+        truncated: list[Prefix] = []
         for origin_idx, prefix in self.compiled.origin_tasks:
-            processed, truncated = core.run_task(
-                origin_idx, prefix, seeds[(origin_idx, prefix)]
-            )
-            result.message_count += processed
-            if truncated:
-                result.truncated_prefixes.append(prefix)
-            for asn, (routes, best) in core.observed_routes(prefix).items():
-                result.tables[asn].load_entry(prefix, routes, best)
-        return result
+            processed, cut = core.run_task(origin_idx, prefix, seeds[(origin_idx, prefix)])
+            message_count += processed
+            if cut:
+                truncated.append(prefix)
+            core.write_observed(prefix, writer)
+        return SimulationResult(
+            internet=self.internet,
+            assignment=self.assignment,
+            rib=writer.finish(),
+            message_count=message_count,
+            truncated_prefixes=truncated,
+        )
 
     def run_prefix(self, prefix: Prefix, origin: ASN) -> PrefixRun:
         """Propagate a single prefix and return the full per-AS state.

@@ -25,7 +25,9 @@ Only the ASes listed in ``observed_ases`` retain their full routing tables
 (the others' state is discarded once a prefix has converged), which keeps
 memory proportional to the number of vantage points — exactly like the real
 measurement study, which only sees tables at RouteViews and a handful of
-Looking Glass servers.
+Looking Glass servers.  A run's result holds those tables as a columnar RIB
+(:mod:`repro.simulation.rib`); this engine lowers its ``LocRib`` objects
+into it once, at the end of :meth:`PropagationEngine.run`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from repro.simulation.policies import (
     SCOPED_ANNOUNCEMENT_VALUE,
     scoped_community,
 )
+from repro.simulation.rib import RibColumns
 from repro.topology.generator import SyntheticInternet
 from repro.topology.graph import AnnotatedASGraph, Relationship
 
@@ -65,7 +68,7 @@ class SimulationResult:
     Attributes:
         internet: the synthetic Internet the run used.
         assignment: the policy assignment the run used.
-        tables: Loc-RIB per observed AS.
+        rib: the observed ASes' routing tables, as columns.
         message_count: total number of announcements/withdrawals processed
             (a rough measure of convergence work, reported by benchmarks).
         truncated_prefixes: prefixes whose propagation hit the message budget
@@ -75,25 +78,22 @@ class SimulationResult:
 
     internet: SyntheticInternet
     assignment: PolicyAssignment
-    tables: dict[ASN, LocRib] = field(default_factory=dict)
+    rib: RibColumns
     message_count: int = 0
     truncated_prefixes: list[Prefix] = field(default_factory=list)
 
     def table_of(self, asn: ASN) -> LocRib:
-        """Return the routing table observed at ``asn``.
+        """The ``LocRib`` view of the table observed at ``asn`` (memoised).
 
         Raises:
             SimulationError: if the AS was not in the observed set.
         """
-        table = self.tables.get(asn)
-        if table is None:
-            raise SimulationError(f"AS{asn} was not observed during the simulation")
-        return table
+        return self.rib.table(asn)
 
     @property
     def observed_ases(self) -> list[ASN]:
         """The ASes whose tables were retained."""
-        return sorted(self.tables)
+        return list(self.rib.owners)
 
 
 class PrefixState:
@@ -186,14 +186,23 @@ class PropagationEngine:
 
     def run(self) -> SimulationResult:
         """Propagate every originated prefix and return the observed tables."""
-        result = SimulationResult(internet=self.internet, assignment=self.assignment)
-        for asn in self.observed_ases:
-            result.tables[asn] = LocRib(owner=asn, decision=self.decision)
+        tables = {asn: LocRib(owner=asn, decision=self.decision) for asn in self.observed_ases}
+        message_count = 0
+        truncated: list[Prefix] = []
         for origin in sorted(self.internet.originated):
             for prefix in self.internet.prefixes_of(origin):
-                states = self._propagate_prefix(prefix, origin, result)
-                self._record_observed(states, result)
-        return result
+                run = self.run_prefix(prefix, origin)
+                message_count += run.message_count
+                if run.truncated:
+                    truncated.append(prefix)
+                self._record_observed(run.states, tables)
+        return SimulationResult(
+            internet=self.internet,
+            assignment=self.assignment,
+            rib=RibColumns.from_tables(tables),
+            message_count=message_count,
+            truncated_prefixes=truncated,
+        )
 
     def run_prefix(self, prefix: Prefix, origin: ASN) -> PrefixRun:
         """Propagate a single prefix and return the full per-AS state.
@@ -204,19 +213,6 @@ class PropagationEngine:
         earlier versions returned, and additionally carries the message count
         and whether the run was truncated by the message budget.
         """
-        result = SimulationResult(internet=self.internet, assignment=self.assignment)
-        states = self._propagate_prefix(prefix, origin, result)
-        return PrefixRun(
-            states=states,
-            message_count=result.message_count,
-            truncated=bool(result.truncated_prefixes),
-        )
-
-    # -- propagation core ------------------------------------------------------------
-
-    def _propagate_prefix(
-        self, prefix: Prefix, origin: ASN, result: SimulationResult
-    ) -> dict[ASN, PrefixState]:
         states: dict[ASN, PrefixState] = {}
         queue: deque[tuple[ASN, ASN, Route | None]] = deque()
 
@@ -232,21 +228,23 @@ class PropagationEngine:
 
         budget = self.message_budget_per_prefix
         processed = 0
+        truncated = False
         while queue:
             processed += 1
             if processed > budget:
                 # Pathological policy interactions (dispute wheels) have no
                 # stable outcome; real BGP would oscillate too.  Truncate and
                 # report rather than aborting the whole study.
-                result.truncated_prefixes.append(prefix)
+                truncated = True
                 break
             sender, receiver, route = queue.popleft()
             if route is None:
                 self._receive_withdrawal(sender, receiver, states, queue)
             else:
                 self._receive_announcement(sender, receiver, route, states, queue)
-        result.message_count += processed
-        return states
+        return PrefixRun(states=states, message_count=processed, truncated=truncated)
+
+    # -- propagation core ------------------------------------------------------------
 
     def _seed_origin_announcements(
         self,
@@ -426,12 +424,12 @@ class PropagationEngine:
         return index_map.get(neighbor, 0)
 
     def _record_observed(
-        self, states: dict[ASN, PrefixState], result: SimulationResult
+        self, states: dict[ASN, PrefixState], tables: dict[ASN, LocRib]
     ) -> None:
         for asn in self.observed_ases:
             state = states.get(asn)
             if state is None:
                 continue
-            table = result.tables[asn]
+            table = tables[asn]
             for route in state.candidates.values():
                 table.add_route(route)

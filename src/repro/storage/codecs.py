@@ -18,15 +18,20 @@ Two invariants shape every lowering:
 * **Upstream sharing** — a decoded artifact references its upstream stage
   artifacts through the decode context rather than embedding copies: a
   decoded :class:`~repro.simulation.propagation.SimulationResult` points at
-  the *same* topology/assignment objects the cache holds, and a decoded
-  Looking Glass wraps the same ``LocRib`` as the propagation artifact —
-  exactly like the freshly built pipeline.
+  the *same* topology/assignment objects the cache holds — exactly like the
+  freshly built pipeline.
+
+Only the stages that are expensive to rebuild have a codec: topology,
+policies, propagation and irr (plus the sweep's ``report`` tier, stored as
+plain text).  The observation and analysis stages are derived in memory
+from them — rebuilding the collector and the measurement index from the
+propagation stage's columns costs no more than decoding a stored copy.
 
 The decode context (``ctx``) is duck-typed as a
 :class:`~repro.session.study.Study`: it must expose ``config`` plus the
-stage accessors ``topology()``, ``policies()``, ``propagation()`` and
-``dataset()``.  Raising an artifact may therefore pull (and, transitively,
-disk-load) its upstream stages — the natural order a study builds in.
+stage accessors ``topology()`` and ``policies()``.  Raising an artifact may
+therefore pull (and, transitively, disk-load) its upstream stages — the
+natural order a study builds in.
 """
 
 from __future__ import annotations
@@ -34,18 +39,12 @@ from __future__ import annotations
 from array import array
 from typing import TYPE_CHECKING
 
-from repro.bgp.attributes import Community, CommunitySet, Origin
-from repro.bgp.decision import DecisionProcess
-from repro.bgp.rib import LocRib
-from repro.bgp.route import NeighborKind, Route, RouteSource
 from repro.data.rpsl import AutNumObject, IrrDatabase, PolicyLine
-from repro.exceptions import StorageError
 from repro.net.allocator import AddressAllocator
-from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
-from repro.simulation.collector import CollectorEntry, CollectorTable, LookingGlass
 from repro.simulation.policies import ASPolicy, CommunityPlan, LocalPrefScheme, PolicyAssignment
 from repro.simulation.propagation import SimulationResult
+from repro.simulation.rib import RibColumns
 from repro.storage.packing import pack, unpack
 from repro.storage.versions import CODEC_VERSIONS
 from repro.topology.generator import SyntheticInternet
@@ -53,8 +52,7 @@ from repro.topology.graph import AnnotatedASGraph, Relationship
 from repro.topology.hierarchy import classify_tiers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.engine import AnalysisEngine
-    from repro.session.stages import ObservationArtifact, PolicyStageArtifact
+    from repro.session.stages import PolicyStageArtifact
 
 #: Fixed relationship order backing the integer codes in encoded trees.
 _RELATIONSHIPS = (
@@ -64,24 +62,6 @@ _RELATIONSHIPS = (
     Relationship.SIBLING,
 )
 _REL_CODE = {relationship: code for code, relationship in enumerate(_RELATIONSHIPS)}
-
-#: Fixed route-source order backing the integer codes in encoded trees.
-_SOURCES = (RouteSource.EBGP, RouteSource.IBGP, RouteSource.LOCAL)
-_SOURCE_CODE = {source: code for code, source in enumerate(_SOURCES)}
-
-#: Fixed neighbor-kind order backing the integer codes in encoded trees.
-_KINDS = (
-    NeighborKind.CUSTOMER,
-    NeighborKind.PEER,
-    NeighborKind.PROVIDER,
-    NeighborKind.SIBLING,
-    NeighborKind.UNKNOWN,
-)
-_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
-
-#: ORIGIN members by wire value (dict lookup beats the enum constructor in
-#: the decode hot loop).
-_ORIGIN_BY_VALUE = {int(origin): origin for origin in Origin}
 
 
 def _lower_prefix(prefix: Prefix) -> tuple[int, int]:
@@ -93,18 +73,6 @@ def _raise_prefix(pair: tuple[int, int]) -> Prefix:
     """Rebuild a prefix from its ``(network, length)`` pair."""
     network, length = pair
     return Prefix(network, length)
-
-
-def _lower_comms(communities: CommunitySet) -> tuple:
-    """One community set as sorted ``(asn, value)`` pairs plus well-knowns."""
-    return (
-        tuple((c.asn, c.value) for c in sorted(communities.communities)),
-        tuple(sorted(int(w) for w in communities.well_known)),
-    )
-
-
-#: Number of parallel columns in the flat route encoding.
-_ROUTE_COLUMNS = 11
 
 
 def _flatten_int_rows(rows: list[tuple[int, ...]]) -> tuple[array, array]:
@@ -130,170 +98,6 @@ def _unflatten_int_rows(lengths: array, flat: array) -> list[tuple[int, ...]]:
         rows.append(tuple(values[position : position + length]))
         position += length
     return rows
-
-
-class _RouteLowerer:
-    """Shared intern tables accumulated while lowering route objects.
-
-    Prefixes, AS paths and community sets repeat heavily across a routing
-    table; interning them keeps propagation artifacts compact and lets the
-    raiser share one object per distinct value, like the live engines do.
-    Routes themselves are appended to flat parallel integer columns.
-    """
-
-    def __init__(self) -> None:
-        """Start with empty intern tables and empty route columns."""
-        self._prefix_rows: list[tuple[int, int]] = []
-        self._prefix_ids: dict[Prefix, int] = {}
-        self._path_rows: list[tuple[int, ...]] = []
-        self._path_ids: dict[ASPath, int] = {}
-        self._comm_rows: list[tuple] = []
-        self._comm_ids: dict[CommunitySet, int] = {}
-        self._route_ids: dict[tuple, int] = {}
-        self.route_columns = tuple(array("q") for _ in range(_ROUTE_COLUMNS))
-
-    def prefix(self, prefix: Prefix) -> int:
-        """Intern one prefix, returning its id."""
-        pid = self._prefix_ids.get(prefix)
-        if pid is None:
-            pid = len(self._prefix_rows)
-            self._prefix_ids[prefix] = pid
-            self._prefix_rows.append(_lower_prefix(prefix))
-        return pid
-
-    def path(self, path: ASPath) -> int:
-        """Intern one AS path, returning its id."""
-        path_id = self._path_ids.get(path)
-        if path_id is None:
-            path_id = len(self._path_rows)
-            self._path_ids[path] = path_id
-            self._path_rows.append(tuple(path.asns))
-        return path_id
-
-    def communities(self, communities: CommunitySet) -> int:
-        """Intern one community set, returning its id."""
-        comm_id = self._comm_ids.get(communities)
-        if comm_id is None:
-            comm_id = len(self._comm_rows)
-            self._comm_ids[communities] = comm_id
-            self._comm_rows.append(_lower_comms(communities))
-        return comm_id
-
-    def route(self, route: Route) -> int:
-        """Intern one route row into the flat columns, returning its id.
-
-        Value-equal routes across tables share one row (and, after decode,
-        one object).  Within a single RIB entry candidates always differ in
-        ``learned_from``, so sharing never collapses an entry's candidate
-        list.
-        """
-        row = (
-            self.prefix(route.prefix),
-            self.path(route.as_path),
-            route.local_pref,
-            int(route.origin),
-            route.med,
-            self.communities(route.communities),
-            _SOURCE_CODE[route.source],
-            _KIND_CODE[route.neighbor_kind],
-            -1 if route.learned_from is None else route.learned_from,
-            route.igp_metric,
-            route.router_id,
-        )
-        route_id = self._route_ids.get(row)
-        if route_id is None:
-            columns = self.route_columns
-            route_id = len(columns[0])
-            self._route_ids[row] = route_id
-            for column, value in zip(columns, row):
-                column.append(value)
-        return route_id
-
-    def tables(self) -> tuple:
-        """The accumulated intern tables, ready for packing."""
-        prefix_rows = self._prefix_rows
-        path_lengths, path_flat = _flatten_int_rows(self._path_rows)
-        comm_counts = array("q")
-        comm_flat = array("q")
-        well_known_sparse = []
-        for row_index, (pairs, well_known) in enumerate(self._comm_rows):
-            comm_counts.append(len(pairs))
-            for asn, value in pairs:
-                comm_flat.append(asn)
-                comm_flat.append(value)
-            if well_known:
-                well_known_sparse.append((row_index, well_known))
-        return (
-            array("q", (network for network, _ in prefix_rows)),
-            array("q", (length for _, length in prefix_rows)),
-            path_lengths,
-            path_flat,
-            comm_counts,
-            comm_flat,
-            well_known_sparse,
-        )
-
-
-class _RouteRaiser:
-    """Rebuilds routes from the flat columns, sharing interned objects."""
-
-    def __init__(self, tables: tuple, route_columns: tuple) -> None:
-        """Materialise the interned prefixes, paths and community sets."""
-        (
-            networks,
-            lengths,
-            path_lengths,
-            path_flat,
-            comm_counts,
-            comm_flat,
-            well_known_sparse,
-        ) = tables
-        self.prefixes = [
-            Prefix(network, length) for network, length in zip(networks, lengths)
-        ]
-        self.paths = [
-            ASPath(asns) for asns in _unflatten_int_rows(path_lengths, path_flat)
-        ]
-        well_known = dict(well_known_sparse)
-        self.comms = []
-        position = 0
-        flat = comm_flat.tolist()
-        for row_index, count in enumerate(comm_counts):
-            end = position + 2 * count
-            pairs = zip(flat[position:end:2], flat[position + 1 : end : 2])
-            self.comms.append(
-                CommunitySet(
-                    (Community(asn, value) for asn, value in pairs),
-                    well_known.get(row_index, ()),
-                )
-            )
-            position = end
-        self._columns = tuple(column.tolist() for column in route_columns)
-        self._routes: list[Route | None] = (
-            [None] * len(self._columns[0]) if self._columns else []
-        )
-
-    def route(self, row: int) -> Route:
-        """The route stored at row ``row`` (built once, then shared)."""
-        route = self._routes[row]
-        if route is None:
-            columns = self._columns
-            learned_from = columns[8][row]
-            route = Route(
-                prefix=self.prefixes[columns[0][row]],
-                as_path=self.paths[columns[1][row]],
-                local_pref=columns[2][row],
-                origin=_ORIGIN_BY_VALUE[columns[3][row]],
-                med=columns[4][row],
-                communities=self.comms[columns[5][row]],
-                source=_SOURCES[columns[6][row]],
-                neighbor_kind=_KINDS[columns[7][row]],
-                learned_from=None if learned_from < 0 else learned_from,
-                igp_metric=columns[9][row],
-                router_id=columns[10][row],
-            )
-            self._routes[row] = route
-        return route
 
 
 class StageCodec:
@@ -581,58 +385,43 @@ class PoliciesCodec(StageCodec):
 
 
 class PropagationCodec(StageCodec):
-    """Codec of the *propagation* stage: the observed routing tables.
+    """Codec of the *propagation* stage: the columnar RIB as it is.
 
-    Routes are flattened over shared prefix/path/community intern tables;
-    per-entry candidate order and the identity of the selected best route
-    survive the round trip (``entry.best is entry.routes[i]``).  The
-    ``internet`` and ``assignment`` references are **not** embedded: the
-    raiser takes them from the decode context, so a disk-loaded result
-    shares the exact upstream artifacts the cache holds.
+    The RIB's value tables and row columns are written unchanged (prefixes
+    as network/length columns, paths and community sets as flattened
+    integer rows), so decoding is a handful of ``frombytes`` calls plus one
+    ``Prefix`` per distinct prefix.  The ``internet`` and ``assignment``
+    references are **not** embedded: the raiser takes them from the decode
+    context, so a disk-loaded result shares the exact upstream artifacts
+    the cache holds.
     """
 
     stage = "propagation"
 
     def lower(self, artifact: SimulationResult) -> object:
-        """Lower every observed Loc-RIB plus the run metadata."""
-        lowerer = _RouteLowerer()
-        owners = []
-        entry_counts = array("q")
-        entry_prefix = array("q")
-        entry_best = array("q")
-        entry_route_count = array("q")
-        entry_route_ids = array("q")
-        for table in artifact.tables.values():
-            owners.append(table.owner)
-            count = 0
-            for entry in table.entries():
-                count += 1
-                entry_prefix.append(lowerer.prefix(entry.prefix))
-                routes = entry.routes
-                entry_route_count.append(len(routes))
-                best_index = -1
-                if entry.best is not None:
-                    for index, route in enumerate(routes):
-                        if route is entry.best:
-                            best_index = index
-                            break
-                    else:
-                        raise StorageError(
-                            f"best route of {entry.prefix} is not among its candidates"
-                        )
-                entry_best.append(best_index)
-                for route in routes:
-                    entry_route_ids.append(lowerer.route(route))
-            entry_counts.append(count)
+        """Lower the RIB columns plus the run metadata."""
+        rib: RibColumns = artifact.rib
+        path_lengths, path_flat = _flatten_int_rows(rib.paths)
+        comm_counts, comm_flat = _flatten_int_rows(
+            [tuple(value for pair in pairs for value in pair) for pairs in rib.communities]
+        )
         return (
-            lowerer.tables(),
-            list(lowerer.route_columns),
-            tuple(owners),
-            entry_counts,
-            entry_prefix,
-            entry_best,
-            entry_route_count,
-            entry_route_ids,
+            array("q", (prefix.network for prefix in rib.prefixes)),
+            array("q", (prefix.length for prefix in rib.prefixes)),
+            path_lengths,
+            path_flat,
+            comm_counts,
+            comm_flat,
+            tuple(rib.owners),
+            rib.owner_offsets,
+            rib.entry_prefix,
+            rib.entry_offsets,
+            rib.entry_best,
+            rib.cand_path,
+            rib.cand_communities,
+            rib.cand_local_pref,
+            rib.cand_kind,
+            rib.cand_learned_from,
             artifact.message_count,
             tuple(_lower_prefix(p) for p in artifact.truncated_prefixes),
         )
@@ -640,129 +429,49 @@ class PropagationCodec(StageCodec):
     def raise_(self, tree: object, ctx) -> SimulationResult:
         """Rebuild the simulation result over the context's upstream stages."""
         (
-            intern_tables,
-            route_columns,
+            networks,
+            lengths,
+            path_lengths,
+            path_flat,
+            comm_counts,
+            comm_flat,
             owners,
-            entry_counts,
+            owner_offsets,
             entry_prefix,
+            entry_offsets,
             entry_best,
-            entry_route_count,
-            entry_route_ids,
+            cand_path,
+            cand_communities,
+            cand_local_pref,
+            cand_kind,
+            cand_learned_from,
             message_count,
             truncated,
         ) = tree
-        raiser = _RouteRaiser(intern_tables, tuple(route_columns))
-        decision = DecisionProcess()
-        result = SimulationResult(
+        rib = RibColumns(
+            prefixes=[Prefix(network, length) for network, length in zip(networks, lengths)],
+            paths=_unflatten_int_rows(path_lengths, path_flat),
+            communities=[
+                tuple(zip(row[::2], row[1::2]))
+                for row in _unflatten_int_rows(comm_counts, comm_flat)
+            ],
+            owners=tuple(owners),
+            owner_offsets=owner_offsets,
+            entry_prefix=entry_prefix,
+            entry_offsets=entry_offsets,
+            entry_best=entry_best,
+            cand_path=cand_path,
+            cand_communities=cand_communities,
+            cand_local_pref=cand_local_pref,
+            cand_kind=cand_kind,
+            cand_learned_from=cand_learned_from,
+        )
+        return SimulationResult(
             internet=ctx.topology(),
             assignment=ctx.policies().assignment,
+            rib=rib,
             message_count=message_count,
             truncated_prefixes=[_raise_prefix(pair) for pair in truncated],
-        )
-        raise_route = raiser.route
-        prefixes = raiser.prefixes
-        route_ids = entry_route_ids.tolist()
-        entry_index = 0
-        route_position = 0
-        for table_index, owner in enumerate(owners):
-            table = LocRib(owner=owner, decision=decision)
-            for _ in range(entry_counts[table_index]):
-                route_count = entry_route_count[entry_index]
-                routes = [
-                    raise_route(route_id)
-                    for route_id in route_ids[
-                        route_position : route_position + route_count
-                    ]
-                ]
-                route_position += route_count
-                best_index = entry_best[entry_index]
-                table.load_entry(
-                    prefixes[entry_prefix[entry_index]],
-                    routes,
-                    routes[best_index] if best_index >= 0 else None,
-                )
-                entry_index += 1
-            result.tables[owner] = table
-        return result
-
-
-class ObservationCodec(StageCodec):
-    """Codec of the *observation* stage: collector, Looking Glasses, Table 1.
-
-    Looking Glass views are thin wrappers around the propagation stage's
-    Loc-RIBs, so only their AS list is stored — the raiser re-wraps the
-    decode context's propagation tables, preserving object sharing with the
-    upstream artifact.  Collector entries and the Table 1 inventory are
-    stored in full.
-    """
-
-    stage = "observation"
-
-    def lower(self, artifact: "ObservationArtifact") -> object:
-        """Lower the collector rows, glass AS list and AS inventory."""
-        lowerer = _RouteLowerer()
-        col_vantage = array("q")
-        col_prefix = array("q")
-        col_path = array("q")
-        for entry in artifact.collector.entries:
-            col_vantage.append(entry.vantage)
-            col_prefix.append(lowerer.prefix(entry.prefix))
-            col_path.append(lowerer.path(entry.as_path))
-        return (
-            lowerer.tables(),
-            col_vantage,
-            col_prefix,
-            col_path,
-            tuple(artifact.looking_glasses),
-            [
-                (
-                    info.asn,
-                    info.name,
-                    info.degree,
-                    info.location,
-                    info.tier,
-                    info.is_looking_glass,
-                    info.is_vantage,
-                )
-                for info in artifact.as_info.values()
-            ],
-        )
-
-    def raise_(self, tree: object, ctx) -> "ObservationArtifact":
-        """Rebuild the observation artifact over the context's propagation."""
-        from repro.data.dataset import ASInfo
-        from repro.session.stages import ObservationArtifact
-
-        intern_tables, col_vantage, col_prefix, col_path, glass_ases, info_rows = tree
-        raiser = _RouteRaiser(intern_tables, ())
-        prefixes = raiser.prefixes
-        paths = raiser.paths
-        collector = CollectorTable(
-            entries=[
-                CollectorEntry(
-                    vantage=vantage, prefix=prefixes[pid], as_path=paths[path_id]
-                )
-                for vantage, pid, path_id in zip(col_vantage, col_prefix, col_path)
-            ]
-        )
-        result = ctx.propagation()
-        return ObservationArtifact(
-            collector=collector,
-            looking_glasses={
-                asn: LookingGlass.from_result(result, asn) for asn in glass_ases
-            },
-            as_info={
-                row[0]: ASInfo(
-                    asn=row[0],
-                    name=row[1],
-                    degree=row[2],
-                    location=row[3],
-                    tier=row[4],
-                    is_looking_glass=row[5],
-                    is_vantage=row[6],
-                )
-                for row in info_rows
-            },
         )
 
 
@@ -818,149 +527,6 @@ class IrrCodec(StageCodec):
         return database
 
 
-class AnalysisCodec(StageCodec):
-    """Codec of the *analysis* stage: the interned columnar index.
-
-    Stores the expensive-to-build parts of the
-    :class:`~repro.analysis.index.MeasurementIndex` — interners, collapsed
-    paths, collector columns and per-glass route columns.  Derived
-    groupings (rows by prefix/member, the adjacency set) are recomputed
-    from the stored integer columns, and the per-table best-route columns
-    are re-walked from the decode context's live routing tables so report
-    objects keep referencing the propagation artifact's routes.
-    """
-
-    stage = "analysis"
-
-    def lower(self, artifact: "AnalysisEngine") -> object:
-        """Lower the engine's measurement index into columns."""
-        index = artifact.index
-        path_lengths, path_flat = _flatten_int_rows(
-            [tuple(path.asns) for path in index.paths]
-        )
-        collapsed_lengths, collapsed_flat = _flatten_int_rows(index.collapsed)
-        return (
-            array("q", (prefix.network for prefix in index.prefixes)),
-            array("q", (prefix.length for prefix in index.prefixes)),
-            path_lengths,
-            path_flat,
-            collapsed_lengths,
-            collapsed_flat,
-            array("q", index.path_origin),
-            (
-                array("q", index.col_vantage),
-                array("q", index.col_prefix),
-                array("q", index.col_path),
-            ),
-            [self._lower_glass(glass) for glass in index.glasses.values()],
-        )
-
-    @staticmethod
-    def _lower_glass(glass) -> tuple:
-        """Lower one glass view; own-community rows flatten to columns."""
-        comm_counts = array("q")
-        comm_asn = array("q")
-        comm_value = array("q")
-        for row in glass.route_own_communities:
-            comm_counts.append(len(row))
-            for community in row:
-                comm_asn.append(community.asn)
-                comm_value.append(community.value)
-        return (
-            glass.asn,
-            array("q", glass.entry_prefix),
-            array("q", glass.entry_offsets),
-            array("q", glass.route_next_hop),
-            array("q", glass.route_local_pref),
-            bytes(glass.route_is_local),
-            (comm_counts, comm_asn, comm_value),
-            array("q", glass.best_next_hop),
-            array("q", glass.best_local_pref),
-            bytes(glass.best_is_local),
-        )
-
-    def raise_(self, tree: object, ctx) -> "AnalysisEngine":
-        """Rebuild the index over the context's dataset, then wrap the engine."""
-        from repro.analysis.engine import AnalysisEngine
-        from repro.analysis.index import GlassIndex, MeasurementIndex
-
-        (
-            prefix_networks,
-            prefix_lengths,
-            path_lengths,
-            path_flat,
-            collapsed_lengths,
-            collapsed_flat,
-            path_origin,
-            collector_columns,
-            glass_rows,
-        ) = tree
-        dataset = ctx.dataset()
-        index = MeasurementIndex.hollow(dataset)
-
-        index.prefixes = [
-            Prefix(network, length)
-            for network, length in zip(prefix_networks, prefix_lengths)
-        ]
-        index.prefix_ids = {prefix: i for i, prefix in enumerate(index.prefixes)}
-        index.paths = [
-            ASPath(asns) for asns in _unflatten_int_rows(path_lengths, path_flat)
-        ]
-        index.path_ids = {path: i for i, path in enumerate(index.paths)}
-        index.collapsed = _unflatten_int_rows(collapsed_lengths, collapsed_flat)
-        index.path_origin = array("q", path_origin)
-
-        col_vantage, col_prefix, col_path = collector_columns
-        if len(col_vantage) != len(dataset.collector.entries):
-            raise StorageError(
-                "stored collector columns do not match the assembled dataset"
-            )
-        index.col_vantage = array("q", col_vantage)
-        index.col_prefix = array("q", col_prefix)
-        index.col_path = array("q", col_path)
-        for row in range(len(col_prefix)):
-            index.rows_by_prefix.setdefault(col_prefix[row], []).append(row)
-            collapsed = index.collapsed[col_path[row]]
-            for asn in sorted(set(collapsed)):
-                index.rows_by_member.setdefault(asn, []).append(row)
-            index.adjacency.update(zip(collapsed, collapsed[1:]))
-
-        for row in glass_rows:
-            comm_counts, comm_asn, comm_value = row[6]
-            own_communities: list[tuple[Community, ...]] = []
-            position = 0
-            for count in comm_counts:
-                own_communities.append(
-                    tuple(
-                        Community(comm_asn[i], comm_value[i])
-                        for i in range(position, position + count)
-                    )
-                )
-                position += count
-            view = GlassIndex(
-                asn=row[0],
-                entry_prefix=array("q", row[1]),
-                entry_offsets=array("q", row[2]),
-                route_next_hop=array("q", row[3]),
-                route_local_pref=array("q", row[4]),
-                route_is_local=bytearray(row[5]),
-                route_own_communities=own_communities,
-                best_next_hop=array("q", row[7]),
-                best_local_pref=array("q", row[8]),
-                best_is_local=bytearray(row[9]),
-            )
-            index.glasses[view.asn] = view
-        if set(index.glasses) != set(dataset.looking_glass_ases):
-            raise StorageError(
-                "stored glass columns do not match the assembled dataset"
-            )
-
-        index._build_tables()
-        index._build_irr()
-        engine = AnalysisEngine(index, dataset.analysis_parameters)
-        return dataset.adopt_analysis_engine(engine)
-
-
 #: The codec registry, one instance per persistable stage.
 _CODECS: dict[str, StageCodec] = {
     codec.stage: codec
@@ -968,9 +534,7 @@ _CODECS: dict[str, StageCodec] = {
         TopologyCodec(),
         PoliciesCodec(),
         PropagationCodec(),
-        ObservationCodec(),
         IrrCodec(),
-        AnalysisCodec(),
     )
 }
 
@@ -979,9 +543,9 @@ def codec_for(stage: str) -> StageCodec | None:
     """The codec serving one pipeline stage, or ``None``.
 
     Args:
-        stage: a stage name (``"topology"``, ... ``"analysis"``); unknown
-            names — like the assembled ``"dataset"`` pseudo-stage — have no
-            codec and stay memory-only.
+        stage: a stage name; the derived stages (``"observation"``,
+            ``"analysis"``) and the assembled ``"dataset"`` pseudo-stage
+            have no codec and stay memory-only.
 
     Returns:
         The registered :class:`StageCodec` instance or ``None``.

@@ -27,14 +27,13 @@ SCHEMA_VERSION = 1
 
 #: Per-stage codec versions (the lowering shape of each stage artifact).
 #: ``report`` is the terminal tier: a sweep case's timing-masked suite JSON,
-#: addressed by the full upstream key chain plus the experiment list.
+#: addressed by the full upstream key chain plus the experiment list.  The
+#: observation and analysis stages are derived in memory and have none.
 CODEC_VERSIONS: dict[str, int] = {
     "topology": 1,
     "policies": 1,
-    "propagation": 1,
-    "observation": 1,
+    "propagation": 2,
     "irr": 1,
-    "analysis": 1,
     "report": 1,
 }
 

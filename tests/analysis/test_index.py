@@ -80,9 +80,13 @@ class TestGlassAndTableColumns:
             assert list(view.entry_offsets)[-1] == route_count
 
     def test_table_rows_cover_every_best_route(self, index, dataset):
+        rib = dataset.result.rib
         for asn, view in index.tables.items():
             best = list(dataset.result.table_of(asn).best_routes())
-            assert view.best_route == best
+            assert [
+                rib.route(route.prefix, rib_row)
+                for route, rib_row in zip(best, view.best_route)
+            ] == best
             for row, route in enumerate(best):
                 assert index.prefixes[view.best_prefix[row]] == route.prefix
                 assert view.best_origin[row] == route.origin_as

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import ExperimentError, SimulationError
+from repro.experiments import all_experiments
 from repro.session.cache import StageCache
 from repro.session.scenarios import get_scenario
 from repro.session.stages import (
@@ -14,6 +15,8 @@ from repro.session.stages import (
 )
 from repro.session.study import Study
 from repro.session.suite import run_suite
+from repro.simulation.rib import RibColumns
+from repro.storage.store import DiskStore
 from repro.topology.generator import GeneratorParameters
 
 #: A deliberately tiny configuration so stage builds stay cheap.
@@ -136,3 +139,31 @@ class TestSuiteAmortisation:
         inferred = view.analysis.inferred()
         assert inferred.provider_count == 2
         assert inferred.providers_under_study() == providers
+
+
+class TestOneRouteRepresentation:
+    @pytest.mark.parametrize("store", ["memory", "disk"])
+    def test_cold_experiments_materialise_no_table_view(self, store, tmp_path, monkeypatch):
+        # The experiments of a cold `repro run` (every one but the Fig. 6/7
+        # timelines) read the RIB columns through the index; none of them
+        # may build a LocRib view, whether the propagation stage was just
+        # computed or decoded from a disk store.
+        built = []
+        build = RibColumns._build_table
+        monkeypatch.setattr(
+            RibColumns,
+            "_build_table",
+            lambda rib, owner: built.append(owner) or build(rib, owner),
+        )
+        ids = [
+            e.experiment_id for e in all_experiments() if e.experiment_id not in ("fig6", "fig7")
+        ]
+        assert len(ids) == 16
+        disk = DiskStore(tmp_path) if store == "disk" else None
+        runs = 2 if disk is not None else 1
+        for _ in range(runs):
+            study = get_scenario("small").study(cache=StageCache(disk=disk))
+            run_suite(study, ids, scenario="small")
+        if disk is not None:
+            assert study.cache.stats_for("propagation").disk_hits == 1
+        assert built == []

@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis.persistence import persistence_series, uptime_distribution
 from repro.bgp.rib import LocRib
-from repro.bgp.route import Route, originate
+from repro.bgp.route import NeighborKind, Route, originate
 from repro.core.atoms import PolicyAtomAnalyzer
 from repro.core.community import CommunityAnalyzer
 from repro.core.export_policy import ExportPolicyAnalyzer
@@ -17,6 +17,7 @@ from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.simulation.collector import CollectorEntry, CollectorTable, LookingGlass
 from repro.simulation.propagation import SimulationResult
+from repro.simulation.rib import RibColumns
 from repro.simulation.timeline import Snapshot
 from repro.topology.graph import AnnotatedASGraph
 
@@ -77,7 +78,14 @@ class TestExportPolicyNoCustomers:
     def stub_table(self):
         table = LocRib(owner=2)
         table.add_route(originate(P1, 2))
-        table.add_route(Route(prefix=P2, as_path=ASPath([1, 3]), local_pref=90))
+        table.add_route(
+            Route(
+                prefix=P2,
+                as_path=ASPath([1, 3]),
+                local_pref=90,
+                neighbor_kind=NeighborKind.PROVIDER,
+            )
+        )
         return table
 
     def test_stub_provider_has_empty_sa_report(self, graph, stub_table):
@@ -89,7 +97,9 @@ class TestExportPolicyNoCustomers:
 
     def test_snapshot_core_matches_legacy_on_stub(self, graph, stub_table):
         legacy = ExportPolicyAnalyzer(graph).find_sa_prefixes(2, stub_table)
-        result = SimulationResult(internet=None, assignment=None, tables={2: stub_table})
+        result = SimulationResult(
+            internet=None, assignment=None, rib=RibColumns.from_tables({2: stub_table})
+        )
         snapshots = [Snapshot(index=0, result=result)]
         series = persistence_series(snapshots, 2, graph)
         assert series.as_rows() == [(0, len(stub_table), legacy.sa_prefix_count)]

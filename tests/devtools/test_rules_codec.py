@@ -107,12 +107,9 @@ class TestRealCodecs:
             "SyntheticInternet",
             "PolicyStageArtifact",
             "ASPolicy",
-            "Route",
             "SimulationResult",
-            "ObservationArtifact",
+            "RibColumns",
             "IrrDatabase",
-            "MeasurementIndex",
-            "GlassIndex",
         ):
             assert class_name in analysis.registry, class_name
             assert analysis.touched.get(class_name), class_name

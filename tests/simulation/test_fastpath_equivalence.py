@@ -10,7 +10,10 @@ use it), so this suite is the gate that keeps it honest.
 The comparison itself lives in :mod:`repro.fuzz.oracles`
 (``check_propagation_equivalence``) and is shared with the differential
 fuzz harness, so the golden suite and the fuzzer always check the same
-surface.
+surface.  A second check compares the two engines' columnar RIBs row by
+row — the fast engine writes its columns directly, the legacy engine lowers
+its ``LocRib`` objects — in candidate order, with the best position and
+every route field of the views.
 """
 
 import pytest
@@ -42,6 +45,7 @@ FIGURES = {
 }
 
 _CACHE: dict[str, tuple] = {}
+_FAST: dict[str, SimulationResult] = {}
 
 
 def _scenario_runs(name: str):
@@ -61,16 +65,67 @@ def _scenario_runs(name: str):
     return cached
 
 
+def _fast_run(name: str) -> SimulationResult:
+    """The fast engine's run of a scenario, built once per session."""
+    if name not in _FAST:
+        internet, assignment, observed, _ = _scenario_runs(name)
+        _FAST[name] = FastPropagationEngine(
+            internet, assignment, observed_ases=observed
+        ).run()
+    return _FAST[name]
+
+
 def assert_equivalent(legacy: SimulationResult, fast: SimulationResult) -> None:
     # Raises OracleViolation (with the divergence named) on any mismatch.
     check_propagation_equivalence(legacy, fast)
 
 
+def _rib_rows(result: SimulationResult) -> list[tuple]:
+    """Every RIB entry by value: owner, prefix, candidates in order, best."""
+    rib = result.rib
+    rows = []
+    for owner in rib.owners:
+        for entry in rib.entries(owner):
+            candidates = [
+                (
+                    rib.paths[rib.cand_path[row]],
+                    frozenset(rib.communities[rib.cand_communities[row]]),
+                    rib.cand_local_pref[row],
+                    rib.cand_kind[row],
+                    rib.cand_learned_from[row],
+                )
+                for row in rib.candidates(entry)
+            ]
+            rows.append(
+                (owner, rib.prefixes[rib.entry_prefix[entry]], candidates, rib.entry_best[entry])
+            )
+    return rows
+
+
+def _view_rows(result: SimulationResult) -> dict:
+    """Every view entry: prefix, candidate routes in order, best position."""
+    return {
+        asn: [
+            (entry.prefix, entry.routes, entry.routes.index(entry.best))
+            for entry in result.table_of(asn).entries()
+        ]
+        for asn in result.observed_ases
+    }
+
+
 @pytest.mark.parametrize("scenario", sorted(scenario_names()) + sorted(FIGURES))
 def test_fast_engine_matches_legacy(scenario: str) -> None:
-    internet, assignment, observed, legacy = _scenario_runs(scenario)
-    fast = FastPropagationEngine(internet, assignment, observed_ases=observed).run()
-    assert_equivalent(legacy, fast)
+    legacy = _scenario_runs(scenario)[-1]
+    assert_equivalent(legacy, _fast_run(scenario))
+
+
+@pytest.mark.parametrize("scenario", sorted(scenario_names()) + sorted(FIGURES))
+def test_fast_columns_match_legacy_lowering(scenario: str) -> None:
+    legacy = _scenario_runs(scenario)[-1]
+    fast = _fast_run(scenario)
+    assert fast.rib.owners == legacy.rib.owners
+    assert _rib_rows(fast) == _rib_rows(legacy)
+    assert _view_rows(fast) == _view_rows(legacy)
 
 
 def test_session_layer_engines_agree() -> None:

@@ -6,9 +6,9 @@ analysis engine.  The message-object ``PropagationEngine`` and the
 :mod:`repro.core` analyzer classes stay in the package only so the fuzz
 harness, the golden suites and the benchmark baselines can check the
 production engines against them; these tests keep any other production
-module from importing them again.  The one exception is the Figs. 6/7
-timeline (``repro/analysis/persistence.py``), which classifies snapshots
-that have no measurement index with ``ExportPolicyAnalyzer``.
+module from importing them again.  There is no exception: the Figs. 6/7
+timeline (``repro/analysis/persistence.py``) classifies each snapshot's
+columnar RIB with the analysis engine's own Fig. 4 rule.
 
 Propagation runs in one process and the whole package in one thread:
 parallelism lives in ``repro sweep`` and ``repro fuzz``, where cases are
@@ -44,7 +44,7 @@ ANALYZERS = frozenset(
 ANALYZER_HOMES = ("repro/core/", "repro/fuzz/")
 
 #: (module, analyzer) pairs allowed outside those homes.
-ANALYZER_EXCEPTIONS = {("repro/analysis/persistence.py", "ExportPolicyAnalyzer")}
+ANALYZER_EXCEPTIONS: set[tuple[str, str]] = set()
 
 
 def _production_modules(root: pathlib.Path = SRC / "repro"):

@@ -1,6 +1,6 @@
 """A field added to a serialized dataclass must trip the CODEC cross-check.
 
-These tests clone real schemas (``Route``, ``ASPolicy``) with one extra
+These tests clone real schemas (``RibColumns``, ``ASPolicy``) with one extra
 field and re-run the static cross-check over the *unchanged* codec module:
 the CODEC002 rule must flag exactly the invented field.  That proves the
 lint rule would catch the classic drift — extending a dataclass without
@@ -40,7 +40,12 @@ def _real_schema(relative: str, module_name: str, class_name: str):
 @pytest.mark.parametrize(
     ("relative", "module_name", "class_name"),
     [
-        ("src/repro/bgp/route.py", "repro.bgp.route", "Route"),
+        pytest.param(
+            "src/repro/simulation/rib.py",
+            "repro.simulation.rib",
+            "RibColumns",
+            id="RibColumns",
+        ),
         ("src/repro/simulation/policies.py", "repro.simulation.policies", "ASPolicy"),
     ],
 )
@@ -64,5 +69,5 @@ def test_cloned_dataclass_with_extra_field_is_flagged(
 def test_unmodified_schemas_are_fully_covered(codec_module, context):
     analysis = crosscheck(codec_module, context)
     for finding in analysis.findings:
-        assert "Route" not in finding.message
+        assert "RibColumns" not in finding.message
         assert "ASPolicy" not in finding.message

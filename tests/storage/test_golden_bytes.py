@@ -1,10 +1,17 @@
-"""Golden byte-identity: codecs serialize identically across interpreters.
+"""Golden byte-identity: stored artifacts and the built index, across interpreters.
 
 Two fresh Python processes, launched with *different* randomized
 ``PYTHONHASHSEED`` values, build the same tiny study and print the SHA-256
-of every stage's encoded artifact.  The digests must match exactly — the
+of every stored stage's encoded artifact and of the measurement index —
+interners, collapsed paths, collector, glass and table columns and the
+insertion order of every grouping.  The digests must match exactly — the
 property that makes the shared disk tier trustworthy across processes,
 machines in a fleet, and the sweep orchestrator's byte-identical reports.
+
+The index is a derived stage with no codec, so each process also builds it
+a second time over stages decoded from a disk store: that digest must equal
+the freshly built one, which pins the ``sorted(set(...))`` ordering of the
+by-member grouping that the DET001 lint rule guards.
 """
 
 import os
@@ -16,10 +23,12 @@ _SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
 _SCRIPT = """
 import hashlib
+import tempfile
 from repro.session.cache import StageCache, fingerprint
 from repro.session.stages import ObservationParameters, Stage, StudyConfig
 from repro.session.study import Study
 from repro.storage.codecs import codec_for
+from repro.storage.store import DiskStore
 from repro.topology.generator import GeneratorParameters
 
 config = StudyConfig(
@@ -31,19 +40,53 @@ config = StudyConfig(
         collector_vantage_count=6,
     ),
 )
+
+
+def index_digest(index):
+    glasses = [
+        (
+            asn, list(g.entry_prefix), list(g.entry_offsets), list(g.route_next_hop),
+            list(g.route_local_pref), bytes(g.route_is_local),
+            [tuple((c.asn, c.value) for c in row) for row in g.route_own_communities],
+            list(g.best_next_hop), list(g.best_local_pref), bytes(g.best_is_local),
+        )
+        for asn, g in index.glasses.items()
+    ]
+    tables = [
+        (
+            asn, list(t.best_prefix), list(t.best_origin), list(t.best_next_hop),
+            bytes(t.best_is_local), list(t.best_route), list(t.row_of_prefix.items()),
+        )
+        for asn, t in index.tables.items()
+    ]
+    state = (
+        [(p.network, p.length) for p in index.prefixes],
+        [path.asns for path in index.paths],
+        index.collapsed,
+        list(index.path_origin),
+        list(index.col_vantage), list(index.col_prefix), list(index.col_path),
+        list(index.rows_by_prefix.items()),
+        list(index.rows_by_member.items()),
+        sorted(index.adjacency),
+        glasses,
+        tables,
+    )
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
 study = Study(config, cache=StageCache())
-artifacts = {
-    "topology": study.topology(),
-    "policies": study.policies(),
-    "propagation": study.propagation(),
-    "observation": study.observation(),
-    "irr": study.irr(),
-    "analysis": study.analysis(),
-}
 for stage in Stage:
-    data = codec_for(stage.value).encode(artifacts[stage.value])
-    print(stage.value, hashlib.sha256(data).hexdigest())
+    codec = codec_for(stage.value)
+    if codec is not None:
+        data = codec.encode(getattr(study, stage.value)())
+        print(stage.value, hashlib.sha256(data).hexdigest())
     print(stage.value + "-key", study.stage_key(stage))
+print("index", index_digest(study.analysis().index))
+with tempfile.TemporaryDirectory() as root:
+    Study(config, cache=StageCache(disk=DiskStore(root))).analysis()
+    warm = Study(config, cache=StageCache(disk=DiskStore(root)))
+    print("index-over-decoded-stages", index_digest(warm.analysis().index))
+    assert warm.cache.stats_for("propagation").disk_hits == 1
 print("config-fingerprint", fingerprint(config))
 """
 
@@ -68,5 +111,10 @@ def test_encoded_artifacts_byte_identical_across_interpreters():
     first = _run("1")
     second = _run("4242")
     assert first == second
-    # Sanity: every stage produced a digest line plus a key line.
-    assert len(first.strip().splitlines()) == 13
+    lines = dict(line.split() for line in first.strip().splitlines())
+    # Every stored stage produced a digest, every stage a key line.
+    assert {"topology", "policies", "propagation", "irr"} <= set(lines)
+    assert "observation" not in lines and "analysis" not in lines
+    assert len(lines) == 4 + 6 + 3
+    # The index rebuilt over decoded stages is the freshly built index.
+    assert lines["index"] == lines["index-over-decoded-stages"]
