@@ -8,6 +8,9 @@ Walks ``README.md`` and every Markdown file under ``docs/`` and verifies:
   analyzer without updating the docs fails CI;
 * every relative Markdown link ``[text](path)`` points at a file or
   directory that exists (anchors and absolute URLs are skipped);
+* every backticked repo path (one starting with ``src/``, ``tests/``,
+  ``benchmarks/``, ``examples/``, ``scripts/`` or ``docs/``) exists, so
+  deleting or renaming a file the docs cite fails too;
 * the rule catalogue in ``docs/linting.md`` matches the ``repro lint``
   registry in both directions — a registered rule id missing from the
   docs, or a documented id missing from the registry, fails.
@@ -30,6 +33,10 @@ _REFERENCE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 #: Markdown inline links: ``[text](target)``.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: Backticked repo paths, e.g. ``tests/simulation/test_fastpath.py``; a
+#: pytest node id's ``::test`` suffix is not part of the path.
+_REPO_PATH = re.compile(r"`((?:src|tests|benchmarks|examples|scripts|docs)/[^`\s:]*)")
 
 
 def _doc_files() -> list[pathlib.Path]:
@@ -60,6 +67,13 @@ def _resolve_reference(reference: str) -> bool:
     return False
 
 
+def _broken_paths(text: str) -> list[str]:
+    """Backticked repo paths in ``text`` that do not exist, sorted."""
+    return sorted(
+        {target for target in _REPO_PATH.findall(text) if not (ROOT / target).exists()}
+    )
+
+
 def _check_file(path: pathlib.Path) -> list[str]:
     """Every broken reference/link in one Markdown file, as messages."""
     problems: list[str] = []
@@ -74,6 +88,8 @@ def _check_file(path: pathlib.Path) -> list[str]:
         resolved = (path.parent / target.split("#", 1)[0]).resolve()
         if not resolved.exists():
             problems.append(f"{relative}: broken link {target!r}")
+    for target in _broken_paths(text):
+        problems.append(f"{relative}: missing repo path {target!r}")
     return problems
 
 
@@ -113,8 +129,8 @@ def main() -> int:
             print(problem, file=sys.stderr)
         print(f"{len(problems)} broken doc reference(s)", file=sys.stderr)
         return 1
-    print(f"checked {len(files)} doc file(s): all repro.* references and "
-          "relative links resolve")
+    print(f"checked {len(files)} doc file(s): all repro.* references, "
+          "relative links and repo paths resolve")
     return 0
 
 

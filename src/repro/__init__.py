@@ -19,8 +19,8 @@ same pipeline powers the CLI: ``python -m repro run --scenario small``.
 The package is organised bottom-up:
 
 * :mod:`repro.net` — prefixes, AS paths, radix trie, address allocation.
-* :mod:`repro.bgp` — route attributes, RIBs, the decision process, the
-  route-map/prefix-list policy engine and Cisco-style configuration.
+* :mod:`repro.bgp` — route attributes, routes, the Loc-RIB and the decision
+  process.
 * :mod:`repro.topology` — the annotated AS graph and the synthetic Internet
   generator.
 * :mod:`repro.relationships` — AS-relationship inference baselines (Gao
@@ -38,9 +38,11 @@ The package is organised bottom-up:
 * :mod:`repro.analysis` — the compiled columnar measurement index and the
   one-pass analyzer engine the experiments query (the cached ``analysis``
   stage).
-* :mod:`repro.core` — the paper's contribution: import-policy inference,
-  SA-prefix (export-policy) inference, verification, cause attribution,
-  persistence, peer-export and community-based relationship verification.
+* :mod:`repro.core` — the paper's methods as reference analyzers:
+  import-policy inference, SA-prefix (export-policy) inference,
+  verification, cause attribution, peer export and community-based
+  relationship verification.  Production runs :mod:`repro.analysis`; these
+  analyzers are its test and fuzz oracles.
 * :mod:`repro.experiments` — one module per table/figure of the paper, each
   declaring the pipeline stages it requires.
 * :mod:`repro.reporting` — ASCII tables and series used by the experiments.
@@ -50,7 +52,6 @@ __version__ = "2.0.0"
 
 from repro.exceptions import (
     ASPathError,
-    ConfigError,
     DataFormatError,
     ExperimentError,
     InferenceError,
@@ -64,7 +65,6 @@ from repro.exceptions import (
 
 __all__ = [
     "ASPathError",
-    "ConfigError",
     "DataFormatError",
     "ExperimentError",
     "InferenceError",

@@ -1,4 +1,4 @@
-"""BGP substrate: route attributes, RIBs, the decision process and policies.
+"""BGP substrate: route attributes, routes, RIBs and the decision process.
 
 This subpackage implements the pieces of BGP the paper's methodology relies
 on (Section 2.2):
@@ -8,15 +8,14 @@ on (Section 2.2):
   by the selective-announcement analysis.
 * :mod:`repro.bgp.route` — a route announcement with its attribute set and
   the relationship classification (customer/peer/provider route).
-* :mod:`repro.bgp.rib` — Adj-RIB-In and Loc-RIB containers.
+* :mod:`repro.bgp.rib` — the Loc-RIB container.
 * :mod:`repro.bgp.decision` — the sequential decision process of
   Section 2.2.1 (local preference first, then AS-path length, origin, MED,
   eBGP-over-iBGP, IGP metric, router ID).
-* :mod:`repro.bgp.policy` — prefix-lists, access-lists, community-lists and
-  route-maps: the import/export policy engine mirroring the configuration
-  snippets shown in the paper.
-* :mod:`repro.bgp.config` — a Cisco-IOS-flavoured ``router bgp``
-  configuration model with a renderer and parser.
+
+Routing policies themselves are not modelled as router configuration:
+:mod:`repro.simulation.policies` assigns each AS its LOCAL_PREF scheme and
+export behaviour, the way the paper infers them from observable tables.
 """
 
 from repro.bgp.attributes import (
@@ -26,41 +25,19 @@ from repro.bgp.attributes import (
     WellKnownCommunity,
 )
 from repro.bgp.route import NeighborKind, Route, RouteSource
-from repro.bgp.rib import AdjRibIn, LocRib, RibEntry
+from repro.bgp.rib import LocRib, RibEntry
 from repro.bgp.decision import DecisionProcess, DecisionStep
-from repro.bgp.policy import (
-    AccessList,
-    CommunityList,
-    MatchCondition,
-    PolicyAction,
-    PrefixList,
-    PrefixListEntry,
-    RouteMap,
-    RouteMapClause,
-)
-from repro.bgp.config import BgpConfig, NeighborConfig
 
 __all__ = [
-    "AccessList",
-    "AdjRibIn",
-    "BgpConfig",
     "Community",
-    "CommunityList",
     "CommunitySet",
     "DecisionProcess",
     "DecisionStep",
     "LocRib",
-    "MatchCondition",
-    "NeighborConfig",
     "NeighborKind",
     "Origin",
-    "PolicyAction",
-    "PrefixList",
-    "PrefixListEntry",
     "RibEntry",
     "Route",
-    "RouteMap",
-    "RouteMapClause",
     "RouteSource",
     "WellKnownCommunity",
 ]

@@ -133,16 +133,6 @@ class CommunitySet:
         """The well-known communities present on the route."""
         return self._well_known
 
-    @property
-    def no_export(self) -> bool:
-        """``True`` if the NO_EXPORT community is attached."""
-        return WellKnownCommunity.NO_EXPORT in self._well_known
-
-    @property
-    def no_advertise(self) -> bool:
-        """``True`` if the NO_ADVERTISE community is attached."""
-        return WellKnownCommunity.NO_ADVERTISE in self._well_known
-
     def has(self, community: Community | str) -> bool:
         """Return ``True`` if the given regular community is attached."""
         if isinstance(community, str):
@@ -180,12 +170,6 @@ class CommunitySet:
                     item = Community.parse(item)
                 regular.discard(item)
         return CommunitySet(regular, known)
-
-    def without_asn(self, asn: ASN) -> "CommunitySet":
-        """Return a new set with every community defined by ``asn`` removed."""
-        return CommunitySet(
-            (c for c in self._communities if c.asn != asn), self._well_known
-        )
 
     # -- dunder ----------------------------------------------------------------
 

@@ -110,11 +110,6 @@ class DecisionProcess:
             return Comparison(winner, DecisionStep.ROUTER_ID)
         return Comparison(None, DecisionStep.TIE)
 
-    def prefer(self, left: Route, right: Route) -> Route:
-        """Return the preferred of two routes (``left`` on a complete tie)."""
-        comparison = self.compare(left, right)
-        return comparison.winner if comparison.winner is not None else left
-
     # -- best-route selection -----------------------------------------------------
 
     def select_best(self, routes: Sequence[Route] | Iterable[Route]) -> Route | None:
@@ -134,26 +129,3 @@ class DecisionProcess:
             if comparison.winner is route:
                 best = route
         return best
-
-    def deciding_step(self, routes: Sequence[Route]) -> DecisionStep | None:
-        """Return the step that separates the best route from the runner-up.
-
-        Used by the import-policy analysis to check how often LOCAL_PREF (as
-        opposed to AS-path length or later tie-breakers) is what actually
-        picks the best route.  Returns ``None`` when fewer than two routes
-        are supplied.
-        """
-        if len(routes) < 2:
-            return None
-        best = self.select_best(routes)
-        runner_up: Route | None = None
-        for route in routes:
-            if route is best:
-                continue
-            if runner_up is None:
-                runner_up = route
-                continue
-            if self.compare(runner_up, route).winner is route:
-                runner_up = route
-        assert best is not None and runner_up is not None
-        return self.compare(best, runner_up).step

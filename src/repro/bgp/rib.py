@@ -1,18 +1,18 @@
-"""Routing Information Bases: Adj-RIB-In and Loc-RIB.
+"""The Loc-RIB: a routing table after best-route selection.
 
 The paper's inference pipeline consumes *routing tables* — per-prefix best
 routes (a Loc-RIB) for RouteViews-style data and, for Looking Glass data,
 tables that also expose alternative routes, LOCAL_PREF and communities.
-These containers model both.
+This container models both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.bgp.decision import DecisionProcess
-from repro.bgp.route import NeighborKind, Route
+from repro.bgp.route import Route
 from repro.net.asn import ASN
 from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
@@ -29,37 +29,6 @@ class RibEntry:
     def alternatives(self) -> list[Route]:
         """Routes other than the best one."""
         return [route for route in self.routes if route is not self.best]
-
-
-class AdjRibIn:
-    """Routes received from one neighbor, before best-route selection."""
-
-    def __init__(self, neighbor: ASN, kind: NeighborKind = NeighborKind.UNKNOWN) -> None:
-        self.neighbor = neighbor
-        self.kind = kind
-        self._routes: dict[Prefix, Route] = {}
-
-    def add(self, route: Route) -> None:
-        """Store (or replace) the route announced by this neighbor for its prefix."""
-        self._routes[route.prefix] = route
-
-    def withdraw(self, prefix: Prefix) -> None:
-        """Remove the route for ``prefix`` if present."""
-        self._routes.pop(prefix, None)
-
-    def get(self, prefix: Prefix) -> Route | None:
-        """Return the route announced for ``prefix``, if any."""
-        return self._routes.get(prefix)
-
-    def routes(self) -> Iterator[Route]:
-        """Iterate over every route announced by this neighbor."""
-        return iter(self._routes.values())
-
-    def __len__(self) -> int:
-        return len(self._routes)
-
-    def __contains__(self, prefix: object) -> bool:
-        return prefix in self._routes
 
 
 class LocRib:
@@ -99,11 +68,6 @@ class LocRib:
         entry.best = self.decision.select_best(entry.routes)
         return entry
 
-    def add_routes(self, routes: Iterable[Route]) -> None:
-        """Insert many candidate routes."""
-        for route in routes:
-            self.add_route(route)
-
     def load_entry(self, prefix: Prefix, routes: list[Route], best: Route | None) -> RibEntry:
         """Install a fully-selected entry for a prefix the table lacks.
 
@@ -116,17 +80,6 @@ class LocRib:
         entry = RibEntry(prefix=prefix, routes=list(routes), best=best)
         self._entries.insert(prefix, entry)
         return entry
-
-    def withdraw(self, prefix: Prefix, neighbor: ASN) -> None:
-        """Remove the route announced by ``neighbor`` for ``prefix``."""
-        entry = self._entries.get(prefix)
-        if entry is None:
-            return
-        entry.routes = [r for r in entry.routes if r.next_hop_as != neighbor]
-        if entry.routes:
-            entry.best = self.decision.select_best(entry.routes)
-        else:
-            self._entries.remove(prefix)
 
     # -- queries --------------------------------------------------------------------
 
@@ -144,11 +97,6 @@ class LocRib:
         entry = self._entries.get(prefix)
         return list(entry.routes) if entry else []
 
-    def lookup(self, address: int | str) -> Route | None:
-        """Longest-prefix-match lookup of the best route for an address."""
-        match = self._entries.lookup_address(address)
-        return match[1].best if match else None
-
     def prefixes(self) -> Iterator[Prefix]:
         """Iterate over every prefix with at least one route."""
         return iter(self._entries)
@@ -163,19 +111,6 @@ class LocRib:
         for entry in self.entries():
             if entry.best is not None:
                 yield entry.best
-
-    def routes_from(self, neighbor: ASN) -> Iterator[Route]:
-        """Iterate over every candidate route learned from ``neighbor``."""
-        for entry in self.entries():
-            for route in entry.routes:
-                if route.next_hop_as == neighbor:
-                    yield route
-
-    def best_routes_from(self, neighbor: ASN) -> Iterator[Route]:
-        """Iterate over best routes whose next hop is ``neighbor``."""
-        for route in self.best_routes():
-            if route.next_hop_as == neighbor:
-                yield route
 
     def neighbors(self) -> set[ASN]:
         """Return every next-hop AS appearing in the table."""

@@ -95,23 +95,6 @@ class Route:
         if self.learned_from is None and self.as_path:
             object.__setattr__(self, "learned_from", self.as_path.next_hop_as)
 
-    # -- classification helpers (paper Section 2.2.1 terminology) ------------
-
-    @property
-    def is_customer_route(self) -> bool:
-        """``True`` if the route was learned from a customer."""
-        return self.neighbor_kind is NeighborKind.CUSTOMER
-
-    @property
-    def is_peer_route(self) -> bool:
-        """``True`` if the route was learned from a peer."""
-        return self.neighbor_kind is NeighborKind.PEER
-
-    @property
-    def is_provider_route(self) -> bool:
-        """``True`` if the route was learned from a provider."""
-        return self.neighbor_kind is NeighborKind.PROVIDER
-
     @property
     def origin_as(self) -> ASN:
         """The AS that originated the prefix."""
@@ -147,37 +130,9 @@ class Route:
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
 
-    def with_local_pref(self, local_pref: int) -> "Route":
-        """Return a copy with LOCAL_PREF set (the paper's import-policy knob)."""
-        return self.replace(local_pref=local_pref)
-
     def with_communities(self, communities: CommunitySet) -> "Route":
         """Return a copy with the community set replaced."""
         return self.replace(communities=communities)
-
-    def with_neighbor_kind(self, kind: NeighborKind) -> "Route":
-        """Return a copy annotated with the neighbor relationship."""
-        return self.replace(neighbor_kind=kind)
-
-    def announced_by(self, asn: ASN, prepend: int = 1) -> "Route":
-        """Return the route as it would be announced by ``asn`` to a neighbor.
-
-        Prepends ``asn`` to the AS path (``prepend`` times), resets
-        LOCAL_PREF (a non-transitive attribute) and marks the route as eBGP.
-        MED and communities are preserved; export policies may strip or
-        modify them afterwards.
-        """
-        return Route(
-            prefix=self.prefix,
-            as_path=self.as_path.prepend(asn, count=prepend),
-            local_pref=DEFAULT_LOCAL_PREF,
-            origin=self.origin,
-            med=self.med,
-            communities=self.communities,
-            source=RouteSource.EBGP,
-            neighbor_kind=NeighborKind.UNKNOWN,
-            learned_from=asn,
-        )
 
     def __str__(self) -> str:
         return (

@@ -7,7 +7,7 @@ From the viewpoint of a provider ``u``:
 
 1. *Phase 2* — decide whether the origin AS ``o`` of a prefix is a (direct or
    indirect) customer of ``u`` by expanding provider→customer edges from
-   ``u`` (the annotated graph's :meth:`is_customer_of`).
+   ``u`` (the annotated graph's customer cone).
 2. *Phase 3* — for each prefix originated by such a customer, look at ``u``'s
    best route: if its next-hop AS ``w`` is *not* a customer of ``u`` (i.e.
    the best route is a peer or provider route), the prefix is a **SA prefix**

@@ -16,13 +16,12 @@ Two verification steps from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.community import CommunityAnalyzer, CommunityVerificationResult
 from repro.core.export_policy import SAPrefixReport
 from repro.net.asn import ASN
-from repro.net.aspath import ASPath
 from repro.simulation.collector import CollectorTable, LookingGlass
 from repro.simulation.policies import CommunityPlan
 from repro.topology.graph import AnnotatedASGraph, Relationship
@@ -202,21 +201,3 @@ class Verifier:
             adjacency.update(zip(collapsed, collapsed[1:]))
         self._adjacency_cache[id(collector)] = adjacency
         return adjacency
-
-
-def verified_neighbor_sets(
-    results: Sequence[CommunityVerificationResult],
-    semantics_neighbors: dict[ASN, set[ASN]] | None = None,
-) -> dict[ASN, set[ASN]]:
-    """Convenience: per tagging AS, the neighbors whose relationship was verified.
-
-    Used to feed :meth:`Verifier.verify_many` with the Table 4 outcome.
-    """
-    sets: dict[ASN, set[ASN]] = {}
-    for result in results:
-        all_neighbors = (
-            semantics_neighbors.get(result.asn, set()) if semantics_neighbors else set()
-        )
-        verified = set(all_neighbors) - set(result.mismatches)
-        sets[result.asn] = verified
-    return sets

@@ -8,9 +8,8 @@ from a simulation:
 
 * :mod:`repro.data.mrt` — a binary TABLE_DUMP-style RIB format with an
   encoder and decoder.
-* :mod:`repro.data.show_ip_bgp` — the Cisco text format quoted in the paper
-  (both the table listing and the per-prefix detail with LOCAL_PREF and
-  communities).
+* :mod:`repro.data.show_ip_bgp` — the Cisco ``show ip bgp`` table listing
+  Looking Glass servers return.
 * :mod:`repro.data.rpsl` — an RPSL subset (aut-num objects with import /
   export attributes) and a synthetic IRR database with configurable
   staleness.
@@ -22,12 +21,7 @@ from a simulation:
 
 from repro.data.archive import ArchivedDataset, export_dataset, load_dataset
 from repro.data.mrt import MrtReader, MrtWriter, RibEntryRecord
-from repro.data.show_ip_bgp import (
-    format_show_ip_bgp_detail,
-    format_show_ip_bgp_table,
-    parse_show_ip_bgp_detail,
-    parse_show_ip_bgp_table,
-)
+from repro.data.show_ip_bgp import format_show_ip_bgp_table, parse_show_ip_bgp_table
 from repro.data.rpsl import AutNumObject, IrrDatabase, PolicyLine
 from repro.data.dataset import StudyDataset
 
@@ -42,8 +36,6 @@ __all__ = [
     "StudyDataset",
     "export_dataset",
     "load_dataset",
-    "format_show_ip_bgp_detail",
     "format_show_ip_bgp_table",
-    "parse_show_ip_bgp_detail",
     "parse_show_ip_bgp_table",
 ]

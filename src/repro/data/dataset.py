@@ -8,9 +8,8 @@ policy assignment, one propagation run observed at the collector's vantage
 ASes and at the Looking Glass ASes, plus a synthetic IRR.
 
 The dataset is assembled from the staged :class:`~repro.session.study.Study`
-pipeline; this module keeps the flat view plus the memoised
-:func:`default_dataset` and :func:`small_dataset` helpers.  New code should
-prefer the session API::
+pipeline; this module keeps the flat view.  Build one through the session
+API::
 
     from repro.session import get_scenario
     dataset = get_scenario("standard").study().dataset()
@@ -131,21 +130,3 @@ class StudyDataset:
                 MeasurementIndex.from_dataset(self), self.analysis_parameters
             )
         return self._analysis_engine
-
-
-def default_dataset() -> StudyDataset:
-    """The standard dataset shared by experiments and benchmarks.
-
-    Memoised through the session layer's global stage cache (the successor
-    of the seed API's ``lru_cache`` singleton).
-    """
-    from repro.session.scenarios import get_scenario
-
-    return get_scenario("standard").study().dataset()
-
-
-def small_dataset() -> StudyDataset:
-    """A smaller memoised dataset for quick runs and the test suite."""
-    from repro.session.scenarios import get_scenario
-
-    return get_scenario("small").study().dataset()

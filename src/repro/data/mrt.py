@@ -36,10 +36,9 @@ Each record::
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterator
 
 from repro.bgp.attributes import Community, CommunitySet, Origin
 from repro.bgp.rib import LocRib
@@ -201,17 +200,3 @@ class MrtReader:
         return RibEntryRecord(
             view_as=view_as, route=route, is_best=bool(flags & _FLAG_BEST)
         )
-
-
-def dump_tables(tables: Iterable[LocRib]) -> bytes:
-    """Serialise several tables into one in-memory dump."""
-    buffer = io.BytesIO()
-    writer = MrtWriter(buffer)
-    for table in tables:
-        writer.write_table(table)
-    return buffer.getvalue()
-
-
-def load_tables(data: bytes) -> dict[ASN, LocRib]:
-    """Parse an in-memory dump back into per-AS tables."""
-    return MrtReader(io.BytesIO(data)).read_tables()

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.exceptions import DataFormatError
 from repro.net.asn import ASN
@@ -100,13 +100,6 @@ class AutNumObject:
     exports: list[PolicyLine] = field(default_factory=list)
     last_updated: str = "20021101"
     source: str = "RADB"
-
-    def import_pref_for(self, neighbor: ASN) -> int | None:
-        """The RPSL pref registered for routes imported from ``neighbor``."""
-        for line in self.imports:
-            if line.peer_as == neighbor and line.pref is not None:
-                return line.pref
-        return None
 
     def neighbors(self) -> set[ASN]:
         """Every AS mentioned in import or export lines."""

@@ -1,25 +1,21 @@
 """Cisco-style ``show ip bgp`` text output: formatter and parser.
 
-Looking Glass servers expose routing state as IOS command output.  Two forms
-appear in the paper:
+Looking Glass servers expose routing state as IOS command output.  The
+pipeline downloads whole tables in the *table* form: one line per
+candidate route, ``*>`` marking the best route.
 
-* the *table* form (one line per candidate route, ``*>`` marking the best
-  route) used when downloading whole tables, and
-* the *detail* form for a single prefix (the Appendix's
-  ``show ip bgp 80.96.180.0`` example) showing LOCAL_PREF and communities.
-
-The formatter renders a :class:`~repro.bgp.rib.LocRib` (or a single entry)
-into those shapes and the parser reads them back into
-:class:`~repro.bgp.route.Route` objects, so the Looking Glass leg of the
-pipeline also crosses a real serialisation boundary.
+The formatter renders a :class:`~repro.bgp.rib.LocRib` into that shape and
+the parser reads it back into :class:`~repro.bgp.route.Route` objects, so
+the Looking Glass leg of the pipeline also crosses a real serialisation
+boundary.
 """
 
 from __future__ import annotations
 
 import re
 
-from repro.bgp.attributes import Community, CommunitySet, Origin
-from repro.bgp.rib import LocRib, RibEntry
+from repro.bgp.attributes import Origin
+from repro.bgp.rib import LocRib
 from repro.bgp.route import Route, RouteSource
 from repro.exceptions import DataFormatError
 from repro.net.asn import ASN
@@ -27,9 +23,7 @@ from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 
 _ORIGIN_CODES = {Origin.IGP: "i", Origin.EGP: "e", Origin.INCOMPLETE: "?"}
-_ORIGIN_NAMES = {Origin.IGP: "IGP", Origin.EGP: "EGP", Origin.INCOMPLETE: "incomplete"}
 _CODES_TO_ORIGIN = {code: origin for origin, code in _ORIGIN_CODES.items()}
-_NAMES_TO_ORIGIN = {name: origin for origin, name in _ORIGIN_NAMES.items()}
 
 _TABLE_HEADER = (
     "   Network            Next Hop AS       Metric LocPrf Path"
@@ -101,119 +95,3 @@ def parse_show_ip_bgp_table(text: str, view_as: ASN) -> LocRib:
         if entry is not None and entry.best is not route:
             entry.best = table.decision.select_best([route] + entry.alternatives())
     return table
-
-
-# ---------------------------------------------------------------------------
-# Detail form (the Appendix example)
-# ---------------------------------------------------------------------------
-
-
-def format_show_ip_bgp_detail(entry: RibEntry, view_as: ASN) -> str:
-    """Render one prefix's entry in the per-prefix detail format."""
-    routes = list(entry.routes)
-    if not routes:
-        raise DataFormatError(f"entry for {entry.prefix} has no routes")
-    best_index = routes.index(entry.best) + 1 if entry.best in routes else 1
-    lines = [
-        f"BGP routing table entry for {entry.prefix}",
-        f"Paths: ({len(routes)} available, best #{best_index})",
-    ]
-    for route in routes:
-        path_text = str(route.as_path) if not route.is_local else "Local"
-        lines.append(f"  {path_text}")
-        lines.append(
-            f"    0.0.0.0 from 0.0.0.{route.next_hop_as % 256} (AS{route.next_hop_as})"
-        )
-        qualifiers = [
-            f"Origin {_ORIGIN_NAMES[route.origin]}",
-            f"metric {route.med}",
-            f"localpref {route.local_pref}",
-        ]
-        if route.source is RouteSource.IBGP:
-            qualifiers.append("internal")
-        if route is entry.best:
-            qualifiers.append("best")
-        lines.append("      " + ", ".join(qualifiers))
-        if route.communities:
-            lines.append(f"      Community: {route.communities}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_show_ip_bgp_detail(text: str, view_as: ASN) -> RibEntry:
-    """Parse the per-prefix detail format back into a :class:`RibEntry`."""
-    lines = [line.rstrip() for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("BGP routing table entry for "):
-        raise DataFormatError("missing 'BGP routing table entry for' header")
-    prefix = Prefix.parse(lines[0].split("for ", 1)[1])
-    best_match = re.search(r"best #(\d+)", lines[1]) if len(lines) > 1 else None
-    best_index = int(best_match.group(1)) if best_match else 1
-
-    entry = RibEntry(prefix=prefix)
-    index = 2
-    route_number = 0
-    while index < len(lines):
-        path_line = lines[index].strip()
-        index += 1
-        if path_line == "Local":
-            as_path = ASPath.origin_only(view_as)
-            source = RouteSource.LOCAL
-        else:
-            try:
-                as_path = ASPath.parse(path_line)
-            except Exception as exc:
-                raise DataFormatError(f"unparsable AS path line: {path_line!r}") from exc
-            source = RouteSource.EBGP
-        learned_from: ASN | None = None
-        local_pref = 100
-        med = 0
-        origin = Origin.IGP
-        communities = CommunitySet()
-        while index < len(lines) and not _looks_like_path(lines[index]):
-            detail = lines[index].strip()
-            index += 1
-            if detail.startswith("Community:"):
-                values = detail.split(":", 1)[1].split()
-                communities = CommunitySet(
-                    value for value in values if ":" in value
-                )
-                continue
-            from_match = re.search(r"\(AS(\d+)\)", detail)
-            if from_match:
-                learned_from = int(from_match.group(1))
-                continue
-            origin_match = re.search(r"Origin (\w+)", detail)
-            if origin_match:
-                origin = _NAMES_TO_ORIGIN.get(origin_match.group(1), Origin.IGP)
-            pref_match = re.search(r"localpref (\d+)", detail)
-            if pref_match:
-                local_pref = int(pref_match.group(1))
-            med_match = re.search(r"metric (\d+)", detail)
-            if med_match:
-                med = int(med_match.group(1))
-        route_number += 1
-        route = Route(
-            prefix=prefix,
-            as_path=as_path,
-            local_pref=local_pref,
-            med=med,
-            origin=origin,
-            communities=communities,
-            source=source,
-            learned_from=learned_from,
-        )
-        entry.routes.append(route)
-        if route_number == best_index:
-            entry.best = route
-    if not entry.routes:
-        raise DataFormatError(f"no routes parsed for {prefix}")
-    if entry.best is None:
-        entry.best = entry.routes[0]
-    return entry
-
-
-def _looks_like_path(line: str) -> bool:
-    """``True`` if the line starts a new path block (AS numbers or 'Local')."""
-    stripped = line.strip()
-    if stripped == "Local":
-        return True
-    return bool(re.fullmatch(r"[\d ]+", stripped)) and not line.startswith("      ")

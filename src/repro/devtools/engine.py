@@ -125,11 +125,14 @@ class LintContext:
             CODEC family resolves ``from repro.x import Y`` against these).
         module_cache: parsed-module cache keyed by absolute path, shared by
             rules that read other files.
+        derived: project-wide values a rule builds once per run, keyed by
+            rule id (DEAD001's project-wide dead set).
     """
 
     root: Path
     src_roots: tuple[Path, ...] = ()
     module_cache: dict[Path, ast.Module | None] = field(default_factory=dict)
+    derived: dict[str, object] = field(default_factory=dict, init=False, repr=False)
 
     def parse_module(self, path: Path) -> ast.Module | None:
         """Parse (and cache) another source file, ``None`` when unreadable."""
@@ -213,21 +216,6 @@ def register(rule_cls: type[Rule]) -> type[Rule]:
 def all_rules() -> list[Rule]:
     """Every registered rule, sorted by id."""
     return [rule for _, rule in sorted(_REGISTRY.items())]
-
-
-def get_rule(rule_id: str) -> Rule:
-    """The registered rule with the given id.
-
-    Args:
-        rule_id: a rule identifier.
-
-    Returns:
-        The rule instance.
-
-    Raises:
-        KeyError: when no rule has that id.
-    """
-    return _REGISTRY[rule_id]
 
 
 def rule_ids() -> list[str]:

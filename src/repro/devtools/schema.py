@@ -47,17 +47,6 @@ class ClassSchema:
     init_params: tuple[str, ...]
     members: frozenset[str]
 
-    def with_extra_field(self, field_name: str) -> "ClassSchema":
-        """A copy with one extra declared field (test hook for drift checks)."""
-        return ClassSchema(
-            name=self.name,
-            module=self.module,
-            is_dataclass=self.is_dataclass,
-            fields=(*self.fields, field_name),
-            init_params=(*self.init_params, field_name),
-            members=frozenset({*self.members, field_name}),
-        )
-
 
 def _is_dataclass_decorator(node: ast.expr) -> bool:
     """``True`` for ``@dataclass``, ``@dataclass(...)`` and dotted forms."""

@@ -17,10 +17,6 @@ class PolicyError(ReproError):
     """A routing-policy definition or application is invalid."""
 
 
-class ConfigError(ReproError):
-    """A router configuration could not be parsed or rendered."""
-
-
 class TopologyError(ReproError):
     """The annotated AS graph is inconsistent or an operation is invalid."""
 

@@ -8,7 +8,7 @@ experiment instances; ``python -m repro run`` runs them all.
 """
 
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.registry import all_experiments, get_experiment, register
+from repro.experiments.registry import all_experiments, register
 
 # Importing the experiment modules populates the registry.
 from repro.experiments import (  # noqa: F401  (imported for registration side effect)
@@ -36,6 +36,5 @@ __all__ = [
     "Experiment",
     "ExperimentResult",
     "all_experiments",
-    "get_experiment",
     "register",
 ]

@@ -2,8 +2,7 @@
 
 The registry stores experiment *classes*, not instances: an experiment may
 keep per-run state, and a shared instance would leak that state across suite
-runs.  ``run_suite`` (and :func:`get_experiment`) instantiate a fresh object
-per use.
+runs.  ``run_suite`` instantiates a fresh object per use.
 """
 
 from __future__ import annotations
@@ -37,15 +36,6 @@ def experiment_class(experiment_id: str) -> type[Experiment]:
             f"unknown experiment {experiment_id!r}; known: {sorted(_REGISTRY)}"
         )
     return cls
-
-
-def get_experiment(experiment_id: str) -> Experiment:
-    """A fresh instance of one experiment.
-
-    Raises:
-        ExperimentError: for unknown identifiers.
-    """
-    return experiment_class(experiment_id)()
 
 
 def experiment_ids() -> list[str]:

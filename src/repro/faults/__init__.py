@@ -32,7 +32,6 @@ from repro.faults.runtime import (
     activate,
     active_plan,
     corrupt_artifact,
-    deactivate,
     fault_point,
     mark_worker,
     reset,
@@ -51,7 +50,6 @@ __all__ = [
     "activate",
     "active_plan",
     "corrupt_artifact",
-    "deactivate",
     "fault_point",
     "mark_worker",
     "reset",

@@ -59,11 +59,6 @@ def activate(plan: FaultPlan | None, *, export: bool = True) -> None:
             os.environ[PLAN_ENV] = plan.to_json()
 
 
-def deactivate() -> None:
-    """Clear the active plan and its environment export."""
-    activate(None)
-
-
 def reset() -> None:
     """Forget the process-local state; the next call re-reads the env.
 
@@ -103,11 +98,6 @@ def mark_worker() -> None:
     global _IN_WORKER
     _IN_WORKER = True
     active_plan()
-
-
-def in_worker() -> bool:
-    """``True`` inside a process-pool worker marked by :func:`mark_worker`."""
-    return _IN_WORKER
 
 
 def fault_point(site: str, identity: str) -> None:

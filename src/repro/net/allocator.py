@@ -18,7 +18,6 @@ ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.exceptions import PrefixError
 from repro.net.asn import ASN
@@ -39,11 +38,6 @@ class AddressBlock:
     prefix: Prefix
     owner: ASN
     parent_owner: ASN | None = None
-
-    @property
-    def is_provider_assigned(self) -> bool:
-        """``True`` when the block was sub-allocated out of a provider's space."""
-        return self.parent_owner is not None
 
 
 @dataclass
@@ -84,10 +78,6 @@ class AddressAllocator:
         block = AddressBlock(prefix=prefix, owner=owner)
         self.blocks.append(block)
         return block
-
-    def allocate_many(self, owner: ASN, length: int, count: int) -> list[AddressBlock]:
-        """Allocate ``count`` blocks of the same length to ``owner``."""
-        return [self.allocate(owner, length) for _ in range(count)]
 
     # -- provider-assigned sub-allocations --------------------------------------
 
@@ -158,21 +148,6 @@ class AddressAllocator:
     def prefixes_of(self, owner: ASN) -> list[Prefix]:
         """Return the prefixes of every block allocated to ``owner``."""
         return [block.prefix for block in self.blocks_of(owner)]
-
-    def owner_of(self, prefix: Prefix) -> ASN | None:
-        """Return the AS that owns the most specific allocated block covering ``prefix``."""
-        best: AddressBlock | None = None
-        for block in self.blocks:
-            if block.prefix.contains(prefix):
-                if best is None or block.prefix.length > best.prefix.length:
-                    best = block
-        return best.owner if best else None
-
-    def provider_assigned_blocks(self) -> Iterator[AddressBlock]:
-        """Yield every block that was sub-allocated from a provider's space."""
-        for block in self.blocks:
-            if block.is_provider_assigned:
-                yield block
 
     def __len__(self) -> int:
         return len(self.blocks)

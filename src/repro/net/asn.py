@@ -2,7 +2,7 @@
 
 AS numbers in this library are plain ``int`` objects (type-aliased to
 :data:`ASN` for readability in signatures).  The helpers here validate and
-format them; 4-byte AS numbers are supported in the ``asdot`` notation used by
+parse them; 4-byte AS numbers are supported in the ``asdot`` notation used by
 operators (e.g. ``"65536"`` or ``"1.0"``).
 """
 
@@ -18,15 +18,6 @@ MAX_ASN16 = 0xFFFF
 
 #: Largest 4-byte AS number.
 MAX_ASN32 = 0xFFFFFFFF
-
-#: Reserved AS number used by BGP as a placeholder (RFC 7607).
-AS_TRANS = 23456
-
-#: Start of the 16-bit private-use range (RFC 6996).
-PRIVATE_ASN16_START = 64512
-
-#: End (inclusive) of the 16-bit private-use range.
-PRIVATE_ASN16_END = 65534
 
 
 def parse_asn(text: str | int) -> ASN:
@@ -60,26 +51,3 @@ def parse_asn(text: str | int) -> ASN:
     if not (0 <= value <= MAX_ASN32):
         raise ASPathError(f"AS number out of range: {value}")
     return value
-
-
-def format_asn(asn: ASN, dotted: bool = False) -> str:
-    """Format an AS number, optionally in ``asdot`` notation.
-
-    2-byte AS numbers are always rendered as plain integers, mirroring
-    operator practice.
-    """
-    if asn < 0 or asn > MAX_ASN32:
-        raise ASPathError(f"AS number out of range: {asn}")
-    if dotted and asn > MAX_ASN16:
-        return f"{asn >> 16}.{asn & MAX_ASN16}"
-    return str(asn)
-
-
-def is_private_asn(asn: ASN) -> bool:
-    """Return ``True`` for AS numbers in the 16-bit private-use range."""
-    return PRIVATE_ASN16_START <= asn <= PRIVATE_ASN16_END
-
-
-def is_public_asn(asn: ASN) -> bool:
-    """Return ``True`` for globally routable AS numbers (non-private, non-zero)."""
-    return 0 < asn <= MAX_ASN32 and not is_private_asn(asn) and asn != AS_TRANS

@@ -85,11 +85,6 @@ class ASPath:
             raise ASPathError("empty AS path has no origin AS")
         return self._asns[-1]
 
-    @property
-    def unique_length(self) -> int:
-        """Path length counting each AS once (ignores prepending)."""
-        return len(set(self._asns))
-
     def contains(self, asn: ASN) -> bool:
         """Return ``True`` if the AS appears anywhere in the path."""
         return asn in self._asns
@@ -97,16 +92,6 @@ class ASPath:
     def has_loop_for(self, asn: ASN) -> bool:
         """Return ``True`` if accepting this path at ``asn`` would create a loop."""
         return self.contains(asn)
-
-    def adjacencies(self) -> Iterator[tuple[ASN, ASN]]:
-        """Yield each pair of adjacent ASes, deduplicating prepending.
-
-        The pair order follows the path order: ``(nearer_to_receiver,
-        nearer_to_origin)``.
-        """
-        deduplicated = self.deduplicate()._asns
-        for left, right in zip(deduplicated, deduplicated[1:]):
-            yield (left, right)
 
     def deduplicate(self) -> "ASPath":
         """Collapse consecutive repetitions (undo prepending)."""
@@ -132,12 +117,6 @@ class ASPath:
         if asn < 0:
             raise ASPathError(f"negative AS number in path: {asn}")
         return ASPath._from_validated((asn,) * count + self._asns)
-
-    def strip_private(self) -> "ASPath":
-        """Return a new path with private AS numbers removed (remove-private-AS)."""
-        from repro.net.asn import is_private_asn
-
-        return ASPath(asn for asn in self._asns if not is_private_asn(asn))
 
     def startswith(self, other: "ASPath" | Sequence[ASN]) -> bool:
         """Return ``True`` if this path begins with the given AS sequence."""

@@ -1,4 +1,4 @@
-"""Immutable IPv4 prefixes and the supernet/subnet algebra.
+"""Immutable IPv4 prefixes: parsing, containment and splitting.
 
 The paper's prefix-splitting and prefix-aggregation analyses (Section 5.1.5,
 Table 9) require asking questions such as "can this prefix be aggregated by
@@ -107,14 +107,6 @@ class Prefix:
             address_text, length = text, IPV4_BITS
         return cls(parse_ipv4(address_text), length)
 
-    @classmethod
-    def from_octets(cls, a: int, b: int, c: int, d: int, length: int) -> "Prefix":
-        """Build a prefix from four address octets and a length."""
-        for octet in (a, b, c, d):
-            if not (0 <= octet <= 255):
-                raise PrefixError(f"invalid octet: {octet}")
-        return cls((a << 24) | (b << 16) | (c << 8) | d, length)
-
     # -- basic properties ----------------------------------------------
 
     @property
@@ -132,12 +124,6 @@ class Prefix:
         """Number of addresses covered by the prefix."""
         return 1 << (IPV4_BITS - self.length)
 
-    def bits(self) -> str:
-        """Return the network bits as a string of '0'/'1' of length ``length``."""
-        if self.length == 0:
-            return ""
-        return format(self.network >> (IPV4_BITS - self.length), f"0{self.length}b")
-
     # -- algebra --------------------------------------------------------
 
     def contains(self, other: "Prefix") -> bool:
@@ -145,33 +131,6 @@ class Prefix:
         if other.length < self.length:
             return False
         return (other.network & self.mask) == self.network
-
-    def contains_address(self, address: int | str) -> bool:
-        """Return ``True`` if the address falls inside this prefix."""
-        if isinstance(address, str):
-            address = parse_ipv4(address)
-        return (address & self.mask) == self.network
-
-    def is_subnet_of(self, other: "Prefix") -> bool:
-        """Return ``True`` if this prefix is equal to or more specific than ``other``."""
-        return other.contains(self)
-
-    def is_proper_subnet_of(self, other: "Prefix") -> bool:
-        """Return ``True`` if this prefix is strictly more specific than ``other``."""
-        return self.length > other.length and other.contains(self)
-
-    def supernet(self, new_length: int | None = None) -> "Prefix":
-        """Return the covering prefix of the given (shorter) length.
-
-        Without an argument, returns the immediate parent (one bit shorter).
-        """
-        if new_length is None:
-            new_length = self.length - 1
-        if new_length < 0 or new_length > self.length:
-            raise PrefixError(
-                f"cannot take /{new_length} supernet of /{self.length} prefix"
-            )
-        return Prefix(self.network, new_length)
 
     def subnets(self, new_length: int | None = None) -> Iterator["Prefix"]:
         """Yield the subnets of the given (longer) length, in address order.
@@ -195,28 +154,6 @@ class Prefix:
         extra_bits = count.bit_length() - 1
         return list(self.subnets(self.length + extra_bits))
 
-    def can_aggregate_with(self, other: "Prefix") -> bool:
-        """Return ``True`` if this prefix and ``other`` merge into their common parent."""
-        if self.length != other.length or self.length == 0:
-            return False
-        return self.supernet() == other.supernet() and self != other
-
-    def aggregate_with(self, other: "Prefix") -> "Prefix":
-        """Merge two sibling prefixes into their parent prefix."""
-        if not self.can_aggregate_with(other):
-            raise PrefixError(f"{self} and {other} are not aggregable siblings")
-        return self.supernet()
-
-    def common_supernet(self, other: "Prefix") -> "Prefix":
-        """Return the longest prefix that covers both this prefix and ``other``."""
-        length = min(self.length, other.length)
-        while length > 0:
-            mask = _mask_for(length)
-            if (self.network & mask) == (other.network & mask):
-                break
-            length -= 1
-        return Prefix(self.network, length)
-
     # -- dunder ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -237,37 +174,3 @@ class Prefix:
 
     def __repr__(self) -> str:
         return f"Prefix({str(self)!r})"
-
-
-def aggregate_prefixes(prefixes: list[Prefix]) -> list[Prefix]:
-    """Aggregate a list of prefixes as far as possible.
-
-    Repeatedly merges sibling prefixes and removes prefixes covered by
-    another prefix in the set, returning the minimal covering set in address
-    order.  This mirrors what a provider does when it aggregates customer
-    announcements out of its own address block (paper Section 5.1.5, Case 2).
-    """
-    current = sorted(set(prefixes))
-    changed = True
-    while changed:
-        changed = False
-        result: list[Prefix] = []
-        index = 0
-        while index < len(current):
-            prefix = current[index]
-            if result and result[-1].contains(prefix):
-                changed = True
-                index += 1
-                continue
-            if (
-                index + 1 < len(current)
-                and prefix.can_aggregate_with(current[index + 1])
-            ):
-                result.append(prefix.supernet())
-                changed = True
-                index += 2
-                continue
-            result.append(prefix)
-            index += 1
-        current = sorted(set(result))
-    return current

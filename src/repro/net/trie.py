@@ -2,7 +2,7 @@
 
 The trie supports the three lookups the analysis pipeline needs:
 
-* exact lookup and longest-prefix match (used by the BGP substrate),
+* exact lookup (used by the BGP substrate),
 * *covering* search — all stored prefixes that contain a given prefix
   (used by the prefix-aggregation analysis of Table 9), and
 * *covered* search — all stored prefixes contained inside a given prefix
@@ -44,7 +44,7 @@ def _bit_at(network: int, position: int) -> int:
 
 
 class PrefixTrie(Generic[ValueT]):
-    """A mapping from IPv4 prefixes to values with longest-prefix-match lookups."""
+    """A mapping from IPv4 prefixes to values with covering/covered searches."""
 
     def __init__(self) -> None:
         self._root = _Node()
@@ -112,30 +112,6 @@ class PrefixTrie(Generic[ValueT]):
             return default
         return node.value
 
-    def longest_match(self, prefix: Prefix) -> tuple[Prefix, ValueT] | None:
-        """Return the most specific stored prefix covering ``prefix`` and its value."""
-        best: tuple[Prefix, ValueT] | None = None
-        node = self._root
-        if node.has_value:
-            best = (node.prefix, node.value)  # type: ignore[arg-type]
-        for position in range(prefix.length):
-            bit = _bit_at(prefix.network, position)
-            child = node.children[bit]
-            if child is None:
-                break
-            node = child
-            if node.has_value:
-                best = (node.prefix, node.value)  # type: ignore[arg-type]
-        return best
-
-    def lookup_address(self, address: int | str) -> tuple[Prefix, ValueT] | None:
-        """Longest-prefix match for a single address (dotted quad or integer)."""
-        from repro.net.prefix import parse_ipv4
-
-        if isinstance(address, str):
-            address = parse_ipv4(address)
-        return self.longest_match(Prefix(address, IPV4_BITS))
-
     def covering(self, prefix: Prefix) -> Iterator[tuple[Prefix, ValueT]]:
         """Yield stored (prefix, value) pairs that contain ``prefix``, shortest first.
 
@@ -159,20 +135,6 @@ class PrefixTrie(Generic[ValueT]):
         if node is None:
             return
         yield from self._walk(node)
-
-    def has_more_specific(self, prefix: Prefix) -> bool:
-        """Return ``True`` if a strictly more specific prefix than ``prefix`` is stored."""
-        for stored, _ in self.covered(prefix):
-            if stored.length > prefix.length:
-                return True
-        return False
-
-    def has_less_specific(self, prefix: Prefix) -> bool:
-        """Return ``True`` if a strictly less specific covering prefix is stored."""
-        for stored, _ in self.covering(prefix):
-            if stored.length < prefix.length:
-                return True
-        return False
 
     # -- iteration ------------------------------------------------------------
 

@@ -45,13 +45,6 @@ class RelationshipAccuracy:
             return 0.0
         return self.correct_edges / self.total_edges
 
-    def per_as_percentage(self, asn: ASN) -> float:
-        """Percentage of an AS's neighbor relationships that were verified."""
-        verified, total = self.per_as.get(asn, (0, 0))
-        if total == 0:
-            return 0.0
-        return 100.0 * verified / total
-
 
 def _edge_key(relationship: Relationship, left: ASN, right: ASN) -> str:
     """Canonical label of an edge annotation for the confusion matrix."""

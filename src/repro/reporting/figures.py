@@ -1,41 +1,8 @@
-"""ASCII rendering of figure series (bar charts and x/y series)."""
+"""ASCII rendering of figure series over a shared x axis."""
 
 from __future__ import annotations
 
 from typing import Sequence
-
-
-def series_to_csv(
-    header: Sequence[str], rows: Sequence[Sequence[object]]
-) -> str:
-    """Render a figure's data series as CSV text (one row per x value)."""
-    lines = [",".join(str(cell) for cell in header)]
-    for row in rows:
-        lines.append(",".join(str(cell) for cell in row))
-    return "\n".join(lines)
-
-
-def ascii_bar_chart(
-    labels: Sequence[object],
-    values: Sequence[float],
-    width: int = 50,
-    title: str | None = None,
-    value_format: str = "{:.1f}",
-) -> str:
-    """Render one value per label as a horizontal ASCII bar chart."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have the same length")
-    lines = [title] if title else []
-    if not values:
-        lines.append("(empty)")
-        return "\n".join(lines)
-    peak = max(max(values), 1e-12)
-    label_width = max((len(str(label)) for label in labels), default=0)
-    for label, value in zip(labels, values):
-        bar = "#" * max(0, int(round(width * value / peak)))
-        rendered_value = value_format.format(value)
-        lines.append(f"{str(label).rjust(label_width)} | {bar} {rendered_value}")
-    return "\n".join(lines)
 
 
 def ascii_series(

@@ -41,7 +41,6 @@ from repro.session.scenarios import (
     register_family,
     register_scenario,
     resolve_scenario,
-    scenario_names,
 )
 from repro.session.stages import (
     ALL_STAGES,
@@ -97,5 +96,4 @@ __all__ = [
     "run_suite",
     "run_sweep",
     "expand_case_specs",
-    "scenario_names",
 ]

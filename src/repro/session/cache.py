@@ -236,8 +236,7 @@ def cache_from_env() -> StageCache:
     return StageCache(max_entries=max_entries, disk=disk)
 
 
-#: Process-wide default cache.  Scenario studies and the
-#: ``default_dataset``/``small_dataset`` helpers share it, which replaces the
+#: Process-wide default cache.  Scenario studies share it, which replaces the
 #: two ``lru_cache`` singletons the seed API used.  Set ``REPRO_CACHE_DIR``
 #: before the first import to give it a disk tier.
 GLOBAL_CACHE = cache_from_env()

@@ -103,11 +103,6 @@ def all_scenarios() -> list[Scenario]:
     return [_SCENARIOS[name] for name in sorted(_SCENARIOS)]
 
 
-def scenario_names() -> list[str]:
-    """The registered scenario names, sorted."""
-    return sorted(_SCENARIOS)
-
-
 # -- scenario families -------------------------------------------------------------
 
 

@@ -227,15 +227,6 @@ class StageView:
 
     # -- bookkeeping -----------------------------------------------------------
 
-    @property
-    def allowed_stages(self) -> frozenset[Stage]:
-        """The stages this view exposes."""
-        return self._allowed
-
-    def restricted(self, requires: frozenset[Stage]) -> "StageView":
-        """A narrower view over the same dataset."""
-        return StageView(self._dataset, self._allowed & frozenset(requires))
-
     def _need(self, stage: Stage, attribute: str):
         if stage not in self._allowed:
             raise ExperimentError(

@@ -313,9 +313,8 @@ class Study:
     def dataset(self) -> StudyDataset:
         """The flat :class:`StudyDataset` compatibility view over the stages.
 
-        The assembled view is itself cached, so repeated calls (and the
-        ``default_dataset``/``small_dataset`` helpers built on top)
-        return the same object for the same configuration and cache.
+        The assembled view is itself cached, so repeated calls return the
+        same object for the same configuration and cache.
         """
         key = fingerprint(
             "dataset", *(self.stage_key(stage) for stage in Stage)

@@ -21,7 +21,8 @@ observed at collector and Looking Glass vantage points.
 * :mod:`repro.simulation.timeline` — repeated simulation under policy churn,
   producing the daily/hourly snapshots of the persistence study.
 * :mod:`repro.simulation.scenario` — small hand-built scenarios reproducing
-  the paper's illustrative figures (Figs. 1, 3, 5 and 8).
+  the paper's illustrative figures (Fig. 5; the tests build Figs. 1, 3
+  and 8 the same way).
 """
 
 from repro.simulation.policies import (
@@ -39,13 +40,7 @@ from repro.simulation.fastpath import (
 )
 from repro.simulation.collector import CollectorTable, LookingGlass, RouteViewsCollector
 from repro.simulation.timeline import Snapshot, Timeline, TimelineParameters
-from repro.simulation.scenario import (
-    figure1_scenario,
-    figure3_scenario,
-    figure5_scenario,
-    figure8_multihomed_scenario,
-    figure8_singlehomed_scenario,
-)
+from repro.simulation.scenario import figure5_scenario
 
 __all__ = [
     "ASPolicy",
@@ -65,9 +60,5 @@ __all__ = [
     "Snapshot",
     "Timeline",
     "TimelineParameters",
-    "figure1_scenario",
-    "figure3_scenario",
     "figure5_scenario",
-    "figure8_multihomed_scenario",
-    "figure8_singlehomed_scenario",
 ]

@@ -70,10 +70,6 @@ class CollectorTable:
         """Every vantage's entry for one prefix."""
         return [entry for entry in self.entries if entry.prefix == prefix]
 
-    def entries_from_vantage(self, vantage: ASN) -> list[CollectorEntry]:
-        """The rows contributed by one vantage AS."""
-        return [entry for entry in self.entries if entry.vantage == vantage]
-
     def paths_containing(self, asn: ASN) -> Iterator[ASPath]:
         """Every path in which ``asn`` appears (used by path-activeness checks)."""
         for entry in self.entries:
@@ -159,19 +155,6 @@ class LookingGlass:
     def best_routes(self) -> list[Route]:
         """The best route of every prefix."""
         return list(self.table.best_routes())
-
-    def routes_for(self, prefix: Prefix) -> list[Route]:
-        """All candidate routes for a prefix (best first)."""
-        entry = self.table.entry(prefix)
-        if entry is None:
-            return []
-        routes = [entry.best] if entry.best is not None else []
-        routes.extend(entry.alternatives())
-        return routes
-
-    def show_ip_bgp(self, prefix: Prefix) -> list[Route]:
-        """Alias of :meth:`routes_for` matching the IOS command the paper quotes."""
-        return self.routes_for(prefix)
 
     def neighbors(self) -> list[ASN]:
         """Every next-hop AS present in the table."""

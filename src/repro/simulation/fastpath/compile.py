@@ -156,9 +156,8 @@ def compile_seed_plan(
 ) -> SeedPlan:
     """Lower one origin's export policy for one prefix into a seed plan.
 
-    ``intern_comm`` maps a :class:`CommunitySet` to its intern id (the
-    compiler interns into the topology's initial table; an engine compiling
-    an ad-hoc plan interns into its own run table).
+    ``intern_comm`` maps a :class:`CommunitySet` to its intern id in the
+    topology's initial table.
     """
     index_of = topology.index_of
     origin_idx = index_of[policy.asn]

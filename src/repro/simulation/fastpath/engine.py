@@ -41,29 +41,13 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.bgp.attributes import DEFAULT_LOCAL_PREF, Community, CommunitySet
-from repro.bgp.route import Route
-from repro.exceptions import SimulationError
+from repro.bgp.attributes import DEFAULT_LOCAL_PREF
 from repro.net.asn import ASN
-from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
-from repro.simulation.fastpath.compile import (
-    CompiledTopology,
-    SeedPlan,
-    compile_seed_plan,
-    compile_topology,
-)
+from repro.simulation.fastpath.compile import CompiledTopology, SeedPlan, compile_topology
 from repro.simulation.policies import PolicyAssignment
-from repro.simulation.propagation import PrefixRun, PrefixState, SimulationResult
-from repro.simulation.rib import (
-    KIND_LOCAL,
-    REL_CUSTOMER,
-    REL_PEER,
-    REL_PROVIDER,
-    REL_SIBLING,
-    RibWriter,
-    candidate_route,
-)
+from repro.simulation.propagation import SimulationResult
+from repro.simulation.rib import KIND_LOCAL, REL_CUSTOMER, REL_SIBLING, RibWriter
 from repro.topology.generator import SyntheticInternet
 
 _EMPTY_SET: frozenset[int] = frozenset()
@@ -172,16 +156,6 @@ class _Core:
             new_id = self._intern_path((asn_idx,) + self._paths[path_id])
             self._prepend_memo[key] = new_id
         return new_id
-
-    def intern_communities(self, communities: CommunitySet) -> int:
-        """Intern a :class:`CommunitySet`, extending the run table."""
-        pairs = frozenset((c.asn, c.value) for c in communities.communities)
-        comm_id = self._comm_lookup.get(pairs)
-        if comm_id is None:
-            comm_id = len(self._comm_members)
-            self._comm_lookup[pairs] = comm_id
-            self._comm_members.append(pairs)
-        return comm_id
 
     def _comm_add(self, comm_id: int, tag_id: int) -> int:
         members = self._comm_members[comm_id] | {self._tag_pairs[tag_id]}
@@ -455,15 +429,6 @@ class _Core:
 
     # -- materialization ----------------------------------------------------
 
-    def states(self) -> dict[int, _State]:
-        """The per-AS states of the most recent ``run_task``, by dense id."""
-        gen = self._generation
-        return {
-            idx: state
-            for idx, state in enumerate(self._states)
-            if state is not None and state.gen == gen
-        }
-
     def path_asns(self, path_id: int) -> tuple[ASN, ...]:
         """An interned path as AS numbers (receiver first)."""
         asns = self.topology.asns
@@ -473,21 +438,9 @@ class _Core:
         """An interned community set in the RIB's pair form.
 
         The pairs keep the member set's iteration order, which is the order
-        :meth:`route_of` and the RIB's views build a ``CommunitySet`` in.
+        the RIB's views build a ``CommunitySet`` in.
         """
         return tuple(self._comm_members[comm_id])
-
-    def route_of(self, prefix: Prefix, sender_idx: int, cand: tuple) -> Route:
-        """Materialize one candidate tuple back into a :class:`Route`."""
-        lp, _, path_id, comm_id, kind, _ = cand
-        return candidate_route(
-            prefix,
-            ASPath._from_validated(self.path_asns(path_id)),
-            lp,
-            CommunitySet(Community(asn, value) for asn, value in self.community_pairs(comm_id)),
-            kind,
-            self.topology.asns[sender_idx],
-        )
 
     def write_observed(self, prefix: Prefix, writer: RibWriter) -> None:
         """Append the observed ASes' entries for ``prefix`` to ``writer``.
@@ -545,7 +498,6 @@ class FastPropagationEngine:
         )
         self.message_budget_per_prefix = message_budget_per_prefix
         self.compiled = compile_topology(internet, assignment, self.observed_ases)
-        self._core: _Core | None = None
 
     # -- public API ----------------------------------------------------------
 
@@ -555,7 +507,7 @@ class FastPropagationEngine:
         Each prefix's observed entries go straight from the per-AS states
         into the columnar RIB; no route object is built.
         """
-        core = self._local_core()
+        core = _Core(self.compiled, self.message_budget_per_prefix)
         seeds = self.compiled.seeds
         writer = RibWriter(self.observed_ases, core.path_asns, core.community_pairs)
         message_count = 0
@@ -574,59 +526,4 @@ class FastPropagationEngine:
             truncated_prefixes=truncated,
         )
 
-    def run_prefix(self, prefix: Prefix, origin: ASN) -> PrefixRun:
-        """Propagate a single prefix and return the full per-AS state.
-
-        API- and result-compatible with :meth:`PropagationEngine.run_prefix`.
-        """
-        topology = self.compiled
-        origin_idx = topology.index_of.get(origin)
-        if origin_idx is None:
-            raise SimulationError(f"origin AS{origin} is not in the graph")
-        core = self._local_core()
-        seed = topology.seeds.get((origin_idx, prefix))
-        if seed is None:
-            seed = self._adhoc_seed(origin, prefix, core)
-        processed, truncated = core.run_task(origin_idx, prefix, seed)
-        states: dict[ASN, PrefixState] = {}
-        asns = topology.asns
-        for asn_idx, raw in core.states().items():
-            state = PrefixState()
-            for sender, cand in raw.cand.items():
-                route = core.route_of(prefix, sender, cand)
-                state.candidates[asns[sender]] = route
-                if sender == raw.best_sender:
-                    state.best = route
-            state.announced_to = {asns[i] for i in raw.announced}
-            states[asns[asn_idx]] = state
-        return PrefixRun(states=states, message_count=processed, truncated=truncated)
-
     # -- helpers -------------------------------------------------------------
-
-    def _local_core(self) -> _Core:
-        if self._core is None:
-            self._core = _Core(self.compiled, self.message_budget_per_prefix)
-        return self._core
-
-    def _adhoc_seed(self, origin: ASN, prefix: Prefix, core: _Core) -> SeedPlan:
-        """Seed plan for a (prefix, origin) pair outside the compiled set."""
-        graph = self.graph
-        by_rel: dict[int, list[ASN]] = {code: [] for code in range(4)}
-        rel_code = {
-            "customer": REL_CUSTOMER,
-            "peer": REL_PEER,
-            "provider": REL_PROVIDER,
-            "sibling": REL_SIBLING,
-        }
-        for neighbor, relationship in sorted(graph.neighbor_items(origin)):
-            by_rel[rel_code[relationship.value]].append(neighbor)
-        return compile_seed_plan(
-            self.compiled,
-            self.assignment.policy_for(origin),
-            by_rel[REL_PROVIDER],
-            by_rel[REL_PEER],
-            by_rel[REL_CUSTOMER],
-            by_rel[REL_SIBLING],
-            prefix,
-            core.intern_communities,
-        )

@@ -55,11 +55,6 @@ class LocalPrefScheme:
             return self.provider
         return self.sibling
 
-    @property
-    def is_typical(self) -> bool:
-        """``True`` when customer > peer > provider (the paper's typical order)."""
-        return self.customer > self.peer > self.provider
-
 
 @dataclass(frozen=True)
 class CommunityPlan:
@@ -201,20 +196,6 @@ class ASPolicy:
         withheld = self.withhold_from_peers.get(prefix, frozenset())
         return set(all_peers) - set(withheld)
 
-    def selectively_announced_prefixes(self, all_providers: list[ASN]) -> set[Prefix]:
-        """Originated prefixes not plainly announced to every direct provider."""
-        selective: set[Prefix] = set()
-        for prefix, providers in self.announce_to_providers.items():
-            if set(providers) != set(all_providers):
-                selective.add(prefix)
-        selective.update(self.scoped_to_providers)
-        return selective
-
-    @property
-    def is_typical(self) -> bool:
-        """``True`` when the relationship scheme is typical and no override breaks it."""
-        return self.local_pref.is_typical
-
 
 @dataclass(frozen=True)
 class PolicyParameters:
@@ -316,15 +297,6 @@ class PolicyAssignment:
             policy = ASPolicy(asn=asn)
             self.policies[asn] = policy
         return policy
-
-    def all_selectively_announced(self) -> set[Prefix]:
-        """Every prefix affected by origin-level selective or scoped announcement."""
-        prefixes: set[Prefix] = set()
-        for affected in self.selective_origins.values():
-            prefixes.update(affected)
-        for affected in self.scoped_origins.values():
-            prefixes.update(affected)
-        return prefixes
 
 
 class PolicyGenerator:

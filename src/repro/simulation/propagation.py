@@ -33,7 +33,6 @@ into it once, at the end of :meth:`PropagationEngine.run`.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.bgp.attributes import Community
@@ -108,12 +107,8 @@ class PrefixState:
 
 
 @dataclass
-class PrefixRun(Mapping):
+class PrefixRun:
     """Outcome of propagating a single prefix.
-
-    Behaves as a read-only mapping of ``ASN -> PrefixState`` (what
-    ``run_prefix`` historically returned) while also exposing the run
-    metadata that used to be silently discarded.
 
     Attributes:
         states: complete per-AS propagation state for the prefix.
@@ -125,15 +120,6 @@ class PrefixRun(Mapping):
     states: dict[ASN, PrefixState]
     message_count: int = 0
     truncated: bool = False
-
-    def __getitem__(self, asn: ASN) -> PrefixState:
-        return self.states[asn]
-
-    def __iter__(self):
-        return iter(self.states)
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 class PropagationEngine:
@@ -207,11 +193,10 @@ class PropagationEngine:
     def run_prefix(self, prefix: Prefix, origin: ASN) -> PrefixRun:
         """Propagate a single prefix and return the full per-AS state.
 
-        Exposed for tests and the scenario module, where the complete
-        Internet-wide outcome for one prefix is of interest.  The returned
-        :class:`PrefixRun` is mapping-compatible with the plain state dict
-        earlier versions returned, and additionally carries the message count
-        and whether the run was truncated by the message budget.
+        :meth:`run` calls it once per originated prefix; tests call it
+        directly when the Internet-wide outcome for one prefix is of
+        interest.  The returned :class:`PrefixRun` carries every AS's state,
+        the message count and whether the message budget cut the run short.
         """
         states: dict[ASN, PrefixState] = {}
         queue: deque[tuple[ASN, ASN, Route | None]] = deque()

@@ -147,20 +147,9 @@ class SyntheticInternet:
         """The prefixes originated by an AS (empty list for transit-only ASes)."""
         return list(self.originated.get(asn, []))
 
-    def origin_of(self, prefix: Prefix) -> ASN | None:
-        """Return the AS that originates ``prefix``, if any."""
-        for asn, prefixes in self.originated.items():
-            if prefix in prefixes:
-                return asn
-        return None
-
     def all_prefixes(self) -> list[Prefix]:
         """Every originated prefix across all ASes."""
         return [prefix for prefixes in self.originated.values() for prefix in prefixes]
-
-    def stub_ases(self) -> list[ASN]:
-        """Every stub AS (no customers), sorted."""
-        return sorted(asn for asn in self.graph.ases() if self.graph.is_stub(asn))
 
     def __repr__(self) -> str:
         return (

@@ -7,10 +7,10 @@ graph this module provides the primitives the paper's algorithms need:
 * neighbor classification (customers / peers / providers of an AS),
 * the *customer cone* — every AS reachable by walking provider→customer
   edges downward,
-* :meth:`AnnotatedASGraph.find_customer_path` / ``is_customer_of`` — the
-  modified depth-first search of the Fig. 4 algorithm (Phase 2), which only
-  follows provider-to-customer edges so every discovered path is a valid
-  customer path under the export rules of Section 2.2.2, and
+* :meth:`AnnotatedASGraph.find_customer_path` — the modified depth-first
+  search of the Fig. 4 algorithm (Phase 2), which only follows
+  provider-to-customer edges so every discovered path is a valid customer
+  path under the export rules of Section 2.2.2, and
 * valley-free path validation, used both by the propagation engine and by
   the verification step of Section 5.1.3.
 """
@@ -18,7 +18,6 @@ graph this module provides the primitives the paper's algorithms need:
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -34,14 +33,6 @@ class Relationship(enum.Enum):
     PEER = "peer"
     PROVIDER = "provider"
     SIBLING = "sibling"
-
-    def inverse(self) -> "Relationship":
-        """Return the relationship as seen from the other end of the edge."""
-        if self is Relationship.CUSTOMER:
-            return Relationship.PROVIDER
-        if self is Relationship.PROVIDER:
-            return Relationship.CUSTOMER
-        return self
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
@@ -101,28 +92,6 @@ class AnnotatedASGraph:
         self._set(left, right, Relationship.SIBLING)
         self._set(right, left, Relationship.SIBLING)
 
-    def add_edge(self, provider: ASN, customer: ASN, relationship: Relationship) -> None:
-        """Add an edge given the relationship of ``customer`` relative to ``provider``.
-
-        ``relationship`` is interpreted as "what ``customer`` is to
-        ``provider``": ``CUSTOMER`` adds a provider-to-customer edge,
-        ``PEER`` a peer-to-peer edge, ``SIBLING`` a sibling edge and
-        ``PROVIDER`` a customer-to-provider edge (i.e. the reverse).
-        """
-        if relationship is Relationship.CUSTOMER:
-            self.add_provider_customer(provider, customer)
-        elif relationship is Relationship.PROVIDER:
-            self.add_provider_customer(customer, provider)
-        elif relationship is Relationship.PEER:
-            self.add_peer_peer(provider, customer)
-        else:
-            self.add_sibling(provider, customer)
-
-    def remove_edge(self, left: ASN, right: ASN) -> None:
-        """Remove the edge between two ASes (if present)."""
-        self._neighbors.get(left, {}).pop(right, None)
-        self._neighbors.get(right, {}).pop(left, None)
-
     def _set(self, asn: ASN, neighbor: ASN, relationship: Relationship) -> None:
         self._neighbors.setdefault(asn, {})[neighbor] = relationship
         self._neighbors.setdefault(neighbor, {})
@@ -176,24 +145,12 @@ class AnnotatedASGraph:
         """Peers of an AS."""
         return self._by_relationship(asn, Relationship.PEER)
 
-    def siblings_of(self, asn: ASN) -> list[ASN]:
-        """Siblings of an AS."""
-        return self._by_relationship(asn, Relationship.SIBLING)
-
     def _by_relationship(self, asn: ASN, relationship: Relationship) -> list[ASN]:
         return [
             neighbor
             for neighbor, rel in self._neighbors.get(asn, {}).items()
             if rel is relationship
         ]
-
-    def is_provider_of(self, provider: ASN, customer: ASN) -> bool:
-        """``True`` if there is a direct provider-to-customer edge."""
-        return self.relationship(provider, customer) is Relationship.CUSTOMER
-
-    def is_peer_of(self, left: ASN, right: ASN) -> bool:
-        """``True`` if the two ASes share a peer-to-peer edge."""
-        return self.relationship(left, right) is Relationship.PEER
 
     def is_multihomed(self, asn: ASN) -> bool:
         """``True`` if the AS has more than one provider (paper Section 5.1.5)."""
@@ -237,29 +194,6 @@ class AnnotatedASGraph:
             )
         return cone
 
-    def is_customer_of(self, asn: ASN, provider: ASN) -> bool:
-        """``True`` if ``asn`` is a direct or indirect customer of ``provider``.
-
-        Implements Phase 2 of the Fig. 4 algorithm: starting from the
-        provider, repeatedly expand the selected set with direct customers
-        until the target AS is found or the set stops growing.
-        """
-        if provider not in self._neighbors or asn not in self._neighbors:
-            return False
-        selected: set[ASN] = {provider}
-        frontier = deque(self.customers_of(provider))
-        while frontier:
-            current = frontier.popleft()
-            if current == asn:
-                return True
-            if current in selected:
-                continue
-            selected.add(current)
-            frontier.extend(
-                customer for customer in self.customers_of(current) if customer not in selected
-            )
-        return False
-
     def find_customer_path(self, provider: ASN, customer: ASN) -> list[ASN] | None:
         """Return one customer path from ``provider`` down to ``customer``.
 
@@ -284,31 +218,7 @@ class AnnotatedASGraph:
                     stack.append((next_customer, path + [next_customer]))
         return None
 
-    def all_customer_paths(
-        self, provider: ASN, customer: ASN, limit: int = 1000
-    ) -> list[list[ASN]]:
-        """Return every simple customer path from ``provider`` to ``customer``.
-
-        ``limit`` bounds the number of paths returned to keep worst-case
-        behaviour sane on dense graphs.
-        """
-        paths: list[list[ASN]] = []
-        stack: list[tuple[ASN, list[ASN]]] = [(provider, [provider])]
-        while stack and len(paths) < limit:
-            current, path = stack.pop()
-            if current == customer:
-                paths.append(path)
-                continue
-            for next_customer in self.customers_of(current):
-                if next_customer not in path:
-                    stack.append((next_customer, path + [next_customer]))
-        return paths
-
     # -- path validation ---------------------------------------------------------
-
-    def classify_path_step(self, from_as: ASN, to_as: ASN) -> Relationship | None:
-        """The relationship of ``to_as`` from ``from_as``'s point of view."""
-        return self.relationship(from_as, to_as)
 
     def is_valley_free(self, path: Sequence[ASN] | ASPath) -> bool:
         """Check the Gao valley-free property of an AS path.
@@ -343,13 +253,6 @@ class AnnotatedASGraph:
                 phase = "down"
         return True
 
-    def path_is_active_customer_path(self, path: Sequence[ASN]) -> bool:
-        """``True`` if every consecutive pair on the path is provider→customer."""
-        return all(
-            self.relationship(left, right) is Relationship.CUSTOMER
-            for left, right in zip(path, path[1:])
-        )
-
     # -- conversion ---------------------------------------------------------------
 
     def adjacency_rows(self) -> list[tuple[ASN, tuple[tuple[ASN, Relationship], ...]]]:
@@ -377,28 +280,6 @@ class AnnotatedASGraph:
         neighbors = graph._neighbors
         for asn, row in rows:
             neighbors[asn] = dict(row)
-        return graph
-
-    def to_networkx(self):
-        """Export the graph as a :class:`networkx.DiGraph` for ad-hoc analysis.
-
-        Transit edges become directed provider→customer edges with
-        ``relationship='p2c'``; peer and sibling edges become a pair of
-        directed edges labelled ``'p2p'`` / ``'s2s'``.
-        """
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.ases())
-        for edge in self.edges():
-            if edge.relationship is Relationship.CUSTOMER:
-                graph.add_edge(edge.provider, edge.customer, relationship="p2c")
-            elif edge.relationship is Relationship.PEER:
-                graph.add_edge(edge.provider, edge.customer, relationship="p2p")
-                graph.add_edge(edge.customer, edge.provider, relationship="p2p")
-            else:
-                graph.add_edge(edge.provider, edge.customer, relationship="s2s")
-                graph.add_edge(edge.customer, edge.provider, relationship="s2s")
         return graph
 
     @classmethod

@@ -45,10 +45,6 @@ class TierClassification:
         """Return the tier of an AS (raises ``KeyError`` for unknown ASes)."""
         return self.tiers[asn]
 
-    def ases_in_tier(self, tier: int) -> list[ASN]:
-        """Return every AS assigned to the given tier, sorted."""
-        return sorted(asn for asn, level in self.tiers.items() if level == tier)
-
     @property
     def depth(self) -> int:
         """The number of the deepest tier."""

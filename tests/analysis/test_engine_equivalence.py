@@ -25,10 +25,10 @@ from repro.exceptions import InferenceError
 from repro.experiments.common import persistence_snapshots
 from repro.fuzz.oracles import outcome, vantage_subsets
 from repro.relationships.gao import GaoInference
-from repro.session.scenarios import get_scenario, scenario_names
+from repro.session.scenarios import all_scenarios, get_scenario
 from repro.simulation.collector import RouteViewsCollector
 
-SCENARIOS = sorted(scenario_names())
+SCENARIOS = sorted(scenario.name for scenario in all_scenarios())
 
 _CONTEXTS: dict[str, dict] = {}
 

@@ -1,10 +1,10 @@
 """Structural tests of the columnar MeasurementIndex."""
 
 import pytest
+from helpers import small_dataset
 
 from repro.analysis.engine import AnalysisEngine
 from repro.analysis.index import MeasurementIndex
-from repro.data.dataset import small_dataset
 
 
 @pytest.fixture(scope="module")

@@ -60,19 +60,19 @@ class TestCommunitySet:
 
     def test_well_known_flags(self):
         communities = CommunitySet(well_known=[WellKnownCommunity.NO_EXPORT])
-        assert communities.no_export
-        assert not communities.no_advertise
+        assert WellKnownCommunity.NO_EXPORT in communities.well_known
+        assert WellKnownCommunity.NO_ADVERTISE not in communities.well_known
 
     def test_add_and_remove_are_pure(self):
         base = CommunitySet(["1:1"])
         extended = base.add("1:2", WellKnownCommunity.NO_EXPORT)
         assert not base.has("1:2")
         assert extended.has("1:2")
-        assert extended.no_export
+        assert WellKnownCommunity.NO_EXPORT in extended.well_known
         shrunk = extended.remove("1:1", WellKnownCommunity.NO_EXPORT)
         assert not shrunk.has("1:1")
         assert shrunk.has("1:2")
-        assert not shrunk.no_export
+        assert WellKnownCommunity.NO_EXPORT not in shrunk.well_known
 
     def test_remove_missing_is_noop(self):
         base = CommunitySet(["1:1"])
@@ -83,12 +83,6 @@ class TestCommunitySet:
         assert communities.from_asn(12859) == frozenset(
             {Community(12859, 1000), Community(12859, 2000)}
         )
-
-    def test_without_asn(self):
-        communities = CommunitySet(["12859:1000", "3549:100"])
-        cleaned = communities.without_asn(12859)
-        assert not cleaned.has("12859:1000")
-        assert cleaned.has("3549:100")
 
     def test_immutability(self):
         communities = CommunitySet(["1:1"])

@@ -93,9 +93,12 @@ class TestPairwise:
         assert comparison.step is DecisionStep.TIE
 
     def test_prefer_returns_left_on_tie(self, decision):
+        # On a complete tie the incumbent (earlier) route is kept.
         a = route("1 9")
         b = route("1 9")
-        assert decision.prefer(a, b) is a
+        assert decision.compare(a, b).winner is None
+        assert decision.select_best([a, b]) is a
+        assert decision.select_best([b, a]) is b
 
     def test_rejects_different_prefixes(self, decision):
         a = route("1 9")
@@ -125,14 +128,3 @@ class TestSelection:
         b = route("2 9", local_pref=110)
         assert decision.select_best([a, b]) is b
         assert decision.select_best([b, a]) is b
-
-    def test_deciding_step_reports_local_pref(self, decision):
-        candidates = [route("1 2 3 9", local_pref=110), route("4 9", local_pref=90)]
-        assert decision.deciding_step(candidates) is DecisionStep.LOCAL_PREF
-
-    def test_deciding_step_reports_as_path(self, decision):
-        candidates = [route("1 9"), route("4 5 9")]
-        assert decision.deciding_step(candidates) is DecisionStep.AS_PATH_LENGTH
-
-    def test_deciding_step_single_route_is_none(self, decision):
-        assert decision.deciding_step([route("1 9")]) is None

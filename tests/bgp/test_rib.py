@@ -1,6 +1,6 @@
 """Unit tests for repro.bgp.rib."""
 
-from repro.bgp.rib import AdjRibIn, LocRib
+from repro.bgp.rib import LocRib
 from repro.bgp.route import NeighborKind, Route
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
@@ -10,32 +10,6 @@ def route(prefix, path, **kwargs):
     return Route(prefix=Prefix.parse(prefix), as_path=ASPath.parse(path), **kwargs)
 
 
-class TestAdjRibIn:
-    def test_add_get_withdraw(self):
-        rib = AdjRibIn(neighbor=1239, kind=NeighborKind.PEER)
-        announced = route("10.0.0.0/16", "1239 6280")
-        rib.add(announced)
-        assert rib.get(Prefix.parse("10.0.0.0/16")) is announced
-        assert Prefix.parse("10.0.0.0/16") in rib
-        assert len(rib) == 1
-        rib.withdraw(Prefix.parse("10.0.0.0/16"))
-        assert rib.get(Prefix.parse("10.0.0.0/16")) is None
-        assert len(rib) == 0
-
-    def test_replace_same_prefix(self):
-        rib = AdjRibIn(neighbor=1239)
-        rib.add(route("10.0.0.0/16", "1239 6280"))
-        rib.add(route("10.0.0.0/16", "1239 701 6280"))
-        assert len(rib) == 1
-        assert len(rib.get(Prefix.parse("10.0.0.0/16")).as_path) == 3
-
-    def test_routes_iteration(self):
-        rib = AdjRibIn(neighbor=1239)
-        rib.add(route("10.0.0.0/16", "1239 6280"))
-        rib.add(route("10.1.0.0/16", "1239 852"))
-        assert len(list(rib.routes())) == 2
-
-
 class TestLocRib:
     def test_best_route_selection(self):
         rib = LocRib(owner=1)
@@ -43,7 +17,8 @@ class TestLocRib:
                          neighbor_kind=NeighborKind.CUSTOMER)
         peer = route("10.0.0.0/16", "3549 6280", local_pref=90,
                      neighbor_kind=NeighborKind.PEER)
-        rib.add_routes([peer, customer])
+        rib.add_route(peer)
+        rib.add_route(customer)
         assert rib.best_route(Prefix.parse("10.0.0.0/16")) is customer
         assert len(rib.all_routes(Prefix.parse("10.0.0.0/16"))) == 2
 
@@ -51,7 +26,8 @@ class TestLocRib:
         rib = LocRib(owner=1)
         a = route("10.0.0.0/16", "2 9", local_pref=110)
         b = route("10.0.0.0/16", "3 9", local_pref=80)
-        rib.add_routes([a, b])
+        rib.add_route(a)
+        rib.add_route(b)
         entry = rib.entry(Prefix.parse("10.0.0.0/16"))
         assert entry.best is a
         assert entry.alternatives() == [b]
@@ -62,47 +38,12 @@ class TestLocRib:
         rib.add_route(route("10.0.0.0/16", "2 7 9"))
         assert len(rib.all_routes(Prefix.parse("10.0.0.0/16"))) == 1
 
-    def test_withdraw_reselects(self):
-        rib = LocRib(owner=1)
-        best = route("10.0.0.0/16", "2 9", local_pref=120)
-        backup = route("10.0.0.0/16", "3 9", local_pref=90)
-        rib.add_routes([best, backup])
-        rib.withdraw(Prefix.parse("10.0.0.0/16"), neighbor=2)
-        assert rib.best_route(Prefix.parse("10.0.0.0/16")) is backup
-
-    def test_withdraw_last_route_removes_entry(self):
-        rib = LocRib(owner=1)
-        rib.add_route(route("10.0.0.0/16", "2 9"))
-        rib.withdraw(Prefix.parse("10.0.0.0/16"), neighbor=2)
-        assert Prefix.parse("10.0.0.0/16") not in rib
-        assert len(rib) == 0
-
-    def test_withdraw_unknown_prefix_is_noop(self):
-        rib = LocRib(owner=1)
-        rib.withdraw(Prefix.parse("10.0.0.0/16"), neighbor=2)
-        assert len(rib) == 0
-
-    def test_longest_prefix_lookup(self):
-        rib = LocRib(owner=1)
-        rib.add_route(route("10.0.0.0/8", "2 9"))
-        rib.add_route(route("10.1.0.0/16", "3 9"))
-        found = rib.lookup("10.1.2.3")
-        assert found.prefix == Prefix.parse("10.1.0.0/16")
-
     def test_best_routes_and_neighbors(self):
         rib = LocRib(owner=1)
         rib.add_route(route("10.0.0.0/16", "2 9"))
         rib.add_route(route("10.1.0.0/16", "3 8"))
         assert len(list(rib.best_routes())) == 2
         assert rib.neighbors() == {2, 3}
-
-    def test_routes_from_neighbor(self):
-        rib = LocRib(owner=1)
-        rib.add_route(route("10.0.0.0/16", "2 9"))
-        rib.add_route(route("10.1.0.0/16", "2 8"))
-        rib.add_route(route("10.2.0.0/16", "3 8"))
-        assert len(list(rib.routes_from(2))) == 2
-        assert len(list(rib.best_routes_from(3))) == 1
 
     def test_prefixes_originated_by(self):
         rib = LocRib(owner=1)

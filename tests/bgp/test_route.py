@@ -21,14 +21,6 @@ class TestRouteBasics:
         route = make_route("7018 1239 6280", learned_from=99)
         assert route.next_hop_as == 99
 
-    def test_neighbor_kind_classification(self):
-        customer = make_route(neighbor_kind=NeighborKind.CUSTOMER)
-        peer = make_route(neighbor_kind=NeighborKind.PEER)
-        provider = make_route(neighbor_kind=NeighborKind.PROVIDER)
-        assert customer.is_customer_route and not customer.is_peer_route
-        assert peer.is_peer_route and not peer.is_provider_route
-        assert provider.is_provider_route and not provider.is_customer_route
-
     def test_default_attributes(self):
         route = make_route()
         assert route.local_pref == DEFAULT_LOCAL_PREF
@@ -42,38 +34,9 @@ class TestRouteBasics:
 
 
 class TestDerivation:
-    def test_with_local_pref_is_pure(self):
-        route = make_route()
-        updated = route.with_local_pref(90)
-        assert updated.local_pref == 90
-        assert route.local_pref == DEFAULT_LOCAL_PREF
-
-    def test_with_neighbor_kind(self):
-        updated = make_route().with_neighbor_kind(NeighborKind.CUSTOMER)
-        assert updated.is_customer_route
-
     def test_with_communities(self):
         updated = make_route().with_communities(CommunitySet(["12859:1000"]))
         assert updated.communities.has("12859:1000")
-
-    def test_announced_by_prepends_and_resets_local_pref(self):
-        route = make_route("1239 6280", local_pref=300)
-        announced = route.announced_by(7018)
-        assert announced.as_path == ASPath.parse("7018 1239 6280")
-        assert announced.local_pref == DEFAULT_LOCAL_PREF
-        assert announced.learned_from == 7018
-        assert announced.neighbor_kind is NeighborKind.UNKNOWN
-
-    def test_announced_by_with_prepending(self):
-        announced = make_route("6280").announced_by(852, prepend=3)
-        assert announced.as_path.asns == (852, 852, 852, 6280)
-
-    def test_announced_by_preserves_communities_and_med(self):
-        route = make_route(communities=CommunitySet(["1:1"]), med=77)
-        announced = route.announced_by(7018)
-        assert announced.communities.has("1:1")
-        assert announced.med == 77
-
 
 class TestOriginate:
     def test_originate_is_local_single_as_path(self):

@@ -6,8 +6,9 @@ exercising the full generate → propagate → observe pipeline.
 """
 
 import pytest
+from helpers import small_dataset
 
-from repro.data.dataset import StudyDataset, small_dataset
+from repro.data.dataset import StudyDataset
 
 
 @pytest.fixture(scope="package")

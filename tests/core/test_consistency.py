@@ -5,7 +5,6 @@ from repro.bgp.route import Route
 from repro.core.consistency import ConsistencyAnalyzer
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
-from repro.simulation.collector import LookingGlass
 
 
 def route(prefix, path, local_pref):
@@ -17,13 +16,12 @@ def route(prefix, path, local_pref):
 class TestAnalyzeTable:
     def test_fully_consistent_table(self):
         table = LocRib(owner=10)
-        table.add_routes(
-            [
-                route("10.1.0.0/16", "1 9", 90),
-                route("10.2.0.0/16", "1 8", 90),
-                route("10.3.0.0/16", "2 7", 110),
-            ]
-        )
+        for entry in [
+            route("10.1.0.0/16", "1 9", 90),
+            route("10.2.0.0/16", "1 8", 90),
+            route("10.3.0.0/16", "2 7", 110),
+        ]:
+            table.add_route(entry)
         result = ConsistencyAnalyzer().analyze_table(table)
         assert result.percent_consistent == 100.0
         assert result.neighbor_modes == {1: 90, 2: 110}
@@ -31,14 +29,13 @@ class TestAnalyzeTable:
 
     def test_prefix_based_overrides_lower_consistency(self):
         table = LocRib(owner=10)
-        table.add_routes(
-            [
-                route("10.1.0.0/16", "1 9", 90),
-                route("10.2.0.0/16", "1 8", 90),
-                route("10.3.0.0/16", "1 7", 90),
-                route("10.4.0.0/16", "1 6", 120),  # per-prefix override
-            ]
-        )
+        for entry in [
+            route("10.1.0.0/16", "1 9", 90),
+            route("10.2.0.0/16", "1 8", 90),
+            route("10.3.0.0/16", "1 7", 90),
+            route("10.4.0.0/16", "1 6", 120),  # per-prefix override
+        ]:
+            table.add_route(entry)
         result = ConsistencyAnalyzer().analyze_table(table)
         assert result.total_routes == 4
         assert result.consistent_routes == 3

@@ -1,15 +1,16 @@
 """Tests for the SA-prefix (export-policy) inference — the Fig. 4 algorithm."""
 
 import pytest
-
-from repro.core.export_policy import ExportPolicyAnalyzer
-from repro.exceptions import InferenceError
-from repro.simulation.scenario import (
+from helpers import all_selectively_announced, is_customer_of
+from paper_scenarios import (
     figure3_scenario,
-    figure5_scenario,
     figure8_multihomed_scenario,
     figure8_singlehomed_scenario,
 )
+
+from repro.core.export_policy import ExportPolicyAnalyzer
+from repro.exceptions import InferenceError
+from repro.simulation.scenario import figure5_scenario
 from repro.topology.graph import Relationship
 
 
@@ -79,7 +80,7 @@ class TestDatasetPrevalence:
     def test_sa_prefix_ground_truth_overlap(self, dataset, sa_reports):
         """Most detected SA prefixes trace back to configured selective or
         scoped announcements (origin-level) or selective transits."""
-        configured = dataset.assignment.all_selectively_announced()
+        configured = all_selectively_announced(dataset.assignment)
         transit_origins = dataset.assignment.selective_transits
         graph = dataset.ground_truth_graph
         explained = 0
@@ -93,7 +94,7 @@ class TestDatasetPrevalence:
                 # Otherwise an intermediate selective transit must sit on a
                 # provider-customer path between provider and origin.
                 if any(
-                    graph.is_customer_of(item.origin_as, transit)
+                    is_customer_of(graph, item.origin_as, transit)
                     or transit == item.origin_as
                     for transit in transit_origins
                 ):
@@ -134,7 +135,7 @@ class TestDatasetPrevalence:
             assert 0 <= row.sa_prefix_count <= row.prefix_count
             assert 0.0 <= row.percent_sa <= 100.0
             for provider in sa_reports:
-                assert graph.is_customer_of(row.customer, provider)
+                assert is_customer_of(graph, row.customer, provider)
         # Rows are sorted by SA count, and at least one has SA prefixes.
         assert rows[0].sa_prefix_count >= rows[-1].sa_prefix_count
 

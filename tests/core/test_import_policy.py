@@ -23,7 +23,8 @@ def small_graph():
 
 def glass_with_routes(routes):
     table = LocRib(owner=10)
-    table.add_routes(routes)
+    for route in routes:
+        table.add_route(route)
     return LookingGlass(10, table)
 
 

@@ -1,11 +1,11 @@
 """Tests for the on-disk dataset archive (export + load + analyse)."""
 
 import pytest
+from helpers import small_dataset
 
 from repro.core.export_policy import ExportPolicyAnalyzer
 from repro.core.import_policy import ImportPolicyAnalyzer
 from repro.data.archive import export_dataset, load_dataset
-from repro.data.dataset import small_dataset
 from repro.exceptions import DataFormatError
 from repro.simulation.collector import LookingGlass
 from repro.topology.graph import Relationship

@@ -1,8 +1,9 @@
 """Tests for the study-dataset assembly."""
 
 import pytest
+from helpers import small_dataset
 
-from repro.data.dataset import StudyDataset, small_dataset
+from repro.data.dataset import StudyDataset
 from repro.exceptions import SimulationError
 from repro.session import ObservationParameters, StageCache, Study, StudyConfig, get_scenario
 from repro.topology.generator import GeneratorParameters

@@ -2,26 +2,22 @@
 
 import io
 
+from helpers import import_pref
 from hypothesis import given, settings, strategies as st
 from strategies import format_routes as routes
 
 from repro.bgp.rib import LocRib
 from repro.data.mrt import MrtReader, MrtWriter
 from repro.data.rpsl import AutNumObject, PolicyLine
-from repro.data.show_ip_bgp import (
-    format_show_ip_bgp_detail,
-    format_show_ip_bgp_table,
-    parse_show_ip_bgp_detail,
-    parse_show_ip_bgp_table,
-)
-from repro.net.prefix import Prefix
+from repro.data.show_ip_bgp import format_show_ip_bgp_table, parse_show_ip_bgp_table
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(routes(), min_size=1, max_size=15))
 def test_mrt_roundtrip_preserves_routes(route_list):
     table = LocRib(owner=65000)
-    table.add_routes(route_list)
+    for route in route_list:
+        table.add_route(route)
     buffer = io.BytesIO()
     MrtWriter(buffer).write_table(table)
     buffer.seek(0)
@@ -43,7 +39,8 @@ def test_mrt_roundtrip_preserves_routes(route_list):
 @given(st.lists(routes(), min_size=1, max_size=10))
 def test_show_ip_bgp_table_roundtrip_preserves_key_attributes(route_list):
     table = LocRib(owner=65000)
-    table.add_routes(route_list)
+    for route in route_list:
+        table.add_route(route)
     text = format_show_ip_bgp_table(table)
     restored = parse_show_ip_bgp_table(text, view_as=65000)
     assert len(restored) == len(table)
@@ -54,22 +51,6 @@ def test_show_ip_bgp_table_roundtrip_preserves_key_attributes(route_list):
             for r in restored.all_routes(entry.prefix)
         }
         assert parsed == original
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(routes(), min_size=1, max_size=6))
-def test_show_ip_bgp_detail_roundtrip(route_list):
-    prefix = Prefix.parse("10.20.0.0/16")
-    table = LocRib(owner=65000)
-    table.add_routes([route.replace(prefix=prefix) for route in route_list])
-    entry = table.entry(prefix)
-    text = format_show_ip_bgp_detail(entry, view_as=65000)
-    parsed = parse_show_ip_bgp_detail(text, view_as=65000)
-    assert parsed.prefix == prefix
-    assert len(parsed.routes) == len(entry.routes)
-    original = {(r.as_path, r.local_pref, r.med, r.communities) for r in entry.routes}
-    restored = {(r.as_path, r.local_pref, r.med, r.communities) for r in parsed.routes}
-    assert restored == original
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,4 +75,4 @@ def test_rpsl_autnum_roundtrip(asn, lines):
     assert parsed.asn == asn
     assert parsed.neighbors() == {peer for peer, _ in lines}
     for peer, pref in lines:
-        assert parsed.import_pref_for(peer) == pref
+        assert import_pref(parsed, peer) == pref

@@ -4,13 +4,27 @@ import io
 
 import pytest
 
-from repro.bgp.attributes import Community, CommunitySet, Origin
+from repro.bgp.attributes import CommunitySet, Origin
 from repro.bgp.rib import LocRib
 from repro.bgp.route import Route, RouteSource, originate
-from repro.data.mrt import MrtReader, MrtWriter, dump_tables, load_tables
+from repro.data.mrt import MrtReader, MrtWriter
 from repro.exceptions import DataFormatError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
+
+
+def dump_tables(tables):
+    """Serialise several tables into one in-memory dump."""
+    buffer = io.BytesIO()
+    writer = MrtWriter(buffer)
+    for table in tables:
+        writer.write_table(table)
+    return buffer.getvalue()
+
+
+def load_tables(data):
+    """Parse an in-memory dump back into per-AS tables."""
+    return MrtReader(io.BytesIO(data)).read_tables()
 
 
 def sample_table(owner=7018):

@@ -1,6 +1,7 @@
 """Tests for RPSL objects and the synthetic IRR database."""
 
 import pytest
+from helpers import import_pref
 
 from repro.data.rpsl import (
     AutNumObject,
@@ -46,9 +47,9 @@ class TestAutNumParsing:
         parsed = AutNumObject.parse(obj.render())
         assert parsed.asn == 5511
         assert parsed.as_name == "FT-BACKBONE"
-        assert parsed.import_pref_for(1239) == 900
-        assert parsed.import_pref_for(64999) == 890
-        assert parsed.import_pref_for(42) is None
+        assert import_pref(parsed, 1239) == 900
+        assert import_pref(parsed, 64999) == 890
+        assert import_pref(parsed, 42) is None
         assert parsed.neighbors() == {1239, 64999}
         assert parsed.last_updated == "20021101"
 
@@ -89,7 +90,7 @@ class TestIrrDatabase:
         database.add(second)
         restored = IrrDatabase.parse(database.render())
         assert restored.ases() == [1, 2]
-        assert restored.get(1).import_pref_for(2) == 890
+        assert import_pref(restored.get(1), 2) == 890
 
     def test_updated_during_filters_by_year(self):
         database = IrrDatabase()
@@ -141,7 +142,7 @@ class TestFromAssignment:
                 expected = policy.neighbor_local_pref.get(
                     neighbor, policy.local_pref.value_for(relationship)
                 )
-                pref = obj.import_pref_for(neighbor)
+                pref = import_pref(obj, neighbor)
                 assert rpsl_pref_to_local_pref(pref) == expected
 
     def test_stale_objects_have_old_dates(self, internet, assignment):

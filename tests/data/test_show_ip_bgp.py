@@ -2,15 +2,10 @@
 
 import pytest
 
-from repro.bgp.attributes import CommunitySet, Origin
+from repro.bgp.attributes import CommunitySet
 from repro.bgp.rib import LocRib
 from repro.bgp.route import NeighborKind, Route, originate
-from repro.data.show_ip_bgp import (
-    format_show_ip_bgp_detail,
-    format_show_ip_bgp_table,
-    parse_show_ip_bgp_detail,
-    parse_show_ip_bgp_table,
-)
+from repro.data.show_ip_bgp import format_show_ip_bgp_table, parse_show_ip_bgp_table
 from repro.exceptions import DataFormatError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
@@ -70,55 +65,3 @@ class TestTableFormat:
         text = "BGP table version is 1\nsome banner\n"
         parsed = parse_show_ip_bgp_table(text, view_as=1)
         assert len(parsed) == 0
-
-
-class TestDetailFormat:
-    def test_matches_paper_example_shape(self):
-        table = sample_table()
-        entry = table.entry(Prefix.parse("80.96.180.0/24"))
-        text = format_show_ip_bgp_detail(entry, view_as=12859)
-        assert "BGP routing table entry for 80.96.180.0/24" in text
-        assert "Paths: (2 available" in text
-        assert "8220 12878 5606 15471" in text
-        assert "localpref 210" in text
-        assert "Community: 12859:1000" in text
-        assert "best" in text
-
-    def test_roundtrip(self):
-        table = sample_table()
-        entry = table.entry(Prefix.parse("80.96.180.0/24"))
-        text = format_show_ip_bgp_detail(entry, view_as=12859)
-        parsed = parse_show_ip_bgp_detail(text, view_as=12859)
-        assert parsed.prefix == entry.prefix
-        assert len(parsed.routes) == 2
-        assert parsed.best is not None
-        assert parsed.best.local_pref == 210
-        assert parsed.best.communities.has("12859:1000")
-        assert parsed.best.med == 5
-        by_path = {str(r.as_path): r for r in parsed.routes}
-        assert by_path["3356 5606 15471"].local_pref == 80
-
-    def test_local_route_detail(self):
-        table = sample_table()
-        entry = table.entry(Prefix.parse("10.128.0.0/16"))
-        text = format_show_ip_bgp_detail(entry, view_as=12859)
-        parsed = parse_show_ip_bgp_detail(text, view_as=12859)
-        assert parsed.routes[0].as_path.origin_as == 12859
-
-    def test_learned_from_recovered(self):
-        table = sample_table()
-        entry = table.entry(Prefix.parse("80.96.180.0/24"))
-        parsed = parse_show_ip_bgp_detail(
-            format_show_ip_bgp_detail(entry, view_as=12859), view_as=12859
-        )
-        assert {r.next_hop_as for r in parsed.routes} == {8220, 3356}
-
-    def test_missing_header_rejected(self):
-        with pytest.raises(DataFormatError):
-            parse_show_ip_bgp_detail("no header here", view_as=1)
-
-    def test_empty_entry_rejected(self):
-        from repro.bgp.rib import RibEntry
-
-        with pytest.raises(DataFormatError):
-            format_show_ip_bgp_detail(RibEntry(prefix=Prefix.parse("10.0.0.0/8")), view_as=1)

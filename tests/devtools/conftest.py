@@ -3,8 +3,9 @@
 import pathlib
 
 import pytest
+from helpers import get_rule
 
-from repro.devtools.engine import LintContext, ModuleUnderLint, get_rule, lint_module
+from repro.devtools.engine import LintContext, ModuleUnderLint, lint_module
 
 #: The rule-fixture snippets (one offending + one clean file per family).
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"

@@ -1,14 +1,9 @@
 """Engine mechanics: registry, scopes, suppressions, parse failures."""
 
 import pytest
+from helpers import get_rule
 
-from repro.devtools.engine import (
-    ModuleUnderLint,
-    all_rules,
-    dotted_name,
-    get_rule,
-    rule_ids,
-)
+from repro.devtools.engine import ModuleUnderLint, all_rules, dotted_name, rule_ids
 from repro.devtools.lint import lint_paths
 
 

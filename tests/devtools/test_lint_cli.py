@@ -98,6 +98,7 @@ class TestListing:
             "DET001", "DET002", "DET003",
             "CODEC001", "CODEC002",
             "POOL001", "POOL002",
+            "DEAD001",
             "LINT001", "LINT002",
         ):
             assert rule_id in output

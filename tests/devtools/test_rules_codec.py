@@ -3,6 +3,8 @@
 import ast
 import pathlib
 
+from helpers import with_extra_field
+
 from repro.devtools.engine import LintContext, ModuleUnderLint
 from repro.devtools.rules_codec import crosscheck
 from repro.devtools.schema import collect_schemas
@@ -59,7 +61,7 @@ class TestSchemaCollection:
         tree = ast.parse(
             "from dataclasses import dataclass\n@dataclass\nclass P:\n    x: int\n"
         )
-        schema = collect_schemas(tree, "m")["P"].with_extra_field("shadow")
+        schema = with_extra_field(collect_schemas(tree, "m")["P"], "shadow")
         assert schema.fields == ("x", "shadow")
         assert "shadow" in schema.members
 

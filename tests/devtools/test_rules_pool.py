@@ -2,7 +2,9 @@
 
 import pathlib
 
-from repro.devtools.engine import LintContext, ModuleUnderLint, get_rule, lint_module
+from helpers import get_rule
+
+from repro.devtools.engine import LintContext, ModuleUnderLint, lint_module
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 

@@ -1,10 +1,10 @@
 """Integration tests: every registered experiment runs and matches the paper's shape."""
 
 import pytest
+from helpers import get_experiment
 
 from repro.exceptions import ExperimentError
-from repro.experiments import all_experiments, get_experiment
-from repro.experiments.common import persistence_snapshots
+from repro.experiments import all_experiments
 from repro.experiments.registry import experiment_class
 from repro.session import StageView, get_scenario
 

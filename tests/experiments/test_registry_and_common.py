@@ -1,15 +1,11 @@
 """Tests for the experiment registry and base classes."""
 
 import pytest
+from helpers import get_experiment
 
 from repro.exceptions import ExperimentError
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.registry import (
-    all_experiments,
-    experiment_class,
-    get_experiment,
-    register,
-)
+from repro.experiments.registry import all_experiments, experiment_class, register
 from repro.session import ALL_STAGES
 
 

@@ -11,9 +11,7 @@ from repro.faults.runtime import (
     activate,
     active_plan,
     corrupt_artifact,
-    deactivate,
     fault_point,
-    in_worker,
     mark_worker,
 )
 
@@ -39,7 +37,7 @@ class TestActivation:
 
         assert FaultPlan.from_json(os.environ[PLAN_ENV]) == plan
         assert active_plan() == plan
-        deactivate()
+        activate(None)
         assert PLAN_ENV not in os.environ
         assert active_plan() is None
 
@@ -60,9 +58,9 @@ class TestActivation:
         corrupt_artifact("/nonexistent", "topology/k")
 
     def test_mark_worker_sets_the_flag(self):
-        assert not in_worker()
+        assert not runtime._IN_WORKER
         mark_worker()
-        assert in_worker()
+        assert runtime._IN_WORKER
 
 
 class TestFaultPoint:

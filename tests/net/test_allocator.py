@@ -13,7 +13,7 @@ class TestDirectAllocation:
         block = allocator.allocate(owner=7018, length=16)
         assert block.prefix == Prefix.parse("10.0.0.0/16")
         assert block.owner == 7018
-        assert not block.is_provider_assigned
+        assert block.parent_owner is None
 
     def test_allocations_do_not_overlap(self):
         allocator = AddressAllocator()
@@ -32,12 +32,6 @@ class TestDirectAllocation:
             assert not x.prefix.contains(y.prefix)
             assert not y.prefix.contains(x.prefix)
 
-    def test_allocate_many(self):
-        allocator = AddressAllocator()
-        blocks = allocator.allocate_many(owner=701, length=22, count=5)
-        assert len(blocks) == 5
-        assert all(block.owner == 701 for block in blocks)
-
     def test_rejects_unreasonable_length(self):
         allocator = AddressAllocator()
         with pytest.raises(PrefixError):
@@ -53,7 +47,6 @@ class TestSuballocation:
         child = allocator.suballocate(parent, owner=6280, length=24)
         assert parent.prefix.contains(child.prefix)
         assert child.parent_owner == 7018
-        assert child.is_provider_assigned
 
     def test_suballocations_do_not_overlap(self):
         allocator = AddressAllocator()
@@ -87,25 +80,6 @@ class TestQueries:
         allocator.allocate(owner=1, length=22)
         assert len(allocator.blocks_of(1)) == 2
         assert len(allocator.prefixes_of(2)) == 1
-
-    def test_owner_of_most_specific(self):
-        allocator = AddressAllocator()
-        parent = allocator.allocate(owner=1, length=16)
-        child = allocator.suballocate(parent, owner=2, length=24)
-        assert allocator.owner_of(child.prefix) == 2
-        assert allocator.owner_of(parent.prefix) == 1
-
-    def test_owner_of_unknown(self):
-        allocator = AddressAllocator()
-        assert allocator.owner_of(Prefix.parse("200.0.0.0/24")) is None
-
-    def test_provider_assigned_blocks(self):
-        allocator = AddressAllocator()
-        parent = allocator.allocate(owner=1, length=16)
-        allocator.suballocate(parent, owner=2, length=24)
-        assigned = list(allocator.provider_assigned_blocks())
-        assert len(assigned) == 1
-        assert assigned[0].owner == 2
 
     def test_len(self):
         allocator = AddressAllocator()

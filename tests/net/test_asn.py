@@ -3,13 +3,7 @@
 import pytest
 
 from repro.exceptions import ASPathError
-from repro.net.asn import (
-    AS_TRANS,
-    format_asn,
-    is_private_asn,
-    is_public_asn,
-    parse_asn,
-)
+from repro.net.asn import parse_asn
 
 
 class TestParseAsn:
@@ -41,33 +35,3 @@ class TestParseAsn:
     def test_rejects_bad_asdot(self):
         with pytest.raises(ASPathError):
             parse_asn("70000.1")
-
-
-class TestFormatAsn:
-    def test_plain(self):
-        assert format_asn(7018) == "7018"
-
-    def test_dotted_only_for_4byte(self):
-        assert format_asn(7018, dotted=True) == "7018"
-        assert format_asn(65546, dotted=True) == "1.10"
-
-    def test_roundtrip_dotted(self):
-        assert parse_asn(format_asn(131072, dotted=True)) == 131072
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ASPathError):
-            format_asn(-5)
-
-
-class TestClassification:
-    def test_private_range(self):
-        assert is_private_asn(64512)
-        assert is_private_asn(65534)
-        assert not is_private_asn(64511)
-        assert not is_private_asn(65535)
-
-    def test_public(self):
-        assert is_public_asn(7018)
-        assert not is_public_asn(0)
-        assert not is_public_asn(64512)
-        assert not is_public_asn(AS_TRANS)

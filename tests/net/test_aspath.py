@@ -50,16 +50,6 @@ class TestViews:
         assert path.has_loop_for(3)
         assert not path.has_loop_for(4)
 
-    def test_unique_length_ignores_prepending(self):
-        assert ASPath.parse("1 1 1 2 3").unique_length == 3
-
-    def test_adjacencies_deduplicate_prepending(self):
-        path = ASPath.parse("1 1 2 2 2 3")
-        assert list(path.adjacencies()) == [(1, 2), (2, 3)]
-
-    def test_adjacencies_single_as(self):
-        assert list(ASPath.parse("7018").adjacencies()) == []
-
 
 class TestOperations:
     def test_prepend(self):
@@ -74,10 +64,6 @@ class TestOperations:
     def test_prepend_rejects_zero_count(self):
         with pytest.raises(ASPathError):
             ASPath.parse("2").prepend(1, count=0)
-
-    def test_strip_private(self):
-        path = ASPath.parse("7018 64999 701")
-        assert path.strip_private().asns == (7018, 701)
 
     def test_startswith(self):
         path = ASPath.parse("1 2 3 4")

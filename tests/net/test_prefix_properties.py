@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 from strategies import prefixes
 
-from repro.net.prefix import IPV4_MAX, Prefix, aggregate_prefixes, format_ipv4, parse_ipv4
+from repro.net.prefix import IPV4_MAX, Prefix, format_ipv4, parse_ipv4
 
 
 @given(st.integers(min_value=0, max_value=IPV4_MAX))
@@ -19,7 +19,6 @@ def test_prefix_string_roundtrip(prefix):
 @given(prefixes())
 def test_prefix_contains_itself(prefix):
     assert prefix.contains(prefix)
-    assert prefix.is_subnet_of(prefix)
 
 
 @given(prefixes(max_length=31))
@@ -30,48 +29,10 @@ def test_subnets_partition_parent(prefix):
     assert sum(child.size for child in children) == prefix.size
     for child in children:
         assert prefix.contains(child)
-        assert child.supernet() == prefix
-
-
-@given(prefixes(min_length=1))
-def test_supernet_contains_child(prefix):
-    assert prefix.supernet().contains(prefix)
-
-
-@given(prefixes(), prefixes())
-def test_common_supernet_covers_both(a, b):
-    common = a.common_supernet(b)
-    assert common.contains(a)
-    assert common.contains(b)
+        assert child.length == prefix.length + 1
 
 
 @given(prefixes(), prefixes())
 def test_containment_is_antisymmetric_up_to_equality(a, b):
     if a.contains(b) and b.contains(a):
         assert a == b
-
-
-@given(prefixes(max_length=31))
-def test_sibling_aggregation_roundtrip(prefix):
-    left, right = prefix.subnets()
-    assert left.can_aggregate_with(right)
-    assert left.aggregate_with(right) == prefix
-
-
-@given(st.lists(prefixes(min_length=8, max_length=28), max_size=40))
-def test_aggregate_prefixes_preserves_coverage(prefix_list):
-    aggregated = aggregate_prefixes(prefix_list)
-    # Every original prefix is covered by some aggregated prefix.
-    for original in prefix_list:
-        assert any(agg.contains(original) for agg in aggregated)
-    # No aggregated prefix is covered by another one.
-    for i, a in enumerate(aggregated):
-        for j, b in enumerate(aggregated):
-            if i != j:
-                assert not a.contains(b)
-
-
-@given(st.lists(prefixes(), max_size=30))
-def test_aggregate_is_idempotent(prefix_list):
-    once = aggregate_prefixes(prefix_list)
-    assert aggregate_prefixes(once) == once

@@ -70,29 +70,38 @@ class TestBasicMapping:
     def test_default_route_entry(self):
         trie = build_trie([("0.0.0.0/0", "default")])
         assert trie.get(Prefix.parse("0.0.0.0/0")) == "default"
-        assert trie.longest_match(Prefix.parse("200.7.8.0/24"))[1] == "default"
+        assert list(trie.covering(Prefix.parse("200.7.8.0/24"))) == [
+            (Prefix.parse("0.0.0.0/0"), "default")
+        ]
 
 
 class TestLongestMatch:
+    """The longest match is the last pair ``covering`` yields (shortest first)."""
+
     def test_picks_most_specific(self):
         trie = build_trie([("10.0.0.0/8", "short"), ("10.1.0.0/16", "long")])
-        match = trie.longest_match(Prefix.parse("10.1.2.0/24"))
-        assert match == (Prefix.parse("10.1.0.0/16"), "long")
+        assert list(trie.covering(Prefix.parse("10.1.2.0/24"))) == [
+            (Prefix.parse("10.0.0.0/8"), "short"),
+            (Prefix.parse("10.1.0.0/16"), "long"),
+        ]
 
     def test_no_match_returns_none(self):
         trie = build_trie([("10.0.0.0/8", "a")])
-        assert trie.longest_match(Prefix.parse("11.0.0.0/24")) is None
+        assert list(trie.covering(Prefix.parse("11.0.0.0/24"))) == []
 
     def test_lookup_address(self):
+        # A bare address parses as a /32 host prefix.
         trie = build_trie([("12.10.0.0/19", "block"), ("12.10.1.0/24", "specific")])
-        prefix, value = trie.lookup_address("12.10.1.77")
-        assert value == "specific"
-        prefix, value = trie.lookup_address("12.10.9.1")
-        assert value == "block"
+        *_, (prefix, value) = trie.covering(Prefix.parse("12.10.1.77"))
+        assert (prefix, value) == (Prefix.parse("12.10.1.0/24"), "specific")
+        *_, (prefix, value) = trie.covering(Prefix.parse("12.10.9.1"))
+        assert (prefix, value) == (Prefix.parse("12.10.0.0/19"), "block")
 
     def test_exact_prefix_matches_itself(self):
         trie = build_trie([("10.1.0.0/16", "x")])
-        assert trie.longest_match(Prefix.parse("10.1.0.0/16"))[1] == "x"
+        assert list(trie.covering(Prefix.parse("10.1.0.0/16"))) == [
+            (Prefix.parse("10.1.0.0/16"), "x")
+        ]
 
 
 class TestCoverageQueries:
@@ -111,14 +120,26 @@ class TestCoverageQueries:
         assert covered == {Prefix.parse("10.1.0.0/16"), Prefix.parse("10.1.1.0/24")}
 
     def test_has_more_specific(self):
+        # Table 9's splitting check reads the stored prefixes strictly inside one.
         trie = build_trie([("10.1.0.0/16", 1), ("10.1.1.0/24", 2)])
-        assert trie.has_more_specific(Prefix.parse("10.1.0.0/16"))
-        assert not trie.has_more_specific(Prefix.parse("10.1.1.0/24"))
+
+        def strictly_covered(text):
+            prefix = Prefix.parse(text)
+            return [stored for stored, _ in trie.covered(prefix) if stored != prefix]
+
+        assert strictly_covered("10.1.0.0/16") == [Prefix.parse("10.1.1.0/24")]
+        assert strictly_covered("10.1.1.0/24") == []
 
     def test_has_less_specific(self):
+        # Table 9's aggregating check: a strictly covering prefix is stored.
         trie = build_trie([("10.0.0.0/8", 1), ("10.1.1.0/24", 2)])
-        assert trie.has_less_specific(Prefix.parse("10.1.1.0/24"))
-        assert not trie.has_less_specific(Prefix.parse("10.0.0.0/8"))
+
+        def has_less_specific(text):
+            prefix = Prefix.parse(text)
+            return any(stored.length < prefix.length for stored, _ in trie.covering(prefix))
+
+        assert has_less_specific("10.1.1.0/24")
+        assert not has_less_specific("10.0.0.0/8")
 
 
 class TestIteration:

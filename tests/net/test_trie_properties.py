@@ -24,18 +24,16 @@ def test_trie_matches_dict_semantics(prefix_list):
 
 @given(prefix_lists, prefixes())
 def test_longest_match_agrees_with_bruteforce(prefix_list, query):
+    """``covering`` yields shortest first, so its last pair is the longest match."""
     trie = PrefixTrie()
     for index, prefix in enumerate(prefix_list):
         trie.insert(prefix, index)
     candidates = [p for p in set(prefix_list) if p.contains(query)]
-    result = trie.longest_match(query)
-    if not candidates:
-        assert result is None
-    else:
-        expected_length = max(p.length for p in candidates)
-        assert result is not None
-        assert result[0].length == expected_length
-        assert result[0].contains(query)
+    matches = [p for p, _ in trie.covering(query)]
+    assert matches == sorted(candidates, key=lambda p: p.length)
+    if candidates:
+        assert matches[-1].length == max(p.length for p in candidates)
+        assert matches[-1].contains(query)
 
 
 @given(prefix_lists, prefixes())

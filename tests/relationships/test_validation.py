@@ -54,14 +54,8 @@ class TestCompareWithGroundTruth:
         accuracy = compare_with_ground_truth(inferred, ground_truth(), focus_ases=[1, 2])
         # AS1 has neighbors 10 (wrong orientation) and 2 (correct peer).
         assert accuracy.per_as[1] == (1, 2)
-        assert accuracy.per_as_percentage(1) == 50.0
         # AS2 has neighbors 20 and 1, both correct.
         assert accuracy.per_as[2] == (2, 2)
-        assert accuracy.per_as_percentage(2) == 100.0
-
-    def test_per_as_percentage_unknown_as(self):
-        accuracy = compare_with_ground_truth(ground_truth(), ground_truth())
-        assert accuracy.per_as_percentage(999) == 0.0
 
     def test_empty_reference(self):
         accuracy = compare_with_ground_truth(ground_truth(), AnnotatedASGraph())

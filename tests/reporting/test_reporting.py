@@ -1,8 +1,6 @@
 """Tests for ASCII table and figure rendering."""
 
-import pytest
-
-from repro.reporting.figures import ascii_bar_chart, ascii_series, series_to_csv
+from repro.reporting.figures import ascii_series
 from repro.reporting.tables import ascii_table, format_percent
 
 
@@ -38,23 +36,6 @@ class TestAsciiTable:
 
 
 class TestFigures:
-    def test_series_to_csv(self):
-        csv = series_to_csv(["day", "all", "sa"], [[1, 10, 2], [2, 11, 3]])
-        assert csv.splitlines() == ["day,all,sa", "1,10,2", "2,11,3"]
-
-    def test_bar_chart_scales_to_peak(self):
-        chart = ascii_bar_chart(["a", "b"], [50.0, 100.0], width=10)
-        lines = chart.splitlines()
-        assert lines[0].count("#") == 5
-        assert lines[1].count("#") == 10
-
-    def test_bar_chart_empty(self):
-        assert "(empty)" in ascii_bar_chart([], [], title="t")
-
-    def test_bar_chart_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            ascii_bar_chart(["a"], [1.0, 2.0])
-
     def test_ascii_series(self):
         text = ascii_series(
             [1, 2],

@@ -13,7 +13,6 @@ from repro.session import (
     all_scenarios,
     get_scenario,
     register_scenario,
-    scenario_names,
 )
 from repro.session.scenarios import _SCENARIOS
 
@@ -22,7 +21,7 @@ EXPECTED = {"standard", "small", "dense-peering", "sparse-multihoming", "large"}
 
 class TestRegistry:
     def test_builtin_presets_registered(self):
-        assert EXPECTED <= set(scenario_names())
+        assert EXPECTED <= {scenario.name for scenario in all_scenarios()}
 
     def test_get_scenario_unknown_name(self):
         with pytest.raises(ExperimentError):

@@ -11,7 +11,6 @@ from repro.session import (
     ObservationParameters,
     Stage,
     StageCache,
-    StageView,
     Study,
     StudyConfig,
 )
@@ -172,8 +171,7 @@ class TestStageView:
             view.assignment
 
     def test_restricted_narrows(self, study):
-        view = study.view()
-        narrow = view.restricted(frozenset({Stage.IRR}))
-        assert len(narrow.irr) >= 0
-        with pytest.raises(ExperimentError):
+        narrow = study.view(frozenset({Stage.IRR}))
+        assert narrow.irr is study.irr()
+        with pytest.raises(ExperimentError, match="topology"):
             narrow.internet

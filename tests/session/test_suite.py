@@ -3,10 +3,11 @@
 import json
 
 import pytest
+from helpers import get_experiment
 
 from repro.exceptions import ExperimentError
 from repro.experiments.base import Experiment
-from repro.experiments.registry import _REGISTRY, get_experiment
+from repro.experiments.registry import _REGISTRY
 from repro.session import Stage, get_scenario, run_suite
 
 #: Cheap experiments covering four distinct stage signatures.

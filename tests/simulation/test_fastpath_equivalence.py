@@ -17,19 +17,19 @@ every route field of the views.
 """
 
 import pytest
-
-from repro.fuzz.oracles import check_propagation_equivalence
-from repro.session.cache import StageCache
-from repro.session.scenarios import get_scenario, scenario_names
-from repro.simulation.fastpath import FastPropagationEngine
-from repro.simulation.propagation import PropagationEngine, SimulationResult
-from repro.simulation.scenario import (
+from paper_scenarios import (
     figure1_scenario,
     figure3_scenario,
-    figure5_scenario,
     figure8_multihomed_scenario,
     figure8_singlehomed_scenario,
 )
+
+from repro.fuzz.oracles import check_propagation_equivalence
+from repro.session.cache import StageCache
+from repro.session.scenarios import all_scenarios, get_scenario
+from repro.simulation.fastpath import FastPropagationEngine
+from repro.simulation.propagation import PropagationEngine, SimulationResult
+from repro.simulation.scenario import figure5_scenario
 
 #: The hand-built scenarios of the paper's illustrative figures, by name;
 #: ``Scenario.run`` propagates them with the fast engine.
@@ -43,6 +43,9 @@ FIGURES = {
         figure8_singlehomed_scenario,
     )
 }
+
+#: The registered scenario presets, by name.
+SCENARIOS = sorted(scenario.name for scenario in all_scenarios())
 
 _CACHE: dict[str, tuple] = {}
 _FAST: dict[str, SimulationResult] = {}
@@ -113,13 +116,13 @@ def _view_rows(result: SimulationResult) -> dict:
     }
 
 
-@pytest.mark.parametrize("scenario", sorted(scenario_names()) + sorted(FIGURES))
+@pytest.mark.parametrize("scenario", SCENARIOS + sorted(FIGURES))
 def test_fast_engine_matches_legacy(scenario: str) -> None:
     legacy = _scenario_runs(scenario)[-1]
     assert_equivalent(legacy, _fast_run(scenario))
 
 
-@pytest.mark.parametrize("scenario", sorted(scenario_names()) + sorted(FIGURES))
+@pytest.mark.parametrize("scenario", SCENARIOS + sorted(FIGURES))
 def test_fast_columns_match_legacy_lowering(scenario: str) -> None:
     legacy = _scenario_runs(scenario)[-1]
     fast = _fast_run(scenario)

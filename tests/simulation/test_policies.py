@@ -1,6 +1,7 @@
 """Unit tests for per-AS policies and the policy generator."""
 
 import pytest
+from helpers import all_selectively_announced, is_typical
 
 from repro.bgp.attributes import Community
 from repro.exceptions import PolicyError
@@ -34,12 +35,12 @@ def assignment(small_internet):
 class TestLocalPrefScheme:
     def test_default_is_typical(self):
         scheme = LocalPrefScheme()
-        assert scheme.is_typical
+        assert is_typical(scheme)
         assert scheme.value_for(Relationship.CUSTOMER) > scheme.value_for(Relationship.PEER)
         assert scheme.value_for(Relationship.PEER) > scheme.value_for(Relationship.PROVIDER)
 
     def test_atypical_scheme(self):
-        assert not ATYPICAL_SCHEME.is_typical
+        assert not is_typical(ATYPICAL_SCHEME)
 
     def test_sibling_value(self):
         assert LocalPrefScheme().value_for(Relationship.SIBLING) == 105
@@ -95,19 +96,18 @@ class TestASPolicy:
         policy = ASPolicy(asn=1)
         policy.announce_to_providers[prefix] = frozenset({10})
         assert policy.providers_for_prefix(prefix, [10, 20]) == {10}
-        assert policy.selectively_announced_prefixes([10, 20]) == {prefix}
 
     def test_full_announcement_is_not_selective(self):
         prefix = Prefix.parse("10.1.0.0/16")
         policy = ASPolicy(asn=1)
         policy.announce_to_providers[prefix] = frozenset({10, 20})
-        assert policy.selectively_announced_prefixes([10, 20]) == set()
+        assert policy.providers_for_prefix(prefix, [10, 20]) == {10, 20}
+        assert policy.scoped_providers_for_prefix(prefix) == set()
 
     def test_scoped_prefixes_are_selective(self):
         prefix = Prefix.parse("10.1.0.0/16")
         policy = ASPolicy(asn=1)
         policy.scoped_to_providers[prefix] = frozenset({10})
-        assert prefix in policy.selectively_announced_prefixes([10, 20])
         assert policy.scoped_providers_for_prefix(prefix) == {10}
 
     def test_peer_withholding(self):
@@ -137,7 +137,7 @@ class TestPolicyGenerator:
 
     def test_most_schemes_are_typical(self, small_internet, assignment):
         typical = sum(
-            1 for policy in assignment.policies.values() if policy.local_pref.is_typical
+            1 for policy in assignment.policies.values() if is_typical(policy.local_pref)
         )
         assert typical / len(assignment.policies) > 0.9
 
@@ -173,10 +173,10 @@ class TestPolicyGenerator:
     def test_policy_for_unknown_as_returns_default(self, assignment):
         policy = assignment.policy_for(999_999)
         assert policy.asn == 999_999
-        assert policy.is_typical
+        assert is_typical(policy.local_pref)
 
     def test_all_selectively_announced_union(self, assignment):
-        union = assignment.all_selectively_announced()
+        union = all_selectively_announced(assignment)
         for prefixes in assignment.selective_origins.values():
             assert prefixes <= union
 

@@ -1,6 +1,7 @@
 """Tests of the propagation engine on generated Internets."""
 
 import pytest
+from helpers import is_customer_of, stub_ases
 
 from repro.bgp.route import NeighborKind
 from repro.exceptions import SimulationError
@@ -34,7 +35,7 @@ def plain_assignment(tiny_internet):
 
 @pytest.fixture(scope="module")
 def plain_result(tiny_internet, plain_assignment):
-    observed = tiny_internet.tier1 + tiny_internet.stub_ases()[:3]
+    observed = tiny_internet.tier1 + stub_ases(tiny_internet)[:3]
     return PropagationEngine(tiny_internet, plain_assignment, observed_ases=observed).run()
 
 
@@ -59,12 +60,12 @@ class TestBaselinePropagation:
             assert not missing, f"AS{tier1} is missing {len(missing)} prefixes"
 
     def test_stub_sees_every_prefix(self, tiny_internet, plain_result):
-        stub = tiny_internet.stub_ases()[0]
+        stub = stub_ases(tiny_internet)[0]
         table = plain_result.table_of(stub)
         assert set(tiny_internet.all_prefixes()) <= set(table.prefixes())
 
     def test_observed_tables_only(self, tiny_internet, plain_result):
-        unobserved = tiny_internet.stub_ases()[-1]
+        unobserved = stub_ases(tiny_internet)[-1]
         with pytest.raises(SimulationError):
             plain_result.table_of(unobserved)
 
@@ -105,7 +106,7 @@ class TestBaselinePropagation:
                 for prefix in tiny_internet.prefixes_of(origin):
                     best = table.best_route(prefix)
                     assert best is not None
-                    assert best.is_customer_route, (
+                    assert best.neighbor_kind is NeighborKind.CUSTOMER, (
                         f"AS{tier1} reaches {prefix} (origin AS{origin}) via "
                         f"{best.neighbor_kind}"
                     )
@@ -138,11 +139,11 @@ class TestPoliciedPropagation:
         for tier1 in tiny_internet.tier1:
             table = policied_result.table_of(tier1)
             for origin, prefixes in policied_assignment.selective_origins.items():
-                if not graph.is_customer_of(origin, tier1):
+                if not is_customer_of(graph, origin, tier1):
                     continue
                 for prefix in prefixes:
                     best = table.best_route(prefix)
-                    if best is None or not best.is_customer_route:
+                    if best is None or best.neighbor_kind is not NeighborKind.CUSTOMER:
                         curved += 1
         assert curved > 0
 

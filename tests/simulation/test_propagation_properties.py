@@ -1,5 +1,6 @@
 """Property-based tests of the propagation engine over random tiny Internets."""
 
+from helpers import all_selectively_announced, is_customer_of
 from hypothesis import given, settings
 from strategies import seeds, tiny_internet
 
@@ -54,7 +55,7 @@ def test_policied_propagation_invariants(seed):
     assert result.truncated_prefixes == []
     graph = internet.graph
     analyzer = ExportPolicyAnalyzer(graph)
-    configured = assignment.all_selectively_announced()
+    configured = all_selectively_announced(assignment)
     for tier1 in internet.tier1:
         table = result.table_of(tier1)
         for route in table.best_routes():
@@ -64,7 +65,7 @@ def test_policied_propagation_invariants(seed):
         report = analyzer.find_sa_prefixes(tier1, table)
         for item in report.sa_prefixes:
             explained = item.prefix in configured or any(
-                transit == item.origin_as or graph.is_customer_of(item.origin_as, transit)
+                transit == item.origin_as or is_customer_of(graph, item.origin_as, transit)
                 for transit in assignment.selective_transits
             )
             assert explained, f"unexplained SA prefix {item.prefix} at AS{tier1}"

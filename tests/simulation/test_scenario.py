@@ -1,13 +1,15 @@
 """Tests of the canned paper-figure scenarios (Figs. 1, 3, 5, 8)."""
 
-from repro.bgp.route import NeighborKind
-from repro.simulation.scenario import (
+from helpers import is_customer_of
+from paper_scenarios import (
     figure1_scenario,
     figure3_scenario,
-    figure5_scenario,
     figure8_multihomed_scenario,
     figure8_singlehomed_scenario,
 )
+
+from repro.bgp.route import NeighborKind
+from repro.simulation.scenario import figure5_scenario
 
 
 class TestFigure1:
@@ -35,7 +37,7 @@ class TestFigure3:
         result = scenario.run()
         best = result.table_of(scenario.focus_provider).best_route(scenario.focus_prefix)
         assert best is not None
-        assert best.is_peer_route
+        assert best.neighbor_kind is NeighborKind.PEER
         assert best.next_hop_as == 11
 
     def test_provider_b_receives_no_customer_route(self):
@@ -45,9 +47,9 @@ class TestFigure3:
         result = scenario.run()
         best = result.table_of(20).best_route(scenario.focus_prefix)
         assert best is not None
-        assert best.is_provider_route
+        assert best.neighbor_kind is NeighborKind.PROVIDER
         assert not any(
-            route.is_customer_route
+            route.neighbor_kind is NeighborKind.CUSTOMER
             for route in result.table_of(20).all_routes(scenario.focus_prefix)
         )
 
@@ -55,11 +57,11 @@ class TestFigure3:
         scenario = figure3_scenario()
         result = scenario.run()
         best = result.table_of(30).best_route(scenario.focus_prefix)
-        assert best is not None and best.is_customer_route
+        assert best is not None and best.neighbor_kind is NeighborKind.CUSTOMER
 
     def test_origin_is_in_provider_d_customer_cone(self):
         scenario = figure3_scenario()
-        assert scenario.internet.graph.is_customer_of(100, scenario.focus_provider)
+        assert is_customer_of(scenario.internet.graph, 100, scenario.focus_provider)
 
 
 class TestFigure5:
@@ -68,7 +70,7 @@ class TestFigure5:
         result = scenario.run()
         best = result.table_of(1).best_route(scenario.focus_prefix)
         assert best is not None
-        assert best.is_peer_route
+        assert best.neighbor_kind is NeighborKind.PEER
         assert best.next_hop_as == 3549
         assert list(best.as_path) == [3549, 13768, 6280]
 
@@ -78,7 +80,7 @@ class TestFigure5:
         best = result.table_of(852).best_route(scenario.focus_prefix)
         # AS852 learns the prefix only from its provider AS1 (downhill), so
         # it is a provider route, not a customer route.
-        assert best is None or not best.is_customer_route
+        assert best is None or best.neighbor_kind is not NeighborKind.CUSTOMER
 
 
 class TestFigure8:
@@ -87,7 +89,7 @@ class TestFigure8:
         result = scenario.run()
         best = result.table_of(10).best_route(scenario.focus_prefix)
         assert best is not None
-        assert best.is_peer_route
+        assert best.neighbor_kind is NeighborKind.PEER
         best_path = set(best.as_path)
         customer_path = scenario.internet.graph.find_customer_path(10, 5)
         assert customer_path is not None
@@ -99,7 +101,7 @@ class TestFigure8:
         result = scenario.run()
         best = result.table_of(10).best_route(scenario.focus_prefix)
         assert best is not None
-        assert best.is_peer_route
+        assert best.neighbor_kind is NeighborKind.PEER
         assert list(best.as_path) == [2, 1, 5]
         customer_path = scenario.internet.graph.find_customer_path(10, 5)
         assert customer_path == [10, 3, 1, 5]
@@ -114,4 +116,4 @@ class TestFigure8:
         own_prefix = Prefix.parse("10.1.0.0/16")
         best = result.table_of(10).best_route(own_prefix)
         assert best is not None
-        assert best.is_peer_route
+        assert best.neighbor_kind is NeighborKind.PEER

@@ -98,17 +98,20 @@ class TestLookingGlass:
 
     def test_routes_for_prefix_best_first(self, tiny_internet, result):
         glass = LookingGlass.from_result(result, tiny_internet.tier1[0])
-        prefix = glass.best_routes()[0].prefix
-        routes = glass.routes_for(prefix)
-        assert routes
-        assert routes[0] == glass.table.best_route(prefix)
-        assert glass.show_ip_bgp(prefix) == routes
+        best = glass.best_routes()[0]
+        routes = glass.table.all_routes(best.prefix)
+        assert best in routes
+        assert glass.table.best_route(best.prefix) == best
+        # The view's recorded best is what the decision process picks.
+        assert glass.table.decision.select_best(routes) == best
 
     def test_routes_for_unknown_prefix_empty(self, tiny_internet, result):
         from repro.net.prefix import Prefix
 
         glass = LookingGlass.from_result(result, tiny_internet.tier1[0])
-        assert glass.routes_for(Prefix.parse("203.0.113.0/24")) == []
+        unknown = Prefix.parse("203.0.113.0/24")
+        assert glass.table.all_routes(unknown) == []
+        assert glass.table.best_route(unknown) is None
 
     def test_prefix_count_by_neighbor(self, tiny_internet, result):
         glass = LookingGlass.from_result(result, tiny_internet.tier1[0])

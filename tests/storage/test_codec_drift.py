@@ -11,6 +11,7 @@ import ast
 import pathlib
 
 import pytest
+from helpers import with_extra_field
 
 from repro.devtools.engine import LintContext, ModuleUnderLint
 from repro.devtools.rules_codec import crosscheck
@@ -53,7 +54,7 @@ def test_cloned_dataclass_with_extra_field_is_flagged(
     codec_module, context, relative, module_name, class_name
 ):
     schema = _real_schema(relative, module_name, class_name)
-    drifted = schema.with_extra_field("shadow_metric")
+    drifted = with_extra_field(schema, "shadow_metric")
     analysis = crosscheck(
         codec_module, context, schema_overrides={class_name: drifted}
     )

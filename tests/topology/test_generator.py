@@ -1,9 +1,11 @@
 """Unit tests for the synthetic Internet generator."""
 
 import pytest
+from helpers import stub_ases
 
 from repro.exceptions import TopologyError
 from repro.topology.generator import GeneratorParameters, InternetGenerator
+from repro.topology.graph import Relationship
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +60,7 @@ class TestTopologyShape:
             assert graph.providers_of(asn) == []
             for other in tier1:
                 if other != asn:
-                    assert graph.is_peer_of(asn, other)
+                    assert graph.relationship(asn, other) is Relationship.PEER
 
     def test_every_non_tier1_as_has_a_provider(self, small_internet):
         graph = small_internet.graph
@@ -69,12 +71,12 @@ class TestTopologyShape:
 
     def test_stubs_have_no_customers(self, small_internet):
         graph = small_internet.graph
-        for stub in small_internet.stub_ases():
+        for stub in stub_ases(small_internet):
             assert graph.customers_of(stub) == []
 
     def test_some_stubs_are_multihomed(self, small_internet):
         graph = small_internet.graph
-        stubs = small_internet.stub_ases()
+        stubs = stub_ases(small_internet)
         multihomed = [s for s in stubs if graph.is_multihomed(s)]
         assert 0 < len(multihomed) < len(stubs)
 
@@ -96,18 +98,18 @@ class TestTopologyShape:
 
 class TestAddressPlan:
     def test_every_stub_originates_prefixes(self, small_internet):
-        for stub in small_internet.stub_ases():
+        for stub in stub_ases(small_internet):
             assert small_internet.prefixes_of(stub)
 
     def test_prefix_ownership_lookup(self, small_internet):
-        stub = small_internet.stub_ases()[0]
+        stub = stub_ases(small_internet)[0]
         prefix = small_internet.prefixes_of(stub)[0]
-        assert small_internet.origin_of(prefix) == stub
-
-    def test_origin_of_unknown_prefix(self, small_internet):
-        from repro.net.prefix import Prefix
-
-        assert small_internet.origin_of(Prefix.parse("203.0.113.0/24")) is None
+        owners = [
+            asn
+            for asn, prefixes in small_internet.originated.items()
+            if prefix in prefixes
+        ]
+        assert owners == [stub]
 
     def test_non_split_prefixes_do_not_overlap_across_ases(self, small_internet):
         split_specifics = {
@@ -129,9 +131,11 @@ class TestAddressPlan:
 
     def test_split_pairs_recorded_and_announced(self, small_internet):
         for original, specifics in small_internet.split_pairs:
-            origin = small_internet.origin_of(original)
-            assert origin is not None
-            originated = small_internet.prefixes_of(origin)
+            (originated,) = [
+                prefixes
+                for prefixes in small_internet.originated.values()
+                if original in prefixes
+            ]
             for specific in specifics:
                 assert specific in originated
                 assert original.contains(specific)

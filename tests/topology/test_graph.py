@@ -1,6 +1,7 @@
 """Unit tests for the annotated AS graph."""
 
 import pytest
+from helpers import is_customer_of
 
 from repro.exceptions import TopologyError
 from repro.net.aspath import ASPath
@@ -29,16 +30,11 @@ class TestConstruction:
         assert graph.relationship(3, 4) is Relationship.PEER
         assert graph.relationship(4, 3) is Relationship.PEER
 
-    def test_add_edge_orientation(self):
-        graph = AnnotatedASGraph()
-        graph.add_edge(10, 20, Relationship.PROVIDER)
-        assert graph.is_provider_of(20, 10)
-
     def test_add_sibling(self):
         graph = AnnotatedASGraph()
         graph.add_sibling(1, 2)
         assert graph.relationship(1, 2) is Relationship.SIBLING
-        assert graph.siblings_of(1) == [2]
+        assert graph.relationship(2, 1) is Relationship.SIBLING
 
     def test_self_loops_rejected(self):
         graph = AnnotatedASGraph()
@@ -49,24 +45,12 @@ class TestConstruction:
         with pytest.raises(TopologyError):
             graph.add_sibling(3, 3)
 
-    def test_remove_edge(self, paper_figure1_graph):
-        graph = paper_figure1_graph
-        graph.remove_edge(3, 4)
-        assert graph.relationship(3, 4) is None
-        assert graph.relationship(4, 3) is None
-
     def test_counts_and_degree(self, paper_figure1_graph):
         graph = paper_figure1_graph
         assert len(graph) == 6
         assert graph.edge_count() == 6
         assert graph.degree(2) == 3
         assert graph.degree(6) == 1
-
-    def test_relationship_inverse(self):
-        assert Relationship.CUSTOMER.inverse() is Relationship.PROVIDER
-        assert Relationship.PROVIDER.inverse() is Relationship.CUSTOMER
-        assert Relationship.PEER.inverse() is Relationship.PEER
-        assert Relationship.SIBLING.inverse() is Relationship.SIBLING
 
 
 class TestNeighborQueries:
@@ -79,10 +63,10 @@ class TestNeighborQueries:
 
     def test_is_provider_and_peer(self, paper_figure1_graph):
         graph = paper_figure1_graph
-        assert graph.is_provider_of(2, 4)
-        assert not graph.is_provider_of(4, 2)
-        assert graph.is_peer_of(3, 4)
-        assert not graph.is_peer_of(1, 4)
+        assert graph.relationship(2, 4) is Relationship.CUSTOMER
+        assert graph.relationship(4, 2) is not Relationship.CUSTOMER
+        assert graph.relationship(3, 4) is Relationship.PEER
+        assert graph.relationship(1, 4) is not Relationship.PEER
 
     def test_multihoming_and_stub(self):
         graph = AnnotatedASGraph.from_edges(
@@ -97,7 +81,10 @@ class TestNeighborQueries:
         edges = list(paper_figure1_graph.edges())
         assert len(edges) == 6
         transit = [e for e in edges if e.relationship is Relationship.CUSTOMER]
-        assert all(paper_figure1_graph.is_provider_of(e.provider, e.customer) for e in transit)
+        assert all(
+            paper_figure1_graph.relationship(e.provider, e.customer) is Relationship.CUSTOMER
+            for e in transit
+        )
         peer_edges = [e for e in edges if e.relationship is Relationship.PEER]
         assert len(peer_edges) == 1
         assert peer_edges[0].other(3) == 4
@@ -118,32 +105,22 @@ class TestCustomerCone:
 
     def test_is_customer_of(self, paper_figure1_graph):
         graph = paper_figure1_graph
-        assert graph.is_customer_of(6, 1)  # indirect
-        assert graph.is_customer_of(4, 2)  # direct
-        assert not graph.is_customer_of(3, 2)  # unrelated branch
-        assert not graph.is_customer_of(1, 4)  # inverse direction
-        assert not graph.is_customer_of(99, 1)
+        assert is_customer_of(graph, 6, 1)  # indirect
+        assert is_customer_of(graph, 4, 2)  # direct
+        assert not is_customer_of(graph, 3, 2)  # unrelated branch
+        assert not is_customer_of(graph, 1, 4)  # inverse direction
+        assert not is_customer_of(graph, 99, 1)
 
     def test_find_customer_path(self, paper_figure1_graph):
         graph = paper_figure1_graph
         path = graph.find_customer_path(1, 6)
         assert path is not None
         assert path[0] == 1 and path[-1] == 6
-        assert graph.path_is_active_customer_path(path)
+        assert all(
+            graph.relationship(left, right) is Relationship.CUSTOMER
+            for left, right in zip(path, path[1:])
+        )
         assert graph.find_customer_path(2, 3) is None
-
-    def test_all_customer_paths_with_multihoming(self):
-        graph = AnnotatedASGraph.from_edges(
-            provider_customer=[(1, 2), (1, 3), (2, 4), (3, 4)]
-        )
-        paths = graph.all_customer_paths(1, 4)
-        assert sorted(paths) == [[1, 2, 4], [1, 3, 4]]
-
-    def test_all_customer_paths_respects_limit(self):
-        graph = AnnotatedASGraph.from_edges(
-            provider_customer=[(1, 2), (1, 3), (2, 4), (3, 4)]
-        )
-        assert len(graph.all_customer_paths(1, 4, limit=1)) == 1
 
 
 class TestValleyFree:
@@ -189,12 +166,5 @@ class TestValleyFree:
 
 
 class TestConversion:
-    def test_to_networkx(self, paper_figure1_graph):
-        nx_graph = paper_figure1_graph.to_networkx()
-        assert nx_graph.number_of_nodes() == 6
-        assert nx_graph.has_edge(2, 4)
-        assert nx_graph[2][4]["relationship"] == "p2c"
-        assert nx_graph.has_edge(3, 4) and nx_graph.has_edge(4, 3)
-
     def test_repr(self, paper_figure1_graph):
         assert "ases=6" in repr(paper_figure1_graph)

@@ -54,8 +54,14 @@ class TestClassifyTiers:
 
     def test_ases_in_tier(self):
         classification = classify_tiers(small_hierarchy())
-        assert classification.ases_in_tier(1) == [1, 2]
-        assert classification.ases_in_tier(3) == [100, 200]
+        by_tier = {}
+        for asn, tier in classification.tiers.items():
+            by_tier.setdefault(tier, []).append(asn)
+        assert {tier: sorted(ases) for tier, ases in by_tier.items()} == {
+            1: [1, 2],
+            2: [10, 20],
+            3: [100, 200],
+        }
 
     def test_empty_graph(self):
         classification = classify_tiers(AnnotatedASGraph())
