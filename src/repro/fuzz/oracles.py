@@ -1,7 +1,7 @@
 """Differential and metamorphic oracles the fuzz harness checks per sample.
 
-Two *differential* oracles pin the repo's two engine pairs to each other on
-every sampled scenario, extending the fixed golden suites
+Three *differential* oracles pin each fast path to the computation it
+replaces on every sampled scenario, extending the fixed golden suites
 (``tests/simulation/test_fastpath_equivalence.py`` and
 ``tests/analysis/test_engine_equivalence.py``) to unbounded scenario
 diversity:
@@ -12,6 +12,10 @@ diversity:
 * ``analysis-differential`` — the one-pass :class:`~repro.analysis.engine.AnalysisEngine`
   returns objects equal to every corresponding legacy :mod:`repro.core`
   analyzer on the same dataset.
+* ``timeline-incremental`` — a high-churn persistence timeline, which
+  re-seeds one engine per snapshot, equals a fresh compile and run at
+  every snapshot: compiled topology, RIB columns, message count and
+  truncated prefixes.
 
 The *metamorphic / ground-truth* oracles assert the paper's invariants
 against the generator's ground truth, independent of either implementation:
@@ -54,6 +58,8 @@ from repro.relationships.gao import GaoInference
 from repro.relationships.sark import RankBasedInference
 from repro.relationships.validation import compare_with_ground_truth
 from repro.simulation.collector import RouteViewsCollector
+from repro.simulation.fastpath import FastPropagationEngine
+from repro.simulation.timeline import Snapshot, Timeline, TimelineParameters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.engine import AnalysisEngine
@@ -61,7 +67,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.asn import ASN
     from repro.session.stages import StudyConfig
     from repro.simulation.collector import CollectorTable
+    from repro.simulation.policies import PolicyAssignment
     from repro.simulation.propagation import SimulationResult
+    from repro.topology.generator import SyntheticInternet
     from repro.topology.graph import AnnotatedASGraph
 
 
@@ -171,6 +179,66 @@ def check_propagation_equivalence(
     for asn in legacy.observed_ases:
         if fast_tables[asn] != legacy_tables[asn]:
             raise _diverged(oracle, f"observed tables at AS{asn}")
+
+
+# -- differential: incremental timeline vs full recomputation ----------------------
+
+
+class _CheckedTimeline(Timeline):
+    """A timeline that compares every snapshot with a full recomputation."""
+
+    def _propagate(
+        self, engine: FastPropagationEngine, changed: set["ASN"]
+    ) -> "SimulationResult":
+        result = super()._propagate(engine, changed)
+        fresh = FastPropagationEngine(
+            self.internet, engine.assignment, observed_ases=self.observed_ases
+        )
+        after = f"after re-seeding {len(changed)} churned origins"
+        if engine.compiled != fresh.compiled:
+            raise OracleViolation(
+                "timeline-incremental", f"the compiled topology differs {after}"
+            )
+        expected = fresh.run()
+        for what, got, want in (
+            ("message counts", result.message_count, expected.message_count),
+            ("truncated prefixes", result.truncated_prefixes, expected.truncated_prefixes),
+            ("RIB columns", result.rib, expected.rib),
+        ):
+            if got != want:
+                raise OracleViolation(
+                    "timeline-incremental",
+                    f"{what} differ from a fresh compile and run {after}",
+                )
+        return result
+
+
+def check_timeline_incremental(
+    internet: "SyntheticInternet",
+    assignment: "PolicyAssignment",
+    observed_ases: list["ASN"],
+    parameters: TimelineParameters,
+) -> list[Snapshot]:
+    """Assert every timeline snapshot equals a fresh compile and run.
+
+    The timeline compiles once and re-seeds the origins each churn step
+    touched; every snapshot's compiled topology, RIB columns, message count
+    and truncated prefixes must equal those of a new engine built on the
+    churned assignment.
+
+    Args:
+        internet: the synthetic Internet.
+        assignment: the base policy assignment (the timeline churns a copy).
+        observed_ases: the ASes whose tables are compared.
+        parameters: the timeline's snapshot count and churn.
+
+    Returns:
+        The snapshots, for callers that check the churn was not vacuous.
+
+    Raises:
+        OracleViolation: on the first snapshot that differs.
+    """
+    return _CheckedTimeline(internet, assignment, observed_ases, parameters).run()
 
 
 # -- differential: analysis engine vs legacy analyzers ------------------------------
@@ -613,6 +681,21 @@ ORACLES: tuple[tuple[str, Callable[[FuzzContext], None]], ...] = (
     (
         "analysis-differential",
         lambda ctx: check_analysis_equivalence(ctx.dataset, ctx.engine),
+    ),
+    (
+        "timeline-incremental",
+        lambda ctx: check_timeline_incremental(
+            ctx.dataset.internet,
+            ctx.dataset.assignment,
+            ctx.fast_result.observed_ases,
+            TimelineParameters(
+                snapshot_count=3,
+                churn_probability=0.5,
+                appear_probability=0.2,
+                disappear_probability=0.2,
+                seed=ctx.seed,
+            ),
+        ),
     ),
     ("valley-free", lambda ctx: check_valley_free(ctx.graph, ctx.fast_result)),
     (

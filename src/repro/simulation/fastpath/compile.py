@@ -22,25 +22,22 @@ schedule identical to the legacy engine's):
   ``(target, slot)`` pairs, where ``slot`` is the *receiver-side* CSR slot
   of the edge — so the engine's hot loop never looks an edge up;
 * per-(origin, prefix) seed plans replaying the origin's selective /
-  scoped / peer-withholding export policy as ordered announcement groups;
-* an initial community-set intern table (id 0 is the empty set; scoped
-  announcements intern their "do not propagate" marker at compile time).
+  scoped / peer-withholding export policy as ordered announcement groups.
+  A plan carries its community sets by value, so it means the same thing
+  to every engine core and :func:`compile_seeds` can re-lower one origin's
+  plans after its export policy changed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
-from repro.bgp.attributes import EMPTY_COMMUNITIES, Community, CommunitySet
+from repro.bgp.attributes import Community
 from repro.exceptions import SimulationError
 from repro.net.asn import ASN
 from repro.net.prefix import Prefix
-from repro.simulation.policies import (
-    SCOPED_ANNOUNCEMENT_VALUE,
-    ASPolicy,
-    PolicyAssignment,
-    scoped_community,
-)
+from repro.simulation.policies import SCOPED_ANNOUNCEMENT_VALUE, PolicyAssignment
 from repro.simulation.rib import REL_CUSTOMER, REL_PEER, REL_PROVIDER, REL_SIBLING
 from repro.topology.generator import SyntheticInternet
 from repro.topology.graph import Relationship
@@ -58,21 +55,31 @@ _REL_CODE = {
 #: An announcement fan-out: ((target dense id, receiver-side CSR slot), ...).
 TargetPairs = tuple[tuple[int, int], ...]
 
+#: A community set in the engine's run form: its ``(asn, value)`` pairs.
+CommunityPairs = frozenset[tuple[int, int]]
+
+_NO_COMMUNITIES: CommunityPairs = frozenset()
+
 
 @dataclass(frozen=True)
 class SeedPlan:
     """The origin's opening announcements for one prefix.
 
+    Plans compare and hash by value; the fast engine keys its task memo on
+    them.
+
     Attributes:
-        groups: ordered announcement groups ``(target pairs, community-set
-            id)``; flattened, the groups enqueue targets in the exact order
-            the legacy engine does (plain providers, scoped providers, then
-            peers + customers + siblings).
+        groups: ordered announcement groups ``(target pairs, community
+            set)``; the set is empty for a plain announcement and holds the
+            provider's scoped marker for a scoped one.  Flattened, the
+            groups enqueue targets in the exact order the legacy engine
+            does (plain providers, scoped providers, then peers + customers
+            + siblings).
         announced: the set of seeded targets (the origin's initial
             ``announced_to``).
     """
 
-    groups: tuple[tuple[TargetPairs, int], ...]
+    groups: tuple[tuple[TargetPairs, CommunityPairs], ...]
     announced: frozenset[int]
 
 
@@ -81,9 +88,7 @@ class CompiledTopology:
     """The flat, integer-indexed form of one (graph, policy assignment) pair.
 
     All per-AS arrays are indexed by dense id; the ``edge_*`` columns are
-    indexed by CSR slot (``nbr_slot[u][v]``).  ``comm_table`` / ``comm_index``
-    hold the *initial* community-set intern table; engines copy and extend it
-    per run.
+    indexed by CSR slot (``nbr_slot[u][v]``).
     """
 
     asns: tuple[ASN, ...]
@@ -115,11 +120,6 @@ class CompiledTopology:
     seeds: dict[tuple[int, Prefix], SeedPlan]
     # Observation.
     observed: tuple[int, ...]
-    # Community-set interning (initial table; engines copy then extend).
-    comm_table: list[CommunitySet] = field(default_factory=lambda: [EMPTY_COMMUNITIES])
-    comm_index: dict[CommunitySet, int] = field(
-        default_factory=lambda: {EMPTY_COMMUNITIES: 0}
-    )
 
     @property
     def as_count(self) -> int:
@@ -144,48 +144,63 @@ class CompiledTopology:
         return tuple(pairs)
 
 
-def compile_seed_plan(
+def compile_seeds(
     topology: CompiledTopology,
-    policy: ASPolicy,
-    providers: list[ASN],
-    peers: list[ASN],
-    customers: list[ASN],
-    siblings: list[ASN],
-    prefix: Prefix,
-    intern_comm,
-) -> SeedPlan:
-    """Lower one origin's export policy for one prefix into a seed plan.
+    internet: SyntheticInternet,
+    assignment: PolicyAssignment,
+    origins: Iterable[ASN],
+) -> None:
+    """Lower each origin's export policy into the seed plans of its prefixes.
 
-    ``intern_comm`` maps a :class:`CommunitySet` to its intern id in the
-    topology's initial table.
+    Replaces the plans in ``topology.seeds`` in place.  This is the one
+    place an origin's export policy is lowered: :func:`compile_topology`
+    calls it for every origin, and the fast engine's ``reseed`` for the
+    origins whose policy changed since.
+
+    Raises:
+        SimulationError: if an origin is not in the graph, or its policy
+            announces to a non-neighbor.
     """
     index_of = topology.index_of
-    origin_idx = index_of[policy.asn]
-    plain = policy.providers_for_prefix(prefix, providers)
-    scoped = policy.scoped_providers_for_prefix(prefix)
-    peer_targets = policy.peers_for_prefix(prefix, peers)
+    for origin in origins:
+        origin_idx = index_of.get(origin)
+        if origin_idx is None:
+            raise SimulationError(f"origin AS{origin} is not in the graph")
+        by_rel: dict[int, list[ASN]] = {code: [] for code in _REL_CODE.values()}
+        for neighbor, relationship in internet.graph.neighbor_items(origin):
+            by_rel[_REL_CODE[relationship]].append(neighbor)
+        policy = assignment.policy_for(origin)
+        for prefix in internet.prefixes_of(origin):
+            plain = policy.providers_for_prefix(prefix, by_rel[REL_PROVIDER])
+            scoped = policy.scoped_providers_for_prefix(prefix)
+            peer_targets = policy.peers_for_prefix(prefix, by_rel[REL_PEER])
 
-    groups: list[tuple[TargetPairs, int]] = []
-    plain_targets = [index_of[p] for p in sorted(plain - scoped)]
-    if plain_targets:
-        groups.append((topology.pairs_from(origin_idx, plain_targets), 0))
-    for provider in sorted(scoped):
-        marked = EMPTY_COMMUNITIES.add(scoped_community(provider))
-        groups.append(
-            (
-                topology.pairs_from(origin_idx, [index_of[provider]]),
-                intern_comm(marked),
+            groups: list[tuple[TargetPairs, CommunityPairs]] = []
+            plain_targets = [index_of[p] for p in sorted(plain - scoped)]
+            if plain_targets:
+                groups.append(
+                    (topology.pairs_from(origin_idx, plain_targets), _NO_COMMUNITIES)
+                )
+            for provider in sorted(scoped):
+                provider_idx = index_of[provider]
+                groups.append(
+                    (
+                        topology.pairs_from(origin_idx, [provider_idx]),
+                        frozenset((topology.scoped_marker[provider_idx],)),
+                    )
+                )
+            rest = [
+                index_of[t]
+                for t in sorted(peer_targets)
+                + sorted(by_rel[REL_CUSTOMER])
+                + sorted(by_rel[REL_SIBLING])
+            ]
+            if rest:
+                groups.append((topology.pairs_from(origin_idx, rest), _NO_COMMUNITIES))
+            announced = frozenset(pair[0] for pairs, _ in groups for pair in pairs)
+            topology.seeds[(origin_idx, prefix)] = SeedPlan(
+                groups=tuple(groups), announced=announced
             )
-        )
-    rest = [
-        index_of[t] for t in sorted(peer_targets) + sorted(customers) + sorted(siblings)
-    ]
-    if rest:
-        groups.append((topology.pairs_from(origin_idx, rest), 0))
-    announced = frozenset(
-        pair[0] for pairs, _ in groups for pair in pairs
-    )
-    return SeedPlan(groups=tuple(groups), announced=announced)
 
 
 def compile_topology(
@@ -318,30 +333,11 @@ def compile_topology(
             topology.pairs_from(sender_idx, sorted(customers + siblings))
         )
 
-    def intern_comm(communities: CommunitySet) -> int:
-        comm_id = topology.comm_index.get(communities)
-        if comm_id is None:
-            comm_id = len(topology.comm_table)
-            topology.comm_table.append(communities)
-            topology.comm_index[communities] = comm_id
-        return comm_id
-
-    for origin in sorted(internet.originated):
-        if origin not in index_of:
-            raise SimulationError(f"origin AS{origin} is not in the graph")
-        origin_idx = index_of[origin]
-        by_rel = neighbor_lists[origin]
-        policy = assignment.policy_for(origin)
-        for prefix in internet.prefixes_of(origin):
-            topology.origin_tasks.append((origin_idx, prefix))
-            topology.seeds[(origin_idx, prefix)] = compile_seed_plan(
-                topology,
-                policy,
-                by_rel[REL_PROVIDER],
-                by_rel[REL_PEER],
-                by_rel[REL_CUSTOMER],
-                by_rel[REL_SIBLING],
-                prefix,
-                intern_comm,
-            )
+    origins = sorted(internet.originated)
+    compile_seeds(topology, internet, assignment, origins)
+    topology.origin_tasks.extend(
+        (index_of[origin], prefix)
+        for origin in origins
+        for prefix in internet.prefixes_of(origin)
+    )
     return topology

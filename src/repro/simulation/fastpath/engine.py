@@ -31,6 +31,26 @@ Every prefix runs in the calling process, in task order, through one
 lives one level up, in ``repro sweep``, where whole cases are independent
 and nothing has to be merged.
 
+**Each task signature propagates once.**  A task — one origin announcing
+one prefix — has the *signature* ``(origin id, SeedPlan, prefix or
+None)``, where the prefix is kept only if some AS's ``prefix_local_pref``
+override names it.  The signature fixes the task's outcome (observed rows,
+message count, truncation) over a given compiled topology because:
+
+* :meth:`_Core.run_task` reads the prefix in one place only, the per-prefix
+  LOCAL_PREF override lookup, and an unnamed prefix never matches there;
+* per-AS state is reset by generation stamp, so no task sees another's;
+* the intern tables and memos are pure caches: a repeated path, set or
+  target list gets the id it got first;
+* :meth:`RibWriter.finish <repro.simulation.rib.RibWriter.finish>`
+  re-interns over the final rows, so which task wrote a row changes no id.
+
+:meth:`FastPropagationEngine.run` therefore propagates each distinct
+signature once and writes its rows for every member prefix.  It keeps the
+signatures it used for the next ``run()`` on the same engine, so after
+:meth:`FastPropagationEngine.reseed` only the tasks whose plans changed
+propagate again (the persistence timeline's snapshots).
+
 The ORIGIN attribute is constant (``originate`` always emits ``Origin.IGP``
 and no policy knob rewrites it), so it is excluded from the decision key and
 the re-announcement signature; the legacy engine relies on the same
@@ -40,14 +60,27 @@ invariant.
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterable
 
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF
 from repro.net.asn import ASN
 from repro.net.prefix import Prefix
-from repro.simulation.fastpath.compile import CompiledTopology, SeedPlan, compile_topology
+from repro.simulation.fastpath.compile import (
+    CommunityPairs,
+    CompiledTopology,
+    SeedPlan,
+    compile_seeds,
+    compile_topology,
+)
 from repro.simulation.policies import PolicyAssignment
 from repro.simulation.propagation import SimulationResult
-from repro.simulation.rib import KIND_LOCAL, REL_CUSTOMER, REL_SIBLING, RibWriter
+from repro.simulation.rib import (
+    KIND_LOCAL,
+    REL_CUSTOMER,
+    REL_SIBLING,
+    CandidateRow,
+    RibWriter,
+)
 from repro.topology.generator import SyntheticInternet
 
 _EMPTY_SET: frozenset[int] = frozenset()
@@ -98,8 +131,9 @@ class _Core:
     """Propagation over a compiled topology.
 
     Holds the intern tables (paths, community sets, export
-    target memos) and the recycled state slots; one core serves every prefix
-    of a run, so interned structure is shared across prefixes.
+    target memos) and the recycled state slots; one core serves every task
+    of its engine, across runs, so interned structure is shared across
+    prefixes and the ids in a memoised task's rows stay valid.
     """
 
     def __init__(self, topology: CompiledTopology, message_budget: int) -> None:
@@ -113,16 +147,13 @@ class _Core:
         self._path_index: dict[tuple[int, ...], int] = {}
         self._plen: list[int] = []
         self._prepend_memo: dict[tuple[int, int], int] = {}
-        # Community-set interning, seeded from the compiled table.  The run
+        # Community-set interning; id 0 is the empty set.  The run
         # representation of a set is a frozenset of (asn, value) int pairs —
         # value-deduplicated so id equality is set equality; no CommunitySet
         # is built while propagating.
-        self._comm_members: list[frozenset[tuple[int, int]]] = []
-        self._comm_lookup: dict[frozenset[tuple[int, int]], int] = {}
-        for communities in topology.comm_table:
-            pairs = frozenset((c.asn, c.value) for c in communities.communities)
-            self._comm_lookup[pairs] = len(self._comm_members)
-            self._comm_members.append(pairs)
+        self._comm_members: list[CommunityPairs] = []
+        self._comm_lookup: dict[CommunityPairs, int] = {}
+        self._intern_comm(frozenset())
         self._tag_pairs = [(t.asn, t.value) for t in topology.tag_communities]
         # Per-tag memo of comm_id -> comm_id-with-tag (int keys, no tuples).
         self._comm_tag_memos: list[dict[int, int]] = [
@@ -157,13 +188,16 @@ class _Core:
             self._prepend_memo[key] = new_id
         return new_id
 
-    def _comm_add(self, comm_id: int, tag_id: int) -> int:
-        members = self._comm_members[comm_id] | {self._tag_pairs[tag_id]}
-        new_id = self._comm_lookup.get(members)
-        if new_id is None:
-            new_id = len(self._comm_members)
-            self._comm_lookup[members] = new_id
+    def _intern_comm(self, members: CommunityPairs) -> int:
+        comm_id = self._comm_lookup.get(members)
+        if comm_id is None:
+            comm_id = len(self._comm_members)
+            self._comm_lookup[members] = comm_id
             self._comm_members.append(members)
+        return comm_id
+
+    def _comm_add(self, comm_id: int, tag_id: int) -> int:
+        new_id = self._intern_comm(self._comm_members[comm_id] | {self._tag_pairs[tag_id]})
         self._comm_tag_memos[tag_id][comm_id] = new_id
         return new_id
 
@@ -174,9 +208,9 @@ class _Core:
 
         Returns ``(messages processed, truncated?)``; the resulting per-AS
         states stay in the core's slot array (current generation) until the
-        next ``run_task`` call — read them via :meth:`write_observed` or
-        :meth:`states`.  The hot loop is deliberately inlined: per-message
-        work is a handful of array and dict operations over interned ids.
+        next ``run_task`` call — read them via :meth:`observed_rows`.  The
+        hot loop is deliberately inlined: per-message work is a handful of
+        array and dict operations over interned ids.
         """
         topology = self.topology
         edge_lp = topology.edge_lp
@@ -215,8 +249,8 @@ class _Core:
         # path_id None marks a withdrawal group (targets are plain ids);
         # announcement groups carry (target, receiver-side slot) pairs.
         queue: deque[tuple] = deque()
-        for pairs, comm_id in seed.groups:
-            queue.append((origin_idx, pairs, local_path, comm_id))
+        for pairs, communities in seed.groups:
+            queue.append((origin_idx, pairs, local_path, self._intern_comm(communities)))
 
         budget = self.message_budget
         processed = 0
@@ -442,19 +476,20 @@ class _Core:
         """
         return tuple(self._comm_members[comm_id])
 
-    def write_observed(self, prefix: Prefix, writer: RibWriter) -> None:
-        """Append the observed ASes' entries for ``prefix`` to ``writer``.
+    def observed_rows(self) -> list[tuple[int, list[CandidateRow], int]]:
+        """The observed ASes' entries after the most recent ``run_task``.
 
-        Reads the most recent ``run_task``'s states: per observed AS, the
-        candidates in insertion order as RIB rows (interned path and
-        community ids, LOCAL_PREF, kind, learned-from AS) plus the best
-        candidate's position.  A state whose candidates were all withdrawn
-        is recorded as no entry at all, exactly like the legacy
-        ``_record_observed``.
+        One ``(observed slot, candidate rows, best position)`` per observed
+        AS holding candidates: the candidates in insertion order as RIB rows
+        (interned path and community ids, LOCAL_PREF, kind, learned-from
+        AS).  A state whose candidates were all withdrawn yields no entry at
+        all, exactly like the legacy ``_record_observed``.  The rows name
+        no prefix, so one task's rows serve every prefix of its signature.
         """
         asns = self.topology.asns
         states = self._states
         gen = self._generation
+        entries = []
         for slot, asn_idx in enumerate(self.topology.observed):
             state = states[asn_idx]
             if state is None or state.gen != gen or not state.cand:
@@ -466,7 +501,8 @@ class _Core:
                 if sender == best_sender:
                     best = len(rows)
                 rows.append((cand[2], cand[3], cand[0], cand[4], asns[sender]))
-            writer.add(slot, prefix, rows, best)
+            entries.append((slot, rows, best))
+        return entries
 
 
 class FastPropagationEngine:
@@ -480,7 +516,9 @@ class FastPropagationEngine:
         message_budget_per_prefix: safety valve against policy-induced
             oscillation (same semantics as the legacy engine).
 
-    The constructor compiles the topology; :meth:`run` propagates.
+    The constructor compiles the topology; :meth:`run` propagates, and
+    :meth:`reseed` re-lowers origins whose export policy changed between
+    two runs.
     """
 
     def __init__(
@@ -498,26 +536,61 @@ class FastPropagationEngine:
         )
         self.message_budget_per_prefix = message_budget_per_prefix
         self.compiled = compile_topology(internet, assignment, self.observed_ases)
+        self._core = _Core(self.compiled, message_budget_per_prefix)
+        # The prefixes some LOCAL_PREF override names: the only prefixes a
+        # task's outcome can depend on.
+        self._overridden = frozenset(
+            prefix
+            for overrides in self.compiled.edge_overrides.values()
+            for prefix in overrides
+        )
+        # Signature -> (messages, truncated?, observed rows) of the last run.
+        self._memo: dict[tuple, tuple[int, bool, list]] = {}
 
     # -- public API ----------------------------------------------------------
+
+    def reseed(self, origins: Iterable[ASN]) -> None:
+        """Re-lower the seed plans of ``origins`` from the current assignment.
+
+        Call it after changing those origins' export policies (announced,
+        scoped or withheld-from neighbors) in place; the next :meth:`run`
+        propagates only the tasks whose plans changed.  Every other compiled
+        field is read once, at construction: a change to any other policy
+        needs a new engine.
+        """
+        compile_seeds(self.compiled, self.internet, self.assignment, sorted(origins))
 
     def run(self) -> SimulationResult:
         """Propagate every originated prefix and return the observed tables.
 
-        Each prefix's observed entries go straight from the per-AS states
-        into the columnar RIB; no route object is built.
+        Each distinct task signature propagates once (see the module
+        docstring); a signature the previous ``run()`` on this engine used
+        is not propagated again.  Observed entries go straight from the
+        per-AS states into the columnar RIB; no route object is built.
         """
-        core = _Core(self.compiled, self.message_budget_per_prefix)
+        core = self._core
         seeds = self.compiled.seeds
+        overridden = self._overridden
+        previous = self._memo
+        memo: dict[tuple, tuple[int, bool, list]] = {}
         writer = RibWriter(self.observed_ases, core.path_asns, core.community_pairs)
         message_count = 0
         truncated: list[Prefix] = []
         for origin_idx, prefix in self.compiled.origin_tasks:
-            processed, cut = core.run_task(origin_idx, prefix, seeds[(origin_idx, prefix)])
+            seed = seeds[(origin_idx, prefix)]
+            signature = (origin_idx, seed, prefix if prefix in overridden else None)
+            outcome = memo.get(signature) or previous.get(signature)
+            if outcome is None:
+                processed, cut = core.run_task(origin_idx, prefix, seed)
+                outcome = (processed, cut, core.observed_rows())
+            memo[signature] = outcome
+            processed, cut, entries = outcome
             message_count += processed
             if cut:
                 truncated.append(prefix)
-            core.write_observed(prefix, writer)
+            for slot, rows, best in entries:
+                writer.add(slot, prefix, rows, best)
+        self._memo = memo
         return SimulationResult(
             internet=self.internet,
             assignment=self.assignment,
@@ -525,5 +598,3 @@ class FastPropagationEngine:
             message_count=message_count,
             truncated_prefixes=truncated,
         )
-
-    # -- helpers -------------------------------------------------------------

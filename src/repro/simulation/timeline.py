@@ -6,11 +6,16 @@ Between snapshots, operators occasionally change their export policies —
 switching announcements between providers, adding or removing selective
 announcement — which turns SA prefixes into non-SA prefixes and vice versa.
 
-:class:`Timeline` re-runs the fast propagation engine once per snapshot under
+:class:`Timeline` runs the fast propagation engine once per snapshot under
 a slowly churning policy assignment and records, for each snapshot, the
 tables at the studied providers.  The churn operates only on the origin-level export
 policies; topology and import policies stay fixed, matching the paper's
 premise that what changes day to day is the announcement pattern.
+
+That premise is also what makes the timeline cheap: one engine compiles the
+assignment for snapshot 0, each later snapshot re-seeds only the origins the
+churn touched, and every task whose signature did not change reuses the
+previous snapshot's rows (see :mod:`repro.simulation.fastpath.engine`).
 """
 
 from __future__ import annotations
@@ -96,24 +101,29 @@ class Timeline:
         """Simulate every snapshot and return them in chronological order."""
         rng = random.Random(self.parameters.seed)
         assignment = copy.deepcopy(self.base_assignment)
+        engine = FastPropagationEngine(
+            self.internet, assignment, observed_ases=self.observed_ases
+        )
         snapshots: list[Snapshot] = []
         for index in range(self.parameters.snapshot_count):
             changed: set[ASN] = set()
             if index > 0:
                 changed = self._churn(assignment, rng)
-            result = self._propagate(assignment)
+            result = self._propagate(engine, changed)
             snapshots.append(Snapshot(index=index, result=result, changed_origins=changed))
         return snapshots
 
-    def _propagate(self, assignment: PolicyAssignment) -> SimulationResult:
-        """One snapshot's propagation run under the current assignment.
+    def _propagate(
+        self, engine: FastPropagationEngine, changed: set[ASN]
+    ) -> SimulationResult:
+        """One snapshot's propagation run under the engine's (churned) assignment.
 
-        The churn mutates export policies in place, so every snapshot
-        compiles the assignment afresh.
+        The churn mutates export policies in place, so the engine re-seeds
+        the origins it touched; every other task reuses the previous
+        snapshot's rows.
         """
-        return FastPropagationEngine(
-            self.internet, assignment, observed_ases=self.observed_ases
-        ).run()
+        engine.reseed(changed)
+        return engine.run()
 
     # -- churn ---------------------------------------------------------------------
 

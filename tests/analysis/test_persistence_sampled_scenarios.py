@@ -25,9 +25,9 @@ from repro.topology.generator import InternetGenerator
 class LegacyTimeline(Timeline):
     """The same churn schedule, propagated by the legacy engine (the oracle)."""
 
-    def _propagate(self, assignment):
+    def _propagate(self, engine, changed):
         return PropagationEngine(
-            self.internet, assignment, observed_ases=self.observed_ases
+            self.internet, engine.assignment, observed_ases=self.observed_ases
         ).run()
 
 

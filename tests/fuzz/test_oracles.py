@@ -19,6 +19,7 @@ from repro.fuzz.oracles import (
 )
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
+from repro.simulation.fastpath import FastPropagationEngine
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +133,16 @@ class TestAtomOracle:
         real_atoms = context.engine.atoms()
         with pytest.raises(OracleViolation, match="not a partition"):
             check_atom_refinement(_FakeAtomEngine(real_atoms[:-1]), collector)
+
+
+class TestTimelineIncrementalOracle:
+    def test_origin_left_out_of_the_reseed_is_caught(self, context, monkeypatch):
+        reseed = FastPropagationEngine.reseed
+        monkeypatch.setattr(
+            FastPropagationEngine,
+            "reseed",
+            lambda engine, origins: reseed(engine, sorted(origins)[1:]),
+        )
+        with pytest.raises(OracleViolation, match="compiled topology") as excinfo:
+            dict(ORACLES)["timeline-incremental"](context)
+        assert excinfo.value.oracle == "timeline-incremental"

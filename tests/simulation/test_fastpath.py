@@ -9,7 +9,9 @@ with every AS observed:
   budget-truncation path (the legacy ``run_prefix`` reports both per
   prefix),
 * withdrawal cascades: an AS whose best route flips to a non-exportable one
-  retracts its earlier announcements from providers and peers.
+  retracts its earlier announcements from providers and peers,
+* the task signature: two prefixes of one origin with equal seed plans
+  propagate once, unless a ``prefix_local_pref`` override names one.
 """
 
 import pytest
@@ -21,6 +23,7 @@ from repro.net.asn import ASN
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.simulation.fastpath import FastPropagationEngine, compile_topology
+from repro.simulation.fastpath.engine import _Core
 from repro.simulation.policies import ASPolicy, PolicyAssignment
 from repro.simulation.propagation import PrefixRun, PropagationEngine
 from repro.topology.generator import GeneratorParameters, SyntheticInternet
@@ -30,6 +33,7 @@ from repro.topology.hierarchy import classify_tiers
 O, C, E, X, P = 10, 20, 30, 40, 50
 
 PREFIX = Prefix.parse("10.10.0.0/16")
+TWIN = Prefix.parse("10.20.0.0/16")
 
 
 def _internet(graph: AnnotatedASGraph, originated: dict[ASN, list[Prefix]]) -> SyntheticInternet:
@@ -67,6 +71,26 @@ def cascade_setup():
     # The atypical preference: routes from peer E beat customer routes.
     assignment.policies[X].neighbor_local_pref[E] = 120
     return internet, assignment
+
+
+@pytest.fixture
+def twin_setup(cascade_setup):
+    """The cascade with O originating TWIN too, under the same export policy."""
+    internet, assignment = cascade_setup
+    return _internet(internet.graph, {O: [PREFIX, TWIN]}), assignment
+
+
+def _counted_tasks(monkeypatch) -> list[Prefix]:
+    """Record the prefix of every task the fast engine's core propagates."""
+    calls: list[Prefix] = []
+    run_task = _Core.run_task
+
+    def counting(self, origin_idx, prefix, seed):
+        calls.append(prefix)
+        return run_task(self, origin_idx, prefix, seed)
+
+    monkeypatch.setattr(_Core, "run_task", counting)
+    return calls
 
 
 def _senders(result, asn: ASN) -> set[ASN]:
@@ -117,6 +141,48 @@ class TestWithdrawalCascade:
         assert fast.rib == legacy.rib
         assert fast.message_count == legacy.message_count
         assert fast.truncated_prefixes == legacy.truncated_prefixes
+
+
+class TestTaskSignature:
+    def _both(self, internet, assignment):
+        observed = sorted(internet.graph.ases())
+        legacy = PropagationEngine(internet, assignment, observed_ases=observed).run()
+        fast = FastPropagationEngine(internet, assignment, observed_ases=observed).run()
+        assert fast.rib == legacy.rib
+        assert fast.message_count == legacy.message_count
+        assert fast.truncated_prefixes == legacy.truncated_prefixes
+        return fast
+
+    def test_equal_seed_plans_propagate_once(self, twin_setup, monkeypatch):
+        internet, assignment = twin_setup
+        calls = _counted_tasks(monkeypatch)
+        fast = self._both(internet, assignment)
+        assert calls == [PREFIX]
+        # The one run's rows and messages count for both prefixes.
+        single = FastPropagationEngine(
+            _internet(internet.graph, {O: [PREFIX]}), assignment
+        ).run()
+        assert fast.message_count == 2 * single.message_count
+        table = fast.table_of(X)
+        assert [r.as_path for r in table.all_routes(TWIN)] == [
+            r.as_path for r in table.all_routes(PREFIX)
+        ]
+
+    def test_prefix_override_splits_the_signature(self, twin_setup, monkeypatch):
+        internet, assignment = twin_setup
+        # X ranks every route to TWIN at 80: the customer route C heard
+        # first stays best, where PREFIX flips to the peer route at 120.
+        assignment.policies[X].prefix_local_pref[TWIN] = 80
+        calls = _counted_tasks(monkeypatch)
+        fast = self._both(internet, assignment)
+        assert calls == [PREFIX, TWIN]
+        table = fast.table_of(X)
+        assert table.best_route(PREFIX).local_pref == 120
+        assert table.best_route(TWIN).local_pref == 80
+        assert table.best_route(TWIN).neighbor_kind is NeighborKind.CUSTOMER
+        # ... which X, unlike the peer route, exports to its provider.
+        assert [r.next_hop_as for r in fast.table_of(P).all_routes(TWIN)] == [X]
+        assert fast.table_of(P).all_routes(PREFIX) == []
 
 
 class TestSameRouteOriginFix:

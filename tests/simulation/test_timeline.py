@@ -3,11 +3,24 @@
 import pytest
 
 from repro.exceptions import SimulationError
+from repro.fuzz.oracles import check_timeline_incremental
+from repro.session.scenarios import get_family
 from repro.simulation.collector import LookingGlass
-from repro.simulation.policies import PolicyGenerator, PolicyParameters
+from repro.simulation.fastpath import FastPropagationEngine
+from repro.simulation.policies import PolicyGenerator, PolicyParameters, scoped_community
 from repro.simulation.propagation import PropagationEngine
 from repro.simulation.timeline import Timeline, TimelineParameters
 from repro.topology.generator import GeneratorParameters, InternetGenerator
+
+#: The sampled (family, seed) scenarios of
+#: ``tests/analysis/test_persistence_sampled_scenarios.py``.
+SAMPLES = (("multihoming", 3), ("peering-density", 5))
+
+HIGH_CHURN = {
+    "churn_probability": 0.5,
+    "appear_probability": 0.2,
+    "disappear_probability": 0.2,
+}
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +101,72 @@ class TestTimeline:
 
     def test_no_truncated_prefixes_under_generated_policies(self, result):
         assert result.truncated_prefixes == []
+
+
+def _sample(family: str, seed: int):
+    config = get_family(family).sample(seed)
+    internet = InternetGenerator(config.topology).generate()
+    return internet, PolicyGenerator(config.policy).generate(internet)
+
+
+def _seed_sets(engine) -> set:
+    """Every community set the engine's seed plans announce with."""
+    return {c for seed in engine.compiled.seeds.values() for _, c in seed.groups}
+
+
+def _marker(provider) -> frozenset:
+    """The community set of a route scoped to ``provider``."""
+    community = scoped_community(provider)
+    return frozenset({(community.asn, community.value)})
+
+
+class TestIncrementalTimeline:
+    """One engine per timeline, re-seeded per churn step, equals a fresh one."""
+
+    @pytest.mark.parametrize("family,seed", SAMPLES)
+    def test_every_snapshot_equals_a_fresh_compile_and_run(self, family, seed):
+        internet, assignment = _sample(family, seed)
+        # Raises unless, after every churn step, the engine's compiled
+        # topology (seeds included) equals a fresh compile_topology and the
+        # snapshot's RIB, message count and truncated prefixes equal a
+        # fresh run.
+        snapshots = check_timeline_incremental(
+            internet,
+            assignment,
+            sorted(internet.graph.ases()),
+            TimelineParameters(snapshot_count=6, seed=seed, **HIGH_CHURN),
+        )
+        assert all(snapshot.changed_origins for snapshot in snapshots[1:])
+        assert any(
+            before.result.rib != after.result.rib
+            for before, after in zip(snapshots, snapshots[1:])
+        )
+
+    def test_reseed_with_a_new_scoped_provider_equals_a_fresh_run(self):
+        internet, assignment = _sample(*SAMPLES[0])
+        observed = sorted(internet.graph.ases())
+        engine = FastPropagationEngine(internet, assignment, observed_ases=observed)
+        before = engine.run()
+        graph = internet.graph
+        origin, provider = next(
+            (origin, provider)
+            for origin in sorted(internet.originated)
+            if len(graph.providers_of(origin)) >= 2
+            for provider in sorted(graph.providers_of(origin))
+            if _marker(provider) not in _seed_sets(engine)
+        )
+        prefix = internet.prefixes_of(origin)[0]
+        assignment.policy_for(origin).scoped_to_providers[prefix] = frozenset({provider})
+        engine.reseed([origin])
+        assert _marker(provider) in _seed_sets(engine)
+        result = engine.run()
+        fresh = FastPropagationEngine(internet, assignment, observed_ases=observed)
+        assert engine.compiled == fresh.compiled
+        expected = fresh.run()
+        assert result.rib == expected.rib
+        assert result.message_count == expected.message_count
+        assert result.truncated_prefixes == expected.truncated_prefixes
+        assert result.rib != before.rib
 
 
 class TestLookingGlass:
