@@ -183,6 +183,7 @@ def _legacy_analyzer_pass(dataset) -> tuple[dict, dict]:
     providers = dataset.providers_under_study(3)
     tables = {p: dataset.result.table_of(p) for p in providers}
     originated = dataset.internet.originated
+    collector = dataset.collector
 
     results: dict = {}
     timings: dict[str, float] = {}
@@ -192,7 +193,7 @@ def _legacy_analyzer_pass(dataset) -> tuple[dict, dict]:
         results[name] = fn()
         timings[name] = time.perf_counter() - started
 
-    step("atoms", lambda: PolicyAtomAnalyzer().compute_atoms(dataset.collector))
+    step("atoms", lambda: PolicyAtomAnalyzer().compute_atoms(collector))
     importer = ImportPolicyAnalyzer(graph)
     step("import_lg", lambda: importer.analyze_many(glasses))
     step("import_irr", lambda: importer.analyze_irr(dataset.irr, min_neighbors=5))
@@ -234,7 +235,7 @@ def _legacy_analyzer_pass(dataset) -> tuple[dict, dict]:
             p: (
                 causes.homing_breakdown(r),
                 causes.cause_breakdown(r, tables[p]),
-                causes.case3_analysis(r, dataset.collector),
+                causes.case3_analysis(r, collector),
             )
             for p, r in results["sa_studied"].items()
         },
@@ -251,13 +252,13 @@ def _legacy_analyzer_pass(dataset) -> tuple[dict, dict]:
     step(
         "verify_relationships",
         lambda: Verifier(
-            GaoInference().infer(dataset.collector.all_paths()).graph,
+            GaoInference().infer(collector.all_paths()).graph,
             CommunityAnalyzer(),
         ).verify_relationships(tagging),
     )
     step(
         "verify_sa",
-        lambda: Verifier(graph).verify_many(results["sa_studied"], dataset.collector),
+        lambda: Verifier(graph).verify_many(results["sa_studied"], collector),
     )
     return results, timings
 
@@ -280,7 +281,7 @@ def _engine_analyzer_pass(dataset) -> tuple[dict, dict]:
         timings[name] = time.perf_counter() - started
 
     started = time.perf_counter()
-    engine = AnalysisEngine(MeasurementIndex.from_dataset(dataset))
+    engine = AnalysisEngine(MeasurementIndex(dataset))
     timings["index_build"] = time.perf_counter() - started
 
     step("atoms", engine.atoms)

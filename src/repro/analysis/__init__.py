@@ -4,9 +4,10 @@ This package is the "compile once, query many" layer between the
 observation stage and the paper's analyses:
 
 * :mod:`repro.analysis.index` — :class:`MeasurementIndex` lowers the
-  collector table, the Looking Glass tables (read from the columnar RIB)
-  and the IRR database into dense columnar arrays with interned
-  prefixes/AS paths and precomputed groupings.
+  collector rows and the Looking Glass tables (both read from the
+  columnar RIB, keeping its prefix ids) and the IRR database into dense
+  columnar arrays with interned collector paths and precomputed
+  groupings.
 * :mod:`repro.analysis.engine` — :class:`AnalysisEngine` runs every
   analysis the experiments need as a one-pass query over the shared index,
   with results identical to the legacy :mod:`repro.core` analyzers, its

@@ -63,6 +63,7 @@ from repro.core.verification import SAVerificationResult
 from repro.data.rpsl import rpsl_pref_to_local_pref
 from repro.exceptions import InferenceError, SimulationError
 from repro.net.asn import ASN
+from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
 from repro.relationships.gao import GaoInference
@@ -248,7 +249,7 @@ class AnalysisEngine:
             if atom is None:
                 atom = PolicyAtom(
                     signature=tuple(
-                        (vantage, idx.paths[path_id])
+                        (vantage, ASPath._from_validated(idx.paths[path_id]))
                         for vantage, path_id in signature_ids
                     )
                 )

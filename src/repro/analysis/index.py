@@ -9,16 +9,16 @@ dataclasses) once per analysis, which makes the analyzer pass the dominant
 wall-clock cost once propagation itself is fast.
 
 :class:`MeasurementIndex` lowers them *once* into dense columns keyed by
-interned integer ids.  The Looking Glass and table columns are read
-straight from the propagation stage's columnar RIB
-(:class:`~repro.simulation.rib.RibColumns`); no ``Route`` or ``LocRib``
-object is built.  Prefix ids are the index's own, assigned in first-sight
-order over the collector, then the glasses, then the tables:
+integer ids, read straight from the propagation stage's columnar RIB
+(:class:`~repro.simulation.rib.RibColumns`); no ``CollectorEntry``,
+``Route`` or ``LocRib`` object is built.  Prefix ids are the RIB's:
 
-* **Interners** — every :class:`~repro.net.prefix.Prefix` and
-  :class:`~repro.net.aspath.ASPath` is assigned a small integer id; path ids
-  come with a precomputed collapsed (deduplicated) AS tuple and origin AS.
-* **Collector columns** — one row per collector entry, in entry order:
+* **Collector paths** — ASN tuples with ids in first-sight row order, each
+  with its collapsed (deduplicated) tuple and origin AS.  They are interned
+  per ``(vantage, RIB path id)``, which names one path: the RIB holds each
+  tuple once, and no vantage is in a path it learned.
+* **Collector columns** — one row per
+  :func:`~repro.simulation.collector.collector_rows` row, in row order:
   ``(vantage, prefix id, path id)`` plus inverted groupings by prefix and by
   path member AS, and the observed adjacency set (consecutive AS pairs).
 * **Looking Glass columns** — per glass, one row per candidate route in
@@ -29,25 +29,26 @@ order over the collector, then the glasses, then the tables:
 * **IRR rows** — per registered object: AS, last-update stamp and the
   ``(peer AS, pref)`` import pairs.
 
-The index holds references to the source artifacts (graph, collector, RIB)
-so engine queries can reach them — a report's best route is materialised
-from its RIB row with :meth:`~repro.simulation.rib.RibColumns.route` — but
-every hot loop in :class:`~repro.analysis.engine.AnalysisEngine` runs over
-the integer columns.  Build it with :meth:`MeasurementIndex.from_dataset`
-or through the session layer's ``ANALYSIS`` stage, a derived in-memory
-stage: rebuilding the index from the stored upstream stages costs no more
-than decoding it would.
+The index holds references to the source artifacts (graph, RIB, IRR) so
+engine queries can reach them — a report's best route is materialised from
+its RIB row with :meth:`~repro.simulation.rib.RibColumns.route` — but every
+hot loop in :class:`~repro.analysis.engine.AnalysisEngine` runs over the
+integer columns.  Build it with ``MeasurementIndex(dataset)`` or through the
+session layer's ``ANALYSIS`` stage, a derived in-memory stage: rebuilding
+the index from the stored upstream stages costs no more than decoding it
+would.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.net.asn import ASN
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
+from repro.simulation.collector import collector_rows
 from repro.simulation.rib import KIND_LOCAL, RibColumns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,7 +67,7 @@ class GlassIndex:
 
     Attributes:
         asn: the Looking Glass AS.
-        entry_prefix: prefix id per RIB entry, in table-iteration order.
+        entry_prefix: RIB prefix id per entry, in table-iteration order.
         entry_offsets: per entry, the start offset into the route columns;
             one trailing sentinel equal to the route-row count.
         route_next_hop: next-hop AS per candidate route row.
@@ -107,7 +108,7 @@ class TableIndex:
 
     Attributes:
         owner: the table's AS.
-        best_prefix: prefix id per best route, in table-iteration order.
+        best_prefix: RIB prefix id per best route, in table-iteration order.
         best_origin: origin AS per best route.
         best_next_hop: next-hop AS per best route.
         best_is_local: 1 for locally-originated best routes, else 0.
@@ -130,12 +131,10 @@ class TableIndex:
         return len(self.best_prefix)
 
     @classmethod
-    def from_rib(
-        cls, rib: RibColumns, owner: ASN, prefix_id: Callable[[int], int]
-    ) -> "TableIndex":
+    def from_rib(cls, rib: RibColumns, owner: ASN) -> "TableIndex":
         """The best-route columns of one observed AS of ``rib``, in table order.
 
-        ``prefix_id`` maps a RIB prefix id to the id these columns use.
+        Prefix ids are ``rib``'s.
 
         Raises:
             SimulationError: if the AS was not observed.
@@ -144,7 +143,7 @@ class TableIndex:
         paths, cand_path = rib.paths, rib.cand_path
         hops, kinds = rib.cand_learned_from, rib.cand_kind
         for entry, row in rib.best_rows(owner):
-            pid = prefix_id(rib.entry_prefix[entry])
+            pid = rib.entry_prefix[entry]
             view.row_of_prefix[pid] = len(view.best_prefix)
             view.best_prefix.append(pid)
             view.best_origin.append(paths[cand_path[row]][-1])
@@ -183,27 +182,23 @@ class MeasurementIndex:
 
         Args:
             dataset: the assembled study dataset (flat view); the index
-                keeps references to its graph, collector, RIB and IRR.
+                keeps references to its graph, RIB and IRR.
         """
         self.dataset = dataset
         self.graph = dataset.ground_truth_graph
         self.internet = dataset.internet
-        self.collector = dataset.collector
         self.rib = dataset.result.rib
         self.assignment = dataset.assignment
         self.irr = dataset.irr
         self.looking_glass_ases = list(dataset.looking_glass_ases)
         self.vantage_ases = list(dataset.vantage_ases)
 
-        # -- interners -------------------------------------------------------
-        self.prefixes: list[Prefix] = []
-        self.prefix_ids: dict[Prefix, int] = {}
-        self.paths: list[ASPath] = []
-        self.path_ids: dict[ASPath, int] = {}
+        # -- prefixes (the RIB's) and collector paths -----------------------
+        self.prefixes: list[Prefix] = self.rib.prefixes
+        self.prefix_ids: dict[Prefix, int] = {p: pid for pid, p in enumerate(self.prefixes)}
+        self.paths: list[tuple[ASN, ...]] = []
         self.collapsed: list[tuple[ASN, ...]] = []
         self.path_origin: array = array("q")
-        # RIB prefix id -> index prefix id (-1 until first interned).
-        self._rib_prefix_ids = [-1] * len(self.rib.prefixes)
 
         # -- collector columns ----------------------------------------------
         self.col_vantage: array = array("q")
@@ -223,60 +218,39 @@ class MeasurementIndex:
         self._build_tables()
         self._build_irr()
 
-    # -- interning -----------------------------------------------------------
-
-    def intern_prefix(self, prefix: Prefix) -> int:
-        """Return the (possibly new) integer id of a prefix."""
-        pid = self.prefix_ids.get(prefix)
-        if pid is None:
-            pid = len(self.prefixes)
-            self.prefix_ids[prefix] = pid
-            self.prefixes.append(prefix)
-        return pid
-
-    def intern_path(self, path: ASPath) -> int:
-        """Return the (possibly new) integer id of an AS path.
-
-        Interning also precomputes the collapsed (deduplicated) AS tuple and
-        the origin AS, the two derived forms every path-walking analysis
-        consumes.
-        """
-        path_id = self.path_ids.get(path)
-        if path_id is None:
-            path_id = len(self.paths)
-            self.path_ids[path] = path_id
-            self.paths.append(path)
-            self.collapsed.append(path.deduplicate().asns)
-            self.path_origin.append(path.origin_as)
-        return path_id
-
-    def prefix_id(self, prefix: Prefix) -> int | None:
-        """The id of a prefix, or ``None`` if it was never observed."""
-        return self.prefix_ids.get(prefix)
-
-    def _rib_prefix(self, rib_pid: int) -> int:
-        """The index id of a RIB prefix id, interning on first use."""
-        pid = self._rib_prefix_ids[rib_pid]
-        if pid < 0:
-            pid = self.intern_prefix(self.rib.prefixes[rib_pid])
-            self._rib_prefix_ids[rib_pid] = pid
-        return pid
-
     # -- builders ------------------------------------------------------------
 
     def _build_collector(self) -> None:
-        """Lower the collector table: columns, groupings, adjacency."""
-        for row, entry in enumerate(self.collector.entries):
-            pid = self.intern_prefix(entry.prefix)
-            path_id = self.intern_path(entry.as_path)
-            self.col_vantage.append(entry.vantage)
+        """Lower the collector rows: columns, groupings, adjacency.
+
+        Each RIB path is collapsed once, then the vantage prepended.
+        """
+        rib_paths = self.rib.paths
+        pair_ids: dict[tuple[ASN, int], int] = {}
+        collapsed_rib: dict[int, tuple[ASN, ...]] = {}
+        rows = collector_rows(self.rib, self.vantage_ases)
+        for row, (vantage, pid, rib_path_id, prepended) in enumerate(rows):
+            path_id = pair_ids.get((vantage, rib_path_id))
+            if path_id is None:
+                path_id = pair_ids[vantage, rib_path_id] = len(self.paths)
+                path = rib_paths[rib_path_id]
+                collapsed = collapsed_rib.get(rib_path_id)
+                if collapsed is None:
+                    collapsed = collapsed_rib[rib_path_id] = (
+                        ASPath._from_validated(path).deduplicate().asns
+                    )
+                if prepended:
+                    path, collapsed = (vantage, *path), (vantage, *collapsed)
+                self.paths.append(path)
+                self.collapsed.append(collapsed)
+                self.path_origin.append(path[-1])
+                self.adjacency.update(zip(collapsed, collapsed[1:]))
+            self.col_vantage.append(vantage)
             self.col_prefix.append(pid)
             self.col_path.append(path_id)
             self.rows_by_prefix.setdefault(pid, []).append(row)
-            collapsed = self.collapsed[path_id]
-            for asn in sorted(set(collapsed)):
+            for asn in sorted(set(self.collapsed[path_id])):
                 self.rows_by_member.setdefault(asn, []).append(row)
-            self.adjacency.update(zip(collapsed, collapsed[1:]))
 
     def _build_glasses(self) -> None:
         """Copy every Looking Glass's RIB rows into route/entry/best columns."""
@@ -288,7 +262,7 @@ class MeasurementIndex:
             view = GlassIndex(asn=asn)
             own: dict[int, tuple[Community, ...]] = {}
             for entry in rib.entries(asn):
-                view.entry_prefix.append(self._rib_prefix(rib.entry_prefix[entry]))
+                view.entry_prefix.append(rib.entry_prefix[entry])
                 start, end = offsets[entry], offsets[entry + 1]
                 view.entry_offsets.append(len(view.route_next_hop))
                 view.route_next_hop.extend(hops[start:end])
@@ -311,7 +285,7 @@ class MeasurementIndex:
     def _build_tables(self) -> None:
         """The best-route columns of every observed AS's routing table."""
         for asn in self.rib.owners:
-            self.tables[asn] = TableIndex.from_rib(self.rib, asn, self._rib_prefix)
+            self.tables[asn] = TableIndex.from_rib(self.rib, asn)
 
     def _build_irr(self) -> None:
         """Lower the IRR database into plain ``(peer, pref)`` rows."""
@@ -325,14 +299,6 @@ class MeasurementIndex:
             )
 
     # -- conveniences --------------------------------------------------------
-
-    def table_of(self, asn: ASN) -> TableIndex:
-        """The best-route columns of one observed AS.
-
-        Raises:
-            KeyError: if the AS was not observed by the propagation run.
-        """
-        return self.tables[asn]
 
     def tagging_asns(self) -> list[ASN]:
         """Looking Glass ASes that tag routes with relationship communities."""
@@ -355,8 +321,3 @@ class MeasurementIndex:
             "table_best_rows": sum(t.best_count for t in self.tables.values()),
             "irr_objects": len(self.irr_rows),
         }
-
-    @classmethod
-    def from_dataset(cls, dataset: "StudyDataset") -> "MeasurementIndex":
-        """Build the index for an assembled study dataset."""
-        return cls(dataset)

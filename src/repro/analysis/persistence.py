@@ -118,7 +118,7 @@ def _classified(
     cone: set[ASN] | None = None
     for snapshot in snapshots:
         rib = snapshot.result.rib
-        view = TableIndex.from_rib(rib, provider, lambda rib_pid: rib_pid)
+        view = TableIndex.from_rib(rib, provider)
         if cone is None:
             cone = relationships.customer_cone(provider)
         _, rows = sa_rows(view, relationships, cone)

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from repro.data.rpsl import IrrDatabase
 from repro.exceptions import SimulationError
 from repro.net.asn import ASN
-from repro.simulation.collector import CollectorTable, LookingGlass
+from repro.simulation.collector import CollectorTable, LookingGlass, RouteViewsCollector
 from repro.simulation.policies import PolicyAssignment
 from repro.simulation.propagation import SimulationResult
 from repro.topology.generator import SyntheticInternet
@@ -54,7 +54,6 @@ class StudyDataset:
         internet: the synthetic Internet (topology, tiers, prefixes).
         assignment: the per-AS policies (with ground truth).
         result: the propagation result observed at vantage + Looking Glass ASes.
-        collector: the RouteViews-style collector table.
         looking_glasses: Looking Glass views keyed by AS.
         irr: the synthetic IRR database.
         vantage_ases: ASes peering with the collector.
@@ -65,7 +64,6 @@ class StudyDataset:
     internet: SyntheticInternet
     assignment: PolicyAssignment
     result: SimulationResult
-    collector: CollectorTable
     looking_glasses: dict[ASN, LookingGlass]
     irr: IrrDatabase
     vantage_ases: list[ASN]
@@ -77,6 +75,7 @@ class StudyDataset:
     _analysis_engine: "AnalysisEngine | None" = field(
         default=None, repr=False, init=False
     )
+    _collector: CollectorTable | None = field(default=None, repr=False, init=False)
 
     # -- convenience used across experiments -----------------------------------
 
@@ -89,6 +88,18 @@ class StudyDataset:
     def ground_truth_graph(self):
         """The ground-truth annotated AS graph."""
         return self.internet.graph
+
+    @property
+    def collector(self) -> CollectorTable:
+        """The RouteViews-style collector table, built on first access.
+
+        Production analysis reads the collector rows from the RIB through
+        the measurement index and never builds this table; it is the object
+        form the :mod:`repro.core` oracles and the examples read.
+        """
+        if self._collector is None:
+            self._collector = RouteViewsCollector(self.vantage_ases).collect(self.result)
+        return self._collector
 
     def looking_glass_of(self, asn: ASN) -> LookingGlass:
         """Return the Looking Glass view of an AS.
@@ -127,6 +138,6 @@ class StudyDataset:
             from repro.analysis.index import MeasurementIndex
 
             self._analysis_engine = AnalysisEngine(
-                MeasurementIndex.from_dataset(self), self.analysis_parameters
+                MeasurementIndex(self), self.analysis_parameters
             )
         return self._analysis_engine

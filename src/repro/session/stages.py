@@ -15,10 +15,11 @@ explicit stage with its own frozen parameter set:
   the planned vantage ASes, one prefix after another in the calling
   process; its artifact holds the observed tables as a columnar RIB
   (:class:`~repro.simulation.rib.RibColumns`).
-* **observation** — collect the RouteViews-style table from the RIB's best
-  rows, the Looking Glass views and the Table 1 inventory.
+* **observation** — the Looking Glass views and the Table 1 inventory;
+  the index reads the RouteViews-style collector rows from the RIB's best
+  rows, so no collector table is built.
 * **irr** — synthesise the IRR database (:class:`IrrParameters`).
-* **analysis** — compile the observations and the RIB columns into the
+* **analysis** — compile the RIB columns and the IRR into the
   columnar :class:`~repro.analysis.index.MeasurementIndex` and expose the
   one-pass :class:`~repro.analysis.engine.AnalysisEngine` over it
   (:class:`AnalysisParameters`).
@@ -187,13 +188,16 @@ class PolicyStageArtifact:
 class ObservationArtifact:
     """Output of the *observation* stage: the measurement views.
 
+    The collector is not part of it: the index reads collector rows from the
+    propagation stage's RIB, and
+    :attr:`~repro.data.dataset.StudyDataset.collector` builds the table on
+    first access.
+
     Attributes:
-        collector: the RouteViews-style collector table.
         looking_glasses: Looking Glass views keyed by AS.
         as_info: Table 1 style metadata per inventoried AS.
     """
 
-    collector: "CollectorTable"
     looking_glasses: dict["ASN", "LookingGlass"]
     as_info: dict["ASN", "ASInfo"]
 
@@ -217,13 +221,6 @@ class StageView:
     def __init__(self, dataset: "StudyDataset", allowed: frozenset[Stage] = ALL_STAGES):
         self._dataset = dataset
         self._allowed = frozenset(allowed)
-
-    @classmethod
-    def from_dataset(
-        cls, dataset: "StudyDataset", requires: frozenset[Stage] = ALL_STAGES
-    ) -> "StageView":
-        """Wrap an assembled dataset, exposing only the required stages."""
-        return cls(dataset, requires)
 
     # -- bookkeeping -----------------------------------------------------------
 

@@ -41,7 +41,7 @@ from repro.session.stages import (
     StageView,
     StudyConfig,
 )
-from repro.simulation.collector import LookingGlass, RouteViewsCollector
+from repro.simulation.collector import LookingGlass
 from repro.simulation.fastpath import FastPropagationEngine
 from repro.simulation.policies import PolicyGenerator, PolicyParameters
 from repro.simulation.propagation import SimulationResult
@@ -233,10 +233,12 @@ class Study:
         return self._build(Stage.PROPAGATION, build)
 
     def observation(self) -> ObservationArtifact:
-        """Collector table, Looking Glass views and Table 1 inventory (stage 4).
+        """Looking Glass views and Table 1 inventory (stage 4).
 
         Derived in memory from the propagation stage's RIB columns; the
-        glasses materialise their ``LocRib`` views only when asked.
+        glasses materialise their ``LocRib`` views only when asked.  The
+        collector table is not built here: the index reads collector rows
+        from the RIB.
         """
         return self._build(Stage.OBSERVATION, self._build_observation)
 
@@ -244,15 +246,12 @@ class Study:
         internet = self.topology()
         plan = self.policies()
         result = self.propagation()
-        collector = RouteViewsCollector(list(plan.vantage_ases)).collect(result)
         looking_glasses = {
             asn: LookingGlass.from_result(result, asn)
             for asn in plan.looking_glass_ases
         }
         as_info = self._build_as_info(internet, plan)
-        return ObservationArtifact(
-            collector=collector, looking_glasses=looking_glasses, as_info=as_info
-        )
+        return ObservationArtifact(looking_glasses=looking_glasses, as_info=as_info)
 
     def _build_as_info(
         self, internet: SyntheticInternet, plan: PolicyStageArtifact
@@ -328,7 +327,6 @@ class Study:
             internet=self.topology(),
             assignment=plan.assignment,
             result=self.propagation(),
-            collector=observed.collector,
             looking_glasses=dict(observed.looking_glasses),
             irr=self.irr(),
             vantage_ases=list(plan.vantage_ases),

@@ -9,16 +9,18 @@ The paper combines two kinds of vantage points (Section 3):
   inspected from several backbone routers (the AT&T view of Fig. 2b).
 
 :class:`RouteViewsCollector` and :class:`LookingGlass` reproduce those two
-data granularities on top of a :class:`~repro.simulation.propagation.SimulationResult`:
-the collector reads the best rows of the run's columnar RIB, and a glass
-built from a result materialises its ``LocRib`` view only when asked.
+data granularities on top of a :class:`~repro.simulation.propagation.SimulationResult`.
+:func:`collector_rows` yields the collector's rows as ids of the run's
+columnar RIB, which the measurement index reads; :class:`CollectorEntry`
+objects are built from them only for the :mod:`repro.core` oracles and the
+examples.  A glass materialises its ``LocRib`` view only when asked.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.bgp.rib import LocRib
 from repro.bgp.route import Route
@@ -27,7 +29,7 @@ from repro.net.asn import ASN
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.simulation.propagation import SimulationResult
-from repro.simulation.rib import KIND_LOCAL
+from repro.simulation.rib import KIND_LOCAL, RibColumns
 
 
 @dataclass(frozen=True)
@@ -80,41 +82,61 @@ class CollectorTable:
         return len(self.entries)
 
 
+def collector_rows(
+    rib: RibColumns, vantages: Iterable[ASN]
+) -> Iterator[tuple[ASN, int, int, bool]]:
+    """Every collector row as ``(vantage, prefix id, path id, prepended)``.
+
+    Vantages come in ascending order, each with its best rows in table
+    order; the ids are the RIB's.  A row's collector path is the RIB path
+    with the vantage prepended when ``prepended`` is true (a route announced
+    to the collector carries it), and the RIB path itself on the vantage's
+    own originated prefix, which keeps its one-AS path.
+
+    Raises:
+        SimulationError: if a vantage was not observed.
+    """
+    entry_prefix, paths = rib.entry_prefix, rib.paths
+    cand_path, kinds = rib.cand_path, rib.cand_kind
+    for vantage in sorted(set(vantages)):
+        for entry, row in rib.best_rows(vantage):
+            path_id = cand_path[row]
+            own = kinds[row] == KIND_LOCAL and paths[path_id][-1] == vantage
+            yield vantage, entry_prefix[entry], path_id, not own
+
+
 class RouteViewsCollector:
     """Builds a :class:`CollectorTable` from a simulation result.
 
     The collector "peers" with the given vantage ASes: for every prefix in a
     vantage's table, the vantage's best route is recorded with the vantage AS
-    prepended (exactly what a route announced to the collector would carry).
+    prepended (exactly what a route announced to the collector would carry),
+    by the rule of :func:`collector_rows`.
     """
 
     def __init__(self, vantage_ases: list[ASN]) -> None:
         if not vantage_ases:
             raise SimulationError("a collector needs at least one vantage AS")
-        self.vantage_ases = sorted(set(vantage_ases))
+        self.vantage_ases = list(vantage_ases)
 
     def collect(self, result: SimulationResult) -> CollectorTable:
-        """Assemble the collector table from the observed vantage tables.
+        """Assemble the collector table from :func:`collector_rows`.
 
-        Reads each vantage's best rows in table order; a vantage's own
-        prefix keeps its one-AS path.
+        Entries of one vantage share one ``ASPath`` per RIB path.
         """
         rib = result.rib
-        prefixes, entry_prefix = rib.prefixes, rib.entry_prefix
-        paths, cand_path, kinds = rib.paths, rib.cand_path, rib.cand_kind
+        prefixes, paths = rib.prefixes, rib.paths
         table = CollectorTable()
         append = table.entries.append
-        for vantage in self.vantage_ases:
-            announced: dict[int, ASPath] = {}
-            for entry, row in rib.best_rows(vantage):
-                path_id = cand_path[row]
-                as_path = announced.get(path_id)
-                if as_path is None:
-                    path = paths[path_id]
-                    if kinds[row] != KIND_LOCAL or path[-1] != vantage:
-                        path = (vantage, *path)
-                    as_path = announced[path_id] = ASPath._from_validated(path)
-                append(CollectorEntry(vantage, prefixes[entry_prefix[entry]], as_path))
+        announced: dict[tuple[ASN, int], ASPath] = {}
+        for vantage, prefix_id, path_id, prepended in collector_rows(rib, self.vantage_ases):
+            as_path = announced.get((vantage, path_id))
+            if as_path is None:
+                path = paths[path_id]
+                as_path = announced[vantage, path_id] = ASPath._from_validated(
+                    (vantage, *path) if prepended else path
+                )
+            append(CollectorEntry(vantage, prefixes[prefix_id], as_path))
         return table
 
 

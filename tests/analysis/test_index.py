@@ -5,6 +5,7 @@ from helpers import small_dataset
 
 from repro.analysis.engine import AnalysisEngine
 from repro.analysis.index import MeasurementIndex
+from repro.net.aspath import ASPath
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +17,7 @@ def dataset():
 def index(dataset) -> MeasurementIndex:
     # Built independently of the dataset's memoised engine so these tests
     # stay valid whatever the engine has touched.
-    return MeasurementIndex.from_dataset(dataset)
+    return MeasurementIndex(dataset)
 
 
 class TestInterning:
@@ -25,20 +26,25 @@ class TestInterning:
         for pid, prefix in enumerate(index.prefixes):
             assert index.prefix_ids[prefix] == pid
 
+    def test_prefix_ids_are_the_ribs(self, index, dataset):
+        assert index.prefixes is dataset.result.rib.prefixes
+
     def test_path_ids_are_bijective(self, index):
-        assert len(index.paths) == len(index.path_ids)
-        for path_id, path in enumerate(index.paths):
-            assert index.path_ids[path] == path_id
+        # Every path id names its own tuple: no two ids share a path.
+        assert all(type(path) is tuple for path in index.paths)
+        ids = {path: path_id for path_id, path in enumerate(index.paths)}
+        assert len(ids) == len(index.paths)
 
     def test_collapsed_paths_match_deduplication(self, index):
+        assert len(index.collapsed) == len(index.paths) == len(index.path_origin)
         for path_id, path in enumerate(index.paths):
-            assert index.collapsed[path_id] == path.deduplicate().asns
-            assert index.path_origin[path_id] == path.origin_as
+            assert index.collapsed[path_id] == ASPath(path).deduplicate().asns
+            assert index.path_origin[path_id] == path[-1]
 
     def test_unknown_prefix_has_no_id(self, index):
         from repro.net.prefix import Prefix
 
-        assert index.prefix_id(Prefix.parse("203.0.113.0/24")) is None
+        assert index.prefix_ids.get(Prefix.parse("203.0.113.0/24")) is None
 
 
 class TestCollectorColumns:
@@ -47,11 +53,11 @@ class TestCollectorColumns:
         for row, entry in enumerate(dataset.collector.entries):
             assert index.col_vantage[row] == entry.vantage
             assert index.prefixes[index.col_prefix[row]] == entry.prefix
-            assert index.paths[index.col_path[row]] == entry.as_path
+            assert index.paths[index.col_path[row]] == entry.as_path.asns
 
     def test_rows_by_prefix_matches_entries_for_prefix(self, index, dataset):
         for prefix in dataset.collector.prefixes():
-            pid = index.prefix_id(prefix)
+            pid = index.prefix_ids[prefix]
             rows = index.rows_by_prefix[pid]
             legacy = dataset.collector.entries_for_prefix(prefix)
             assert [dataset.collector.entries[r] for r in rows] == legacy
@@ -60,7 +66,7 @@ class TestCollectorColumns:
         sample = sorted(index.rows_by_member)[:10]
         for asn in sample:
             rows = index.rows_by_member[asn]
-            legacy = list(dataset.collector.paths_containing(asn))
+            legacy = [path.asns for path in dataset.collector.paths_containing(asn)]
             assert [index.paths[index.col_path[r]] for r in rows] == legacy
 
     def test_adjacency_matches_verifier(self, index, dataset):

@@ -15,6 +15,7 @@ from repro.session.stages import (
 )
 from repro.session.study import Study
 from repro.session.suite import run_suite
+from repro.simulation.collector import RouteViewsCollector
 from repro.simulation.rib import RibColumns
 from repro.storage.store import DiskStore
 from repro.topology.generator import GeneratorParameters
@@ -146,14 +147,21 @@ class TestOneRouteRepresentation:
     def test_cold_experiments_materialise_no_table_view(self, store, tmp_path, monkeypatch):
         # The experiments of a cold `repro run` (every one but the Fig. 6/7
         # timelines) read the RIB columns through the index; none of them
-        # may build a LocRib view, whether the propagation stage was just
-        # computed or decoded from a disk store.
+        # may build a LocRib view or a collector table, whether the
+        # propagation stage was just computed or decoded from a disk store.
         built = []
         build = RibColumns._build_table
         monkeypatch.setattr(
             RibColumns,
             "_build_table",
             lambda rib, owner: built.append(owner) or build(rib, owner),
+        )
+        collected = []
+        collect = RouteViewsCollector.collect
+        monkeypatch.setattr(
+            RouteViewsCollector,
+            "collect",
+            lambda collector, result: collected.append(result) or collect(collector, result),
         )
         ids = [
             e.experiment_id for e in all_experiments() if e.experiment_id not in ("fig6", "fig7")
@@ -167,3 +175,4 @@ class TestOneRouteRepresentation:
         if disk is not None:
             assert study.cache.stats_for("propagation").disk_hits == 1
         assert built == []
+        assert collected == []

@@ -84,11 +84,13 @@ class TestWithUpstreamReuse:
 
     def test_irr_override_reuses_everything_upstream(self, study, cache):
         base = study.dataset()
-        varied = study.with_(irr=IrrParameters(registration_probability=0.2)).dataset()
+        variant = study.with_(irr=IrrParameters(registration_probability=0.2))
+        varied = variant.dataset()
         assert varied.result is base.result
-        assert varied.collector is base.collector
+        assert variant.observation() is study.observation()
         assert varied.irr is not base.irr
         assert cache.stats_for("propagation").builds == 1
+        assert cache.stats_for("observation").builds == 1
         assert cache.stats_for("irr").builds == 2
 
     def test_observation_override_reuses_topology_only(self, study, cache):

@@ -6,6 +6,7 @@ from helpers import is_customer_of, stub_ases
 from repro.bgp.route import NeighborKind
 from repro.exceptions import SimulationError
 from repro.simulation.collector import RouteViewsCollector
+from repro.simulation.fastpath import FastPropagationEngine
 from repro.simulation.policies import PolicyGenerator, PolicyParameters
 from repro.simulation.propagation import PropagationEngine
 from repro.topology.generator import GeneratorParameters, InternetGenerator
@@ -213,6 +214,24 @@ class TestCollector:
         table = collector.collect(plain_result)
         for entry in table.entries:
             assert entry.as_path.next_hop_as == entry.vantage
+
+    @pytest.mark.parametrize("engine", [FastPropagationEngine, PropagationEngine])
+    def test_entries_are_each_vantages_best_routes(self, engine, tiny_internet, plain_assignment):
+        # Stated over the LocRib views, independently of the row function
+        # that both collect() and the measurement index read.
+        observed = tiny_internet.tier1 + stub_ases(tiny_internet)[:3]
+        result = engine(tiny_internet, plain_assignment, observed_ases=observed).run()
+        vantages = sorted(observed, reverse=True)
+        expected = []
+        for vantage in sorted(vantages):
+            for route in result.table_of(vantage).best_routes():
+                path = (vantage,) if route.is_local else (vantage, *route.as_path.asns)
+                expected.append((vantage, route.prefix, path))
+        table = RouteViewsCollector(vantage_ases=vantages).collect(result)
+        assert [(e.vantage, e.prefix, e.as_path.asns) for e in table.entries] == expected
+        # Both branches of the rule are exercised: own prefixes and learned ones.
+        assert any(len(path) == 1 for _, _, path in expected)
+        assert any(len(path) > 2 for _, _, path in expected)
 
     def test_collector_requires_vantages(self):
         with pytest.raises(SimulationError):

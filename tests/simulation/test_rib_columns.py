@@ -14,7 +14,9 @@ from repro.session.cache import StageCache
 from repro.session.scenarios import get_scenario
 from repro.simulation.collector import LookingGlass
 from repro.simulation.fastpath import FastPropagationEngine
+from repro.simulation.propagation import PropagationEngine
 from repro.simulation.rib import KIND_LOCAL, REL_PEER, RibColumns, RibWriter
+from repro.storage.codecs import codec_for
 
 P1 = Prefix.parse("10.0.0.0/16")
 P2 = Prefix.parse("10.0.0.0/8")
@@ -133,6 +135,26 @@ class TestFastEngineWritesColumns:
         assert result.rib.owners == tuple(plan.observed_ases)
         result.table_of(result.observed_ases[0])
         assert built  # the view is where objects appear
+
+
+class TestPathTable:
+    # The measurement index interns collector paths per (vantage, path id),
+    # which names one collector path only while each tuple has one id.
+    @pytest.mark.parametrize("source", ["fast", "legacy", "decoded"])
+    def test_paths_hold_no_duplicate_tuple(self, source):
+        study = get_scenario("small").study(cache=StageCache())
+        if source == "legacy":
+            plan = study.policies()
+            rib = PropagationEngine(
+                study.topology(), plan.assignment, observed_ases=plan.observed_ases
+            ).run().rib
+        elif source == "decoded":
+            codec = codec_for("propagation")
+            rib = codec.decode(codec.encode(study.propagation()), study).rib
+        else:
+            rib = study.propagation().rib
+        assert rib.paths
+        assert len(set(rib.paths)) == len(rib.paths)
 
 
 class TestViews:

@@ -103,13 +103,14 @@ class TestStageRoundTrips:
         fresh = tiny_study.observation()
         loaded = warm.observation()
         _assert_derived_from_disk(warm, "observation")
-        assert loaded.collector.entries == fresh.collector.entries
         assert set(loaded.looking_glasses) == set(fresh.looking_glasses)
         assert loaded.as_info == fresh.as_info
         # Glasses wrap the propagation artifact's table views.
         result = warm.propagation()
         for asn, glass in loaded.looking_glasses.items():
             assert glass.table is result.table_of(asn)
+        # The collector table, built on demand, reads the decoded RIB.
+        assert warm.dataset().collector.entries == tiny_study.dataset().collector.entries
 
     def test_irr(self, tiny_study, tmp_path):
         warm = _warm_study(tiny_study, tmp_path)

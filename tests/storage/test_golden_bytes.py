@@ -3,8 +3,8 @@
 Two fresh Python processes, launched with *different* randomized
 ``PYTHONHASHSEED`` values, build the same tiny study and print the SHA-256
 of every stored stage's encoded artifact and of the measurement index —
-interners, collapsed paths, collector, glass and table columns and the
-insertion order of every grouping.  The digests must match exactly — the
+prefix and path tables, collapsed paths, collector, glass and table
+columns and the insertion order of every grouping.  The digests must match exactly — the
 property that makes the shared disk tier trustworthy across processes,
 machines in a fleet, and the sweep orchestrator's byte-identical reports.
 
@@ -61,7 +61,7 @@ def index_digest(index):
     ]
     state = (
         [(p.network, p.length) for p in index.prefixes],
-        [path.asns for path in index.paths],
+        index.paths,
         index.collapsed,
         list(index.path_origin),
         list(index.col_vantage), list(index.col_prefix), list(index.col_path),
