@@ -4,17 +4,18 @@ This package is the "compile once, query many" layer between the
 observation stage and the paper's analyses:
 
 * :mod:`repro.analysis.index` — :class:`MeasurementIndex` lowers the
-  collector rows and the Looking Glass tables (both read from the
-  columnar RIB, keeping its prefix ids) and the IRR database into dense
-  columnar arrays with interned collector paths and precomputed
-  groupings.
+  collector rows (read from the columnar RIB, keeping its prefix ids) into
+  dense columnar arrays with interned collector paths and precomputed
+  groupings, and holds the RIB and the IRR database the engine reads in
+  place.
 * :mod:`repro.analysis.engine` — :class:`AnalysisEngine` runs every
-  analysis the experiments need as a one-pass query over the shared index,
-  with results identical to the legacy :mod:`repro.core` analyzers, its
-  test oracles (golden equivalence suite in ``tests/analysis/``).
+  analysis the experiments need as a one-pass query over the shared index
+  and the RIB's Looking Glass and best rows, with results identical to the
+  legacy :mod:`repro.core` analyzers, its test oracles (golden equivalence
+  suite in ``tests/analysis/``).
 * :mod:`repro.analysis.persistence` — the Figs. 6/7 persistence study
-  (Section 5.1.4) over timeline snapshots, which have no index: each
-  snapshot's best-route columns go through the engine's Fig. 4 rule.
+  (Section 5.1.4) over timeline snapshots, which have no index: the
+  engine's Fig. 4 rule classifies each snapshot's RIB best rows.
 
 The session layer exposes the engine as the cached ``ANALYSIS`` stage
 (``Stage.ANALYSIS`` / ``StageView.analysis``); experiments declare it in
@@ -22,7 +23,7 @@ The session layer exposes the engine as the cached ``ANALYSIS`` stage
 """
 
 from repro.analysis.engine import AnalysisEngine
-from repro.analysis.index import GlassIndex, IrrRow, MeasurementIndex, TableIndex
+from repro.analysis.index import MeasurementIndex
 from repro.analysis.persistence import (
     PersistenceSeries,
     UptimeDistribution,
@@ -32,11 +33,8 @@ from repro.analysis.persistence import (
 
 __all__ = [
     "AnalysisEngine",
-    "GlassIndex",
-    "IrrRow",
     "MeasurementIndex",
     "PersistenceSeries",
-    "TableIndex",
     "UptimeDistribution",
     "persistence_series",
     "uptime_distribution",

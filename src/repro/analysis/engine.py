@@ -21,11 +21,12 @@ from three properties the legacy analyzers lack:
 * **Shared intermediates** — customer cones, customer paths, per-glass
   sweeps, Gao-inferred graphs and SA reports are computed once and reused
   by every downstream query instead of once per analyzer.
-* **Columnar loops** — the hot loops run over interned integer arrays
-  (the index's and the columnar RIB's), not ``Route``/``ASPath`` object
-  graphs; a ``Route`` is materialised only as an SA prefix's
-  ``best_route``.  :func:`sa_rows`, the Fig. 4 rule, also classifies the
-  Figs. 6/7 timeline snapshots.
+* **Columnar loops** — the hot loops run over integer columns, not
+  ``Route``/``ASPath`` object graphs: the index's collector columns, and
+  the columnar RIB's candidate and best rows read in place for the Looking
+  Glass and table queries.  A ``Route`` is materialised only as an SA
+  prefix's ``best_route``.  :func:`sa_rows`, the Fig. 4 rule, also
+  classifies the Figs. 6/7 timeline snapshots.
 
 Queries run in one thread, so every memo is a plain dict filled on first
 use.
@@ -63,16 +64,15 @@ from repro.core.verification import SAVerificationResult
 from repro.data.rpsl import rpsl_pref_to_local_pref
 from repro.exceptions import InferenceError, SimulationError
 from repro.net.asn import ASN
-from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
 from repro.relationships.gao import GaoInference
-from repro.simulation.rib import KIND_LOCAL
+from repro.simulation.rib import KIND_LOCAL, RibColumns
 from repro.topology.graph import AnnotatedASGraph, Relationship
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.index import MeasurementIndex, TableIndex
-    from repro.session.stages import AnalysisParameters
+    from repro.analysis.index import MeasurementIndex
+    from repro.bgp.attributes import Community
 
 
 #: Community-semantics anchors (the Appendix heuristic): a neighbor
@@ -83,33 +83,36 @@ _CUSTOMER_PREFIX_THRESHOLD = 3
 
 
 def sa_rows(
-    view: "TableIndex", graph: AnnotatedASGraph, cone: set[ASN]
-) -> tuple[int, list[tuple[int, Relationship | None]]]:
-    """The Fig. 4 rule over one provider's (``view.owner``) best-route columns.
+    rib: RibColumns, provider: ASN, graph: AnnotatedASGraph, cone: set[ASN]
+) -> tuple[int, list[tuple[int, int, Relationship | None]]]:
+    """The Fig. 4 rule over one provider's best rows in ``rib``.
 
     A non-local best route to a prefix originated in the provider's
     customer ``cone`` counts as a customer prefix; it is an SA prefix unless
     its next hop is a customer of the provider in ``graph``.  Returns the
-    customer-prefix count and, in table order, each SA row with the
-    provider's relationship to its next hop.
+    customer-prefix count and, in table order, each SA prefix's ``(entry,
+    best candidate row, relationship to the next hop)``.
+
+    Raises:
+        SimulationError: if the provider was not observed.
     """
-    provider = view.owner
     relationship_of = graph.relationship
-    origins, next_hops, is_local = view.best_origin, view.best_next_hop, view.best_is_local
+    paths, cand_path = rib.paths, rib.cand_path
+    next_hops, kinds = rib.cand_learned_from, rib.cand_kind
     customer_prefixes = 0
-    rows: list[tuple[int, Relationship | None]] = []
-    for row in range(view.best_count):
-        if is_local[row] or origins[row] not in cone:
+    rows: list[tuple[int, int, Relationship | None]] = []
+    for entry, row in rib.best_rows(provider):
+        if kinds[row] == KIND_LOCAL or paths[cand_path[row]][-1] not in cone:
             continue
         customer_prefixes += 1
         relationship = relationship_of(provider, next_hops[row])
         if relationship is not Relationship.CUSTOMER:
-            rows.append((row, relationship))
+            rows.append((entry, row, relationship))
     return customer_prefixes, rows
 
 
 class _GlassScan:
-    """Everything one sweep over a Looking Glass view's route rows yields.
+    """Everything one sweep over a Looking Glass AS's candidate rows yields.
 
     Attributes:
         neighbor_counts: per next-hop AS, the number of candidate routes it
@@ -142,32 +145,17 @@ class AnalysisEngine:
 
     Args:
         index: the compiled :class:`~repro.analysis.index.MeasurementIndex`.
-        parameters: session-level analysis knobs; only
-            ``study_provider_count`` (how many Tier-1 providers the
-            SA-prefix studies cover) is consulted here.
         graph: the relationship graph the queries classify against;
             ``None`` means the ground truth.  :meth:`inferred` passes the
             Gao-inferred graph.
     """
 
-    #: Default number of studied providers (the paper's AS1/AS3549/AS7018).
-    DEFAULT_PROVIDER_COUNT = 3
-
     def __init__(
-        self,
-        index: "MeasurementIndex",
-        parameters: "AnalysisParameters | None" = None,
-        graph: AnnotatedASGraph | None = None,
+        self, index: "MeasurementIndex", graph: AnnotatedASGraph | None = None
     ) -> None:
         """Wrap a compiled index; every memo table starts empty."""
         self.index = index
-        self.parameters = parameters
         self.graph: AnnotatedASGraph = graph if graph is not None else index.graph
-        self.provider_count = (
-            parameters.study_provider_count
-            if parameters is not None
-            else self.DEFAULT_PROVIDER_COUNT
-        )
         self._cones: dict[ASN, set[ASN]] = {}
         self._customer_paths: dict[tuple[ASN, ASN], tuple[ASN, ...] | None] = {}
         self._sa_reports: dict[ASN, SAPrefixReport] = {}
@@ -199,8 +187,8 @@ class AnalysisEngine:
     def inferred(self) -> "AnalysisEngine":
         """This engine over the Gao-inferred relationship graph, built once.
 
-        The sibling shares the index and the parameters; its cones, customer
-        paths and SA reports are memoised against the inferred graph.
+        The sibling shares the index; its cones, customer paths and SA
+        reports are memoised against the inferred graph.
         Table 4 verifies the inferred relationships, and the relationship
         ablation re-runs the Fig. 4 algorithm with them.
         """
@@ -220,12 +208,12 @@ class AnalysisEngine:
                 )
                 .graph
             )
-            self._inferred = AnalysisEngine(idx, self.parameters, graph=graph)
+            self._inferred = AnalysisEngine(idx, graph=graph)
         return self._inferred
 
     def providers_under_study(self) -> list[ASN]:
         """The studied (largest Tier-1) providers, ranked on the ground truth."""
-        return self.index.dataset.providers_under_study(self.provider_count)
+        return self.index.dataset.providers_under_study()
 
     def tagging_asns(self) -> list[ASN]:
         """Looking Glass ASes that tag routes with relationship communities."""
@@ -249,8 +237,7 @@ class AnalysisEngine:
             if atom is None:
                 atom = PolicyAtom(
                     signature=tuple(
-                        (vantage, ASPath._from_validated(idx.paths[path_id]))
-                        for vantage, path_id in signature_ids
+                        (vantage, idx.paths[path_id]) for vantage, path_id in signature_ids
                     )
                 )
                 atoms[signature_ids] = atom
@@ -286,29 +273,40 @@ class AnalysisEngine:
     # -- Looking Glass sweeps ----------------------------------------------------
 
     def _glass_scan(self, asn: ASN) -> _GlassScan:
-        """One combined sweep over a glass's route rows, cached per glass."""
+        """One combined sweep over a glass's RIB candidate rows, cached per glass.
+
+        Rows are visited in RIB order, which is the legacy analyzers' table
+        iteration order, so ``Counter`` insertion orders (and with them the
+        ``most_common`` tie-breaks) match the oracles'.  The glass AS's own
+        community tags are looked up once per community-set id.
+        """
         scan = self._glass_scans.get(asn)
         if scan is not None:
             return scan
-        view = self.index.glasses[asn]
+        rib = self.index.rib
         scan = _GlassScan()
-        next_hop = view.route_next_hop
-        local_pref = view.route_local_pref
-        is_local = view.route_is_local
-        own = view.route_own_communities
-        offsets = view.entry_offsets
+        offsets = rib.entry_offsets
+        next_hop = rib.cand_learned_from
+        local_pref = rib.cand_local_pref
+        kinds = rib.cand_kind
+        comms = rib.cand_communities
+        community_set = rib.community_set
+        own: dict[int, tuple[Community, ...]] = {}
         counts = scan.neighbor_counts
         votes = scan.community_votes
         consistency = scan.consistency
-        for entry_index in range(view.entry_count):
+        for entry in rib.entries(asn):
             observations: list[tuple[ASN, int]] = []
-            for row in range(offsets[entry_index], offsets[entry_index + 1]):
-                if is_local[row]:
+            for row in range(offsets[entry], offsets[entry + 1]):
+                if kinds[row] == KIND_LOCAL:
                     continue
                 neighbor = next_hop[row]
                 pref = local_pref[row]
                 counts[neighbor] = counts.get(neighbor, 0) + 1
-                tags = own[row]
+                comm_id = comms[row]
+                tags = own.get(comm_id)
+                if tags is None:
+                    tags = own[comm_id] = tuple(community_set(comm_id).from_asn(asn))
                 if tags:
                     neighbor_votes = votes.get(neighbor)
                     if neighbor_votes is None:
@@ -334,11 +332,11 @@ class AnalysisEngine:
 
     def _import_typicality_one(self, asn: ASN) -> TypicalityResult:
         """The Table 2 row of one Looking Glass AS."""
-        view = self.index.glasses[asn]
+        rib = self.index.rib
         scan = self._glass_scan(asn)
         relationship_of = self.graph.relationship
         result = TypicalityResult(asn=asn)
-        for entry_index, raw in enumerate(scan.entry_observations):
+        for entry, raw in zip(rib.entries(asn), scan.entry_observations):
             observations: list[tuple[Relationship, int]] = []
             for neighbor, pref in raw:
                 relationship = relationship_of(asn, neighbor)
@@ -354,9 +352,7 @@ class AnalysisEngine:
             ):
                 result.typical_prefixes += 1
             elif len(result.atypical_examples) < 10:
-                result.atypical_examples.append(
-                    self.index.prefixes[view.entry_prefix[entry_index]]
-                )
+                result.atypical_examples.append(rib.prefixes[rib.entry_prefix[entry]])
         return result
 
     def irr_typicality(
@@ -364,27 +360,27 @@ class AnalysisEngine:
         min_neighbors: int = 10,
         updated_during: str | None = "2002",
     ) -> list[IrrTypicalityResult]:
-        """Table 3: typical-LOCAL_PREF statistics from the IRR rows."""
+        """Table 3: typical-LOCAL_PREF statistics from the IRR's import lines."""
         if min_neighbors < 2:
             raise InferenceError("min_neighbors must be at least 2")
         relationship_of = self.graph.relationship
         results: list[IrrTypicalityResult] = []
-        for row in self.index.irr_rows:
-            if updated_during is not None and not row.last_updated.startswith(
+        for obj in self.index.irr:
+            if updated_during is not None and not obj.last_updated.startswith(
                 updated_during
             ):
                 continue
             observations: list[tuple[Relationship, int]] = []
-            for peer, pref in row.imports:
-                if pref is None:
+            for line in obj.imports:
+                if line.pref is None:
                     continue
-                relationship = relationship_of(row.asn, peer)
+                relationship = relationship_of(obj.asn, line.peer_as)
                 if relationship is None:
                     continue
-                observations.append((relationship, rpsl_pref_to_local_pref(pref)))
+                observations.append((relationship, rpsl_pref_to_local_pref(line.pref)))
             if len(observations) < min_neighbors:
                 continue
-            result = IrrTypicalityResult(asn=row.asn, neighbor_count=len(observations))
+            result = IrrTypicalityResult(asn=obj.asn, neighbor_count=len(observations))
             for (rel_a, pref_a), (rel_b, pref_b) in combinations(observations, 2):
                 if _TYPICAL_RANK[rel_a] == _TYPICAL_RANK[rel_b]:
                     continue
@@ -423,17 +419,17 @@ class AnalysisEngine:
         Mirrors ``LookingGlass.neighbors()`` (which excludes the owner but
         counts next hops of every candidate route, local or not).
         """
-        view = self.index.glasses[asn]
-        return sorted(
-            {neighbor for neighbor in view.route_next_hop if neighbor != asn}
-        )
+        rib = self.index.rib
+        entries = rib.entries(asn)
+        hops = rib.cand_learned_from[
+            rib.entry_offsets[entries.start] : rib.entry_offsets[entries.stop]
+        ]
+        return sorted({neighbor for neighbor in hops if neighbor != asn})
 
     def biggest_glass_asn(self) -> ASN:
         """The Looking Glass AS with the most prefixes (Fig. 2(b)'s AT&T role)."""
-        return max(
-            self.index.looking_glass_ases,
-            key=lambda asn: self.index.glasses[asn].entry_count,
-        )
+        rib = self.index.rib
+        return max(self.index.looking_glass_ases, key=lambda asn: len(rib.entries(asn)))
 
     def consistency_by_router(self, router_count: int = 30) -> list[ConsistencyResult]:
         """Fig. 2(b): per-router consistency inside the biggest Looking Glass AS.
@@ -441,29 +437,30 @@ class AnalysisEngine:
         Replays the Looking Glass's synthetic router-view construction
         (``LookingGlass.router_views`` with its default override fraction
         and seed) — same RNG draw sequence, same per-prefix overrides —
-        directly over the best-route columns, without materialising the
+        directly over the RIB's best rows, without materialising the
         ``LocRib`` copies the legacy path builds.
         """
         if router_count < 1:
             raise SimulationError("router_count must be at least 1")
         asn = self.biggest_glass_asn()
-        view = self.index.glasses[asn]
+        rib = self.index.rib
         rng = random.Random(7)
         override_choices = (80, 85, 95, 115, 120)
         results: list[ConsistencyResult] = []
-        next_hop = view.best_next_hop
-        local_pref = view.best_local_pref
-        is_local = view.best_is_local
+        next_hop = rib.cand_learned_from
+        local_pref = rib.cand_local_pref
+        kinds = rib.cand_kind
+        best_rows = [row for _, row in rib.best_rows(asn)]
         for router_id in range(1, router_count + 1):
             per_neighbor: dict[ASN, Counter] = {}
-            for row in range(len(next_hop)):
+            for row in best_rows:
                 # The RNG is consumed for every best route — local ones
                 # included — exactly like LookingGlass.router_views.
                 if rng.random() < 0.05:
                     pref = rng.choice(override_choices)
                 else:
                     pref = local_pref[row]
-                if is_local[row]:
+                if kinds[row] == KIND_LOCAL:
                     continue
                 neighbor = next_hop[row]
                 counts = per_neighbor.get(neighbor)
@@ -490,43 +487,45 @@ class AnalysisEngine:
         return report
 
     def _compute_sa_report(self, provider: ASN) -> SAPrefixReport:
-        """Run the Fig. 4 algorithm over one provider's best-route columns."""
+        """Run the Fig. 4 algorithm over one provider's best rows in the RIB."""
         if provider not in self.graph:
             raise InferenceError(f"AS{provider} is not in the relationship graph")
         idx = self.index
-        view = idx.tables[provider]
+        rib = idx.rib
         cone = self._cone(provider)
-        customer_prefixes, rows = sa_rows(view, self.graph, cone)
+        customer_prefixes, rows = sa_rows(rib, provider, self.graph, cone)
         report = SAPrefixReport(
             provider=provider,
             customer_prefix_count=customer_prefixes,
             customer_route_prefix_count=customer_prefixes - len(rows),
         )
-        for row, relationship in rows:
-            origin = view.best_origin[row]
-            prefix = idx.prefixes[view.best_prefix[row]]
+        paths, cand_path, next_hops = rib.paths, rib.cand_path, rib.cand_learned_from
+        for entry, row, relationship in rows:
+            origin = paths[cand_path[row]][-1]
+            prefix = rib.prefixes[rib.entry_prefix[entry]]
             customer_path = self._customer_path(provider, origin)
             report.sa_prefixes.append(
                 SAPrefix(
                     prefix=prefix,
                     origin_as=origin,
-                    next_hop_as=view.best_next_hop[row],
+                    next_hop_as=next_hops[row],
                     next_hop_relationship=relationship,
-                    best_route=idx.rib.route(prefix, view.best_route[row]),
+                    best_route=rib.route(prefix, row),
                     customer_path=list(customer_path) if customer_path else [],
                 )
             )
         # A prefix is missing when the provider's table has no best route
         # for it: either it was never observed anywhere (no interned id) or
-        # it has no row in this table.  (The legacy `prefix not in
+        # it has no best row in this table.  (The legacy `prefix not in
         # seen_prefixes` guard is implied: every seen prefix has a
         # best-route row.)
+        with_best = {rib.entry_prefix[entry] for entry, _ in rib.best_rows(provider)}
         for origin, prefixes in idx.internet.originated.items():
             if origin not in cone:
                 continue
             for prefix in prefixes:
                 pid = idx.prefix_ids.get(prefix)
-                if pid is None or pid not in view.row_of_prefix:
+                if pid is None or pid not in with_best:
                     report.missing_prefix_count += 1
         return report
 
@@ -542,7 +541,7 @@ class AnalysisEngine:
         customers_of = self.graph.customers_of
         return {
             asn: self.sa_report(asn)
-            for asn in self.index.tables
+            for asn in self.index.rib.owners
             if customers_of(asn)
         }
 
@@ -555,14 +554,15 @@ class AnalysisEngine:
         cones = [self._cone(provider) for provider in providers]
         shared_customers = set.intersection(*cones) if cones else set()
 
+        rib = self.index.rib
+        paths, cand_path, kinds = rib.paths, rib.cand_path, rib.cand_kind
         originated: dict[ASN, set[int]] = {}
         for provider in self.providers_under_study():
-            view = self.index.tables[provider]
-            for row in range(view.best_count):
-                if view.best_is_local[row]:
+            for entry, row in rib.best_rows(provider):
+                if kinds[row] == KIND_LOCAL:
                     continue
-                originated.setdefault(view.best_origin[row], set()).add(
-                    view.best_prefix[row]
+                originated.setdefault(paths[cand_path[row]][-1], set()).add(
+                    rib.entry_prefix[entry]
                 )
 
         sa_pids: set[int] = set()
@@ -653,14 +653,14 @@ class AnalysisEngine:
         return breakdown
 
     def _best_trie(self, provider: ASN) -> PrefixTrie:
-        """A radix trie of the provider's best-route rows, by prefix, built once."""
+        """A radix trie of the provider's best RIB candidate rows, by prefix, built once."""
         trie = self._best_tries.get(provider)
         if trie is not None:
             return trie
         trie = PrefixTrie()
-        view = self.index.tables[provider]
-        for row in range(view.best_count):
-            trie.insert(self.index.prefixes[view.best_prefix[row]], row)
+        rib = self.index.rib
+        for entry, row in rib.best_rows(provider):
+            trie.insert(rib.prefixes[rib.entry_prefix[entry]], row)
         self._best_tries[provider] = trie
         return trie
 
@@ -668,7 +668,8 @@ class AnalysisEngine:
         """Table 9: SA prefixes explained by splitting / aggregating / selective."""
         report = self.sa_report(provider)
         trie = self._best_trie(provider)
-        view = self.index.tables[provider]
+        rib = self.index.rib
+        paths, cand_path, next_hops = rib.paths, rib.cand_path, rib.cand_learned_from
         relationship_of = self.graph.relationship
         breakdown = CauseBreakdown(
             provider=provider, sa_prefix_count=report.sa_prefix_count
@@ -681,12 +682,9 @@ class AnalysisEngine:
             ):
                 if other_prefix == item.prefix:
                     continue
-                if view.best_origin[other] != item.origin_as:
+                if paths[cand_path[other]][-1] != item.origin_as:
                     continue
-                if (
-                    relationship_of(provider, view.best_next_hop[other])
-                    is Relationship.CUSTOMER
-                ):
+                if relationship_of(provider, next_hops[other]) is Relationship.CUSTOMER:
                     is_splitting = True
                     break
             is_aggregating = any(
@@ -772,7 +770,7 @@ class AnalysisEngine:
             return cached
         semantics = CommunitySemantics(asn=asn)
         semantics.signatures = self.neighbor_signatures(asn)
-        total_prefixes = self.index.glasses[asn].entry_count
+        total_prefixes = len(self.index.rib.entries(asn))
         ranked = sorted(
             semantics.signatures.values(), key=lambda s: s.prefix_count, reverse=True
         )

@@ -10,11 +10,10 @@ Given a chronological sequence of timeline snapshots (daily over a month, or
   at some point (Fig. 7).
 
 A snapshot has no measurement index, so each one is classified on its own
-columnar RIB: the provider's best rows become one
-:class:`~repro.analysis.index.TableIndex` and the analysis engine's Fig. 4
-rule (:func:`~repro.analysis.engine.sa_rows`) labels them.  Only
-announcements churn between snapshots, so the provider's customer cone is
-computed once per timeline.
+columnar RIB: the analysis engine's Fig. 4 rule
+(:func:`~repro.analysis.engine.sa_rows`) labels the provider's best rows
+in place.  Only announcements churn between snapshots, so the provider's
+customer cone is computed once per timeline.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis.engine import sa_rows
-from repro.analysis.index import TableIndex
 from repro.net.asn import ASN
 from repro.net.prefix import Prefix
 from repro.topology.graph import AnnotatedASGraph
@@ -118,12 +116,11 @@ def _classified(
     cone: set[ASN] | None = None
     for snapshot in snapshots:
         rib = snapshot.result.rib
-        view = TableIndex.from_rib(rib, provider)
+        prefixes = [rib.prefixes[rib.entry_prefix[entry]] for entry in rib.entries(provider)]
         if cone is None:
             cone = relationships.customer_cone(provider)
-        _, rows = sa_rows(view, relationships, cone)
-        prefixes = [rib.prefixes[rib.entry_prefix[entry]] for entry in rib.entries(provider)]
-        sa_prefixes = {rib.prefixes[view.best_prefix[row]] for row, _ in rows}
+        _, rows = sa_rows(rib, provider, relationships, cone)
+        sa_prefixes = {rib.prefixes[rib.entry_prefix[entry]] for entry, _, _ in rows}
         yield snapshot, prefixes, sa_prefixes
 
 

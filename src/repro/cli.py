@@ -62,7 +62,7 @@ def _cache_dir_from(args: argparse.Namespace, *, required: bool = False) -> str 
 def _study_cache(args: argparse.Namespace) -> StageCache | None:
     """A disk-backed stage cache when a cache dir is configured, else ``None``.
 
-    ``None`` keeps the pre-storage behaviour: the scenario's study uses the
+    ``None`` keeps the command memory-only: the scenario's study uses the
     process-wide in-memory cache.
     """
     cache_dir = _cache_dir_from(args)

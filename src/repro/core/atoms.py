@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.net.asn import ASN
-from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.simulation.collector import CollectorTable
 
@@ -24,12 +23,13 @@ class PolicyAtom:
     """One policy atom: prefixes indistinguishable by their path vectors.
 
     Attributes:
-        signature: the (vantage AS, AS path) vector shared by the prefixes.
+        signature: the (vantage AS, AS path) vector shared by the prefixes,
+            each path as its ASN tuple, vantages ascending.
         prefixes: the member prefixes.
         origin_ases: the origin ASes of the member prefixes.
     """
 
-    signature: tuple[tuple[ASN, ASPath], ...]
+    signature: tuple[tuple[ASN, tuple[ASN, ...]], ...]
     prefixes: list[Prefix] = field(default_factory=list)
     origin_ases: set[ASN] = field(default_factory=set)
 
@@ -73,10 +73,10 @@ class PolicyAtomAnalyzer:
 
     def compute_atoms(self, collector: CollectorTable) -> list[PolicyAtom]:
         """Group prefixes by their (vantage, AS path) vector."""
-        vectors: dict[Prefix, dict[ASN, ASPath]] = {}
+        vectors: dict[Prefix, dict[ASN, tuple[ASN, ...]]] = {}
         for entry in collector.entries:
-            vectors.setdefault(entry.prefix, {})[entry.vantage] = entry.as_path
-        atoms: dict[tuple[tuple[ASN, ASPath], ...], PolicyAtom] = {}
+            vectors.setdefault(entry.prefix, {})[entry.vantage] = entry.as_path.asns
+        atoms: dict[tuple[tuple[ASN, tuple[ASN, ...]], ...], PolicyAtom] = {}
         for prefix, by_vantage in vectors.items():
             signature = tuple(sorted(by_vantage.items()))
             atom = atoms.get(signature)
@@ -85,7 +85,7 @@ class PolicyAtomAnalyzer:
                 atoms[signature] = atom
             atom.prefixes.append(prefix)
             if by_vantage:
-                atom.origin_ases.add(next(iter(by_vantage.values())).origin_as)
+                atom.origin_ases.add(next(iter(by_vantage.values()))[-1])
         result = list(atoms.values())
         result.sort(key=lambda atom: atom.size, reverse=True)
         return result

@@ -30,7 +30,10 @@ from repro.topology.generator import SyntheticInternet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.analysis.engine import AnalysisEngine
-    from repro.session.stages import AnalysisParameters
+
+#: How many of the largest Tier-1 providers the SA-prefix studies cover (the
+#: paper studies AS1, AS3549 and AS7018).
+STUDY_PROVIDER_COUNT = 3
 
 
 @dataclass
@@ -69,9 +72,6 @@ class StudyDataset:
     vantage_ases: list[ASN]
     looking_glass_ases: list[ASN]
     as_info: dict[ASN, ASInfo] = field(default_factory=dict)
-    #: Analysis-stage knobs the engine is built with (``None`` means the
-    #: session defaults); set by the session layer's dataset assembly.
-    analysis_parameters: "AnalysisParameters | None" = None
     _analysis_engine: "AnalysisEngine | None" = field(
         default=None, repr=False, init=False
     )
@@ -112,7 +112,7 @@ class StudyDataset:
             raise SimulationError(f"AS{asn} has no Looking Glass in this dataset")
         return glass
 
-    def providers_under_study(self, count: int = 3) -> list[ASN]:
+    def providers_under_study(self, count: int = STUDY_PROVIDER_COUNT) -> list[ASN]:
         """The largest Tier-1 ASes (by degree), mirroring AS1/AS3549/AS7018."""
         return sorted(
             self.tier1_ases,
@@ -137,7 +137,5 @@ class StudyDataset:
             from repro.analysis.engine import AnalysisEngine
             from repro.analysis.index import MeasurementIndex
 
-            self._analysis_engine = AnalysisEngine(
-                MeasurementIndex(self), self.analysis_parameters
-            )
+            self._analysis_engine = AnalysisEngine(MeasurementIndex(self))
         return self._analysis_engine

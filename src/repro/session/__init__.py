@@ -44,7 +44,6 @@ from repro.session.scenarios import (
 )
 from repro.session.stages import (
     ALL_STAGES,
-    AnalysisParameters,
     IrrParameters,
     ObservationArtifact,
     ObservationParameters,
@@ -65,7 +64,6 @@ from repro.session.sweep import (
 
 __all__ = [
     "ALL_STAGES",
-    "AnalysisParameters",
     "ExperimentReport",
     "GLOBAL_CACHE",
     "IrrParameters",

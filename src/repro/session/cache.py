@@ -44,9 +44,6 @@ DEFAULT_MAX_ENTRIES = 128
 #: Environment variable naming the shared disk tier directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Environment variable overriding the in-memory bound of the global cache.
-CACHE_MAX_ENTRIES_ENV = "REPRO_CACHE_MAX_ENTRIES"
-
 
 def fingerprint(*parts: object) -> str:
     """A stable content hash for a tuple of (reprs of) parameter objects.
@@ -96,7 +93,7 @@ class StageCache:
 
     Args:
         max_entries: bound of the in-memory LRU tier; ``None`` means
-            unbounded (the pre-disk-tier behaviour).
+            unbounded.
         disk: optional on-disk tier shared across processes; artifacts
             round-trip through it via the stage codecs
             (:mod:`repro.storage.codecs`).
@@ -217,23 +214,14 @@ class StageCache:
 
 
 def cache_from_env() -> StageCache:
-    """A cache configured from the environment.
+    """A cache bounded at :data:`DEFAULT_MAX_ENTRIES`, configured from the environment.
 
-    Reads :data:`CACHE_DIR_ENV` (``REPRO_CACHE_DIR``) for the disk tier —
-    unset means memory-only — and :data:`CACHE_MAX_ENTRIES_ENV` for the
-    in-memory bound (default :data:`DEFAULT_MAX_ENTRIES`, ``0`` means
-    unbounded).
+    Reads :data:`CACHE_DIR_ENV` (``REPRO_CACHE_DIR``) for the disk tier;
+    unset means memory-only.
     """
     cache_dir = os.environ.get(CACHE_DIR_ENV)
-    raw_bound = os.environ.get(CACHE_MAX_ENTRIES_ENV, "")
-    try:
-        max_entries: int | None = int(raw_bound) if raw_bound else DEFAULT_MAX_ENTRIES
-    except ValueError:
-        max_entries = DEFAULT_MAX_ENTRIES
-    if max_entries == 0:
-        max_entries = None
     disk = DiskStore(cache_dir) if cache_dir else None
-    return StageCache(max_entries=max_entries, disk=disk)
+    return StageCache(max_entries=DEFAULT_MAX_ENTRIES, disk=disk)
 
 
 #: Process-wide default cache.  Scenario studies share it, which replaces the

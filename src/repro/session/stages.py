@@ -19,10 +19,10 @@ explicit stage with its own frozen parameter set:
   the index reads the RouteViews-style collector rows from the RIB's best
   rows, so no collector table is built.
 * **irr** — synthesise the IRR database (:class:`IrrParameters`).
-* **analysis** — compile the RIB columns and the IRR into the
-  columnar :class:`~repro.analysis.index.MeasurementIndex` and expose the
-  one-pass :class:`~repro.analysis.engine.AnalysisEngine` over it
-  (:class:`AnalysisParameters`).
+* **analysis** — compile the collector rows into the columnar
+  :class:`~repro.analysis.index.MeasurementIndex` and expose the one-pass
+  :class:`~repro.analysis.engine.AnalysisEngine` over it and over the RIB
+  and IRR it reads in place; it has no parameters of its own.
 
 With a disk tier, topology, policies, propagation and irr are stored; the
 observation and analysis stages are derived in memory, like the assembled
@@ -40,6 +40,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.data.dataset import STUDY_PROVIDER_COUNT
 from repro.exceptions import ExperimentError, SimulationError
 from repro.simulation.policies import PolicyAssignment, PolicyParameters
 from repro.simulation.propagation import SimulationResult
@@ -99,24 +100,6 @@ class ObservationParameters:
 
 
 @dataclass(frozen=True)
-class AnalysisParameters:
-    """How the measurement index and the analyzer engine are configured.
-
-    Attributes:
-        study_provider_count: how many of the largest Tier-1 providers the
-            SA-prefix studies cover (the paper studies AS1, AS3549 and
-            AS7018, i.e. three).
-    """
-
-    study_provider_count: int = 3
-
-    def validate(self) -> None:
-        """Raise :class:`SimulationError` on inconsistent settings."""
-        if self.study_provider_count < 1:
-            raise SimulationError("study_provider_count must be at least 1")
-
-
-@dataclass(frozen=True)
 class IrrParameters:
     """How the synthetic IRR is populated.
 
@@ -151,14 +134,12 @@ class StudyConfig:
     policy: PolicyParameters = field(default_factory=PolicyParameters)
     observation: ObservationParameters = field(default_factory=ObservationParameters)
     irr: IrrParameters = field(default_factory=IrrParameters)
-    analysis: AnalysisParameters = field(default_factory=AnalysisParameters)
 
     def validate(self) -> None:
         """Validate every stage's parameters."""
         self.topology.validate()
         self.policy.validate()
         self.observation.validate()
-        self.analysis.validate()
 
 
 # -- stage artifacts ---------------------------------------------------------------
@@ -249,7 +230,7 @@ class StageView:
         self._need(Stage.TOPOLOGY, "tier1_ases")
         return self._dataset.tier1_ases
 
-    def providers_under_study(self, count: int = 3) -> list["ASN"]:
+    def providers_under_study(self, count: int = STUDY_PROVIDER_COUNT) -> list["ASN"]:
         """The largest Tier-1 ASes by degree (needs the topology stage)."""
         self._need(Stage.TOPOLOGY, "providers_under_study")
         return self._dataset.providers_under_study(count)

@@ -32,7 +32,6 @@ from repro.data.rpsl import IrrDatabase
 from repro.session.cache import GLOBAL_CACHE, StageCache, fingerprint
 from repro.session.stages import (
     ALL_STAGES,
-    AnalysisParameters,
     IrrParameters,
     ObservationArtifact,
     ObservationParameters,
@@ -84,7 +83,6 @@ class Study:
         policy: PolicyParameters | None = None,
         observation: ObservationParameters | None = None,
         irr: IrrParameters | None = None,
-        analysis: AnalysisParameters | None = None,
     ) -> "Study":
         """A study with some stages overridden, sharing this study's cache.
 
@@ -98,7 +96,6 @@ class Study:
                 ("policy", policy),
                 ("observation", observation),
                 ("irr", irr),
-                ("analysis", analysis),
             )
             if value is not None
         }
@@ -142,14 +139,13 @@ class Study:
         if stage is Stage.IRR:
             return fingerprint(Stage.IRR, self.stage_key(Stage.POLICIES), config.irr)
         if stage is Stage.ANALYSIS:
-            # The index compiles every observed artifact, so its address
+            # The engine reads every observed artifact, so its address
             # covers the full upstream pipeline (observation subsumes
             # topology/policies/propagation) plus the IRR.
             return fingerprint(
                 Stage.ANALYSIS,
                 self.stage_key(Stage.OBSERVATION),
                 self.stage_key(Stage.IRR),
-                config.analysis,
             )
         raise ValueError(f"unknown stage: {stage!r}")
 
@@ -332,7 +328,6 @@ class Study:
             vantage_ases=list(plan.vantage_ases),
             looking_glass_ases=list(plan.looking_glass_ases),
             as_info=dict(observed.as_info),
-            analysis_parameters=self.config.analysis,
         )
 
     def view(self, requires: frozenset[Stage] = ALL_STAGES) -> StageView:

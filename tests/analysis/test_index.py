@@ -77,41 +77,40 @@ class TestCollectorColumns:
 
 
 class TestGlassAndTableColumns:
+    # The engine reads the Looking Glass and best rows in the RIB itself;
+    # these tests pin the RIB rows to the LocRib views they stand for.
     def test_glass_rows_cover_every_candidate_route(self, index, dataset):
-        for asn, view in index.glasses.items():
+        rib = index.rib
+        route_rows = 0
+        for asn in dataset.looking_glass_ases:
             table = dataset.looking_glass_of(asn).table
             route_count = sum(len(entry.routes) for entry in table.entries())
-            assert view.route_count == route_count
-            assert view.entry_count == len(table)
-            assert list(view.entry_offsets)[-1] == route_count
+            entries = rib.entries(asn)
+            assert len(entries) == len(table)
+            assert sum(len(rib.candidates(entry)) for entry in entries) == route_count
+            route_rows += route_count
+        assert index.stats()["glass_route_rows"] == route_rows
 
     def test_table_rows_cover_every_best_route(self, index, dataset):
-        rib = dataset.result.rib
-        for asn, view in index.tables.items():
+        rib = index.rib
+        best_rows = 0
+        for asn in dataset.result.observed_ases:
             best = list(dataset.result.table_of(asn).best_routes())
             assert [
-                rib.route(route.prefix, rib_row)
-                for route, rib_row in zip(best, view.best_route)
+                rib.route(rib.prefixes[rib.entry_prefix[entry]], row)
+                for entry, row in rib.best_rows(asn)
             ] == best
-            for row, route in enumerate(best):
-                assert index.prefixes[view.best_prefix[row]] == route.prefix
-                assert view.best_origin[row] == route.origin_as
-                assert view.row_of_prefix[view.best_prefix[row]] == row
+            best_rows += len(best)
+        assert index.stats()["table_best_rows"] == best_rows
 
     def test_every_observed_as_has_a_table(self, index, dataset):
-        assert sorted(index.tables) == sorted(dataset.result.observed_ases)
+        assert sorted(index.rib.owners) == sorted(dataset.result.observed_ases)
 
 
 class TestIrrRowsAndStats:
     def test_irr_rows_cover_every_object(self, index, dataset):
-        assert len(index.irr_rows) == len(dataset.irr)
-        by_asn = {row.asn: row for row in index.irr_rows}
-        for obj in dataset.irr:
-            row = by_asn[obj.asn]
-            assert row.last_updated == obj.last_updated
-            assert row.imports == tuple(
-                (line.peer_as, line.pref) for line in obj.imports
-            )
+        assert index.irr is dataset.irr
+        assert index.stats()["irr_objects"] == len(dataset.irr)
 
     def test_stats_counters(self, index, dataset):
         stats = index.stats()

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.exceptions import ExperimentError, SimulationError
+from repro.data.dataset import STUDY_PROVIDER_COUNT
+from repro.exceptions import ExperimentError
 from repro.experiments import all_experiments
 from repro.session.cache import StageCache
 from repro.session.scenarios import get_scenario
 from repro.session.stages import (
     ALL_STAGES,
-    AnalysisParameters,
     Stage,
     StageView,
     StudyConfig,
@@ -43,27 +43,10 @@ class TestStageWiring:
         assert Stage.ANALYSIS in ALL_STAGES
         assert Stage.ANALYSIS.value == "analysis"
 
-    def test_analysis_stage_key_depends_on_parameters(self, cache):
-        base = Study(TINY, cache=cache)
-        tweaked = Study(
-            StudyConfig(
-                topology=TINY.topology,
-                analysis=AnalysisParameters(study_provider_count=2),
-            ),
-            cache=cache,
-        )
-        assert base.stage_key(Stage.ANALYSIS) != tweaked.stage_key(Stage.ANALYSIS)
-        # Upstream stages are untouched by analysis parameters.
-        assert base.stage_key(Stage.OBSERVATION) == tweaked.stage_key(Stage.OBSERVATION)
-
     def test_analysis_stage_key_depends_on_upstream(self, cache):
         base = Study(TINY, cache=cache)
         reseeded = base.seeded(99)
         assert base.stage_key(Stage.ANALYSIS) != reseeded.stage_key(Stage.ANALYSIS)
-
-    def test_parameters_validate(self):
-        with pytest.raises(SimulationError):
-            AnalysisParameters(study_provider_count=0).validate()
 
 
 class TestEngineCaching:
@@ -79,18 +62,6 @@ class TestEngineCaching:
         dataset = study.dataset()
         assert dataset.analysis_engine() is dataset.analysis_engine()
         assert study.analysis() is dataset.analysis_engine()
-
-    def test_engine_honours_config_parameters(self, cache):
-        study = Study(
-            StudyConfig(
-                topology=TINY.topology,
-                analysis=AnalysisParameters(study_provider_count=2),
-            ),
-            cache=cache,
-        )
-        engine = study.analysis()
-        assert engine.provider_count == 2
-        assert len(engine.sa_reports()) == 2
 
 
 class TestStageViewGating:
@@ -122,24 +93,16 @@ class TestSuiteAmortisation:
         report = run_suite(study.dataset(), ["table2", "case3"])
         assert [r.experiment_id for r in report.experiments] == ["case3", "table2"]
 
-    def test_common_helpers_honour_study_provider_count(self, cache):
+    def test_common_helpers_honour_study_provider_count(self, study):
         # Every way an experiment reaches the engine (a bare dataset, a stage
-        # view, the inferred-graph sibling) studies the configured providers.
-        study = Study(
-            StudyConfig(
-                topology=TINY.topology,
-                analysis=AnalysisParameters(study_provider_count=2),
-            ),
-            cache=cache,
-        )
+        # view, the inferred-graph sibling) studies the same providers.
         dataset = study.dataset()
         view = StageView(dataset, frozenset({Stage.ANALYSIS}))
-        providers = dataset.providers_under_study(2)
+        providers = dataset.providers_under_study()
+        assert len(providers) == STUDY_PROVIDER_COUNT
         assert list(dataset.analysis.sa_reports()) == providers
         assert list(view.analysis.peer_export_reports()) == providers
-        inferred = view.analysis.inferred()
-        assert inferred.provider_count == 2
-        assert inferred.providers_under_study() == providers
+        assert view.analysis.inferred().providers_under_study() == providers
 
 
 class TestOneRouteRepresentation:

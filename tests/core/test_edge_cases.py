@@ -48,7 +48,7 @@ class TestAtomsEdgeCases:
         )
         atoms = PolicyAtomAnalyzer().compute_atoms(table)
         assert [atom.prefixes for atom in atoms] == [[P1, P2], [P3]]
-        assert atoms[0].signature == ((10, ASPath([10, 20, 30])),)
+        assert atoms[0].signature == ((10, (10, 20, 30)),)
         assert atoms[0].origin_ases == {30}
         assert atoms[1].origin_ases == {40}
 

@@ -129,8 +129,11 @@ class TestStageRoundTrips:
         assert loaded.index.collapsed == fresh.index.collapsed
         assert loaded.index.adjacency == fresh.index.adjacency
         assert loaded.index.rows_by_prefix == fresh.index.rows_by_prefix
-        assert loaded.index.glasses == fresh.index.glasses
-        assert loaded.index.tables == fresh.index.tables
+        # The Looking Glass and best rows are read from the decoded RIB.
+        assert loaded.import_typicality() == fresh.import_typicality()
+        assert loaded.irr_typicality() == fresh.irr_typicality()
+        assert loaded.consistency_by_router() == fresh.consistency_by_router()
+        assert loaded.all_provider_reports() == fresh.all_provider_reports()
         # The rebuilt engine is the dataset's memoised engine.
         assert warm.dataset().analysis_engine() is loaded
 

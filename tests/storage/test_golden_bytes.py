@@ -3,8 +3,8 @@
 Two fresh Python processes, launched with *different* randomized
 ``PYTHONHASHSEED`` values, build the same tiny study and print the SHA-256
 of every stored stage's encoded artifact and of the measurement index —
-prefix and path tables, collapsed paths, collector, glass and table
-columns and the insertion order of every grouping.  The digests must match exactly — the
+prefix and path tables, collapsed paths, collector columns and the
+insertion order of every grouping.  The digests must match exactly — the
 property that makes the shared disk tier trustworthy across processes,
 machines in a fleet, and the sweep orchestrator's byte-identical reports.
 
@@ -43,22 +43,6 @@ config = StudyConfig(
 
 
 def index_digest(index):
-    glasses = [
-        (
-            asn, list(g.entry_prefix), list(g.entry_offsets), list(g.route_next_hop),
-            list(g.route_local_pref), bytes(g.route_is_local),
-            [tuple((c.asn, c.value) for c in row) for row in g.route_own_communities],
-            list(g.best_next_hop), list(g.best_local_pref), bytes(g.best_is_local),
-        )
-        for asn, g in index.glasses.items()
-    ]
-    tables = [
-        (
-            asn, list(t.best_prefix), list(t.best_origin), list(t.best_next_hop),
-            bytes(t.best_is_local), list(t.best_route), list(t.row_of_prefix.items()),
-        )
-        for asn, t in index.tables.items()
-    ]
     state = (
         [(p.network, p.length) for p in index.prefixes],
         index.paths,
@@ -68,8 +52,6 @@ def index_digest(index):
         list(index.rows_by_prefix.items()),
         list(index.rows_by_member.items()),
         sorted(index.adjacency),
-        glasses,
-        tables,
     )
     return hashlib.sha256(repr(state).encode()).hexdigest()
 
