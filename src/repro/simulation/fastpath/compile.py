@@ -21,6 +21,10 @@ schedule identical to the legacy engine's):
   already applied.  Each template is a pre-sorted tuple of
   ``(target, slot)`` pairs, where ``slot`` is the *receiver-side* CSR slot
   of the edge — so the engine's hot loop never looks an edge up;
+* a per-AS ``sink`` flag: the AS is not observed and its ``exp_down``
+  template (customers plus siblings) is empty, so a route it learns (only
+  ever from a peer or a provider) is never exported, and its table is
+  never read.  The engine drops a message to a sink once it is counted;
 * per-(origin, prefix) seed plans replaying the origin's selective /
   scoped / peer-withholding export policy as ordered announcement groups.
   A plan carries its community sets by value, so it means the same thing
@@ -120,6 +124,10 @@ class CompiledTopology:
     seeds: dict[tuple[int, Prefix], SeedPlan]
     # Observation.
     observed: tuple[int, ...]
+    #: Per-AS: not observed and ``exp_down`` empty (no customer, no
+    #: sibling).  Such an AS never re-sends a route it learns and is never
+    #: read, so the engine counts a message to it and decides nothing.
+    sink: list[bool]
 
     @property
     def as_count(self) -> int:
@@ -303,6 +311,7 @@ def compile_topology(
         origin_tasks=[],
         seeds={},
         observed=observed,
+        sink=[],
     )
 
     # Export templates need every CSR row in place (they store the
@@ -332,6 +341,11 @@ def compile_topology(
         topology.exp_down.append(
             topology.pairs_from(sender_idx, sorted(customers + siblings))
         )
+    observed_set = set(observed)
+    topology.sink.extend(
+        not down and idx not in observed_set
+        for idx, down in enumerate(topology.exp_down)
+    )
 
     origins = sorted(internet.originated)
     compile_seeds(topology, internet, assignment, origins)

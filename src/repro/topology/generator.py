@@ -267,9 +267,9 @@ class InternetGenerator:
         for stub in stubs:
             for provider in graph.providers_of(stub):
                 by_provider.setdefault(provider, []).append(stub)
-        for siblings in by_provider.values():
-            for index, left in enumerate(siblings):
-                for right in siblings[index + 1:]:
+        for cohort in by_provider.values():
+            for index, left in enumerate(cohort):
+                for right in cohort[index + 1:]:
                     if self._rng.random() < probability:
                         graph.add_peer_peer(left, right)
 

@@ -36,7 +36,9 @@ print(report.to_json(include_timing=False))
 
 def _fresh_process_output() -> str:
     result = subprocess.run(
-        [sys.executable, "-X", "utf8", "-c", _SCRIPT],
+        # -B: the env below drops PYTHONDONTWRITEBYTECODE, and bytecode
+        # written into src/ would make later imports of the tree faster.
+        [sys.executable, "-B", "-X", "utf8", "-c", _SCRIPT],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
