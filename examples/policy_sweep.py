@@ -38,8 +38,7 @@ def main() -> None:
         variant = study.with_(
             policy=replace(study.config.policy, selective_announcement_probability=probability)
         )
-        dataset = variant.dataset()
-        reports = dataset.analysis_engine().sa_reports()
+        reports = variant.analysis().sa_reports()
         customer_prefixes = sum(r.customer_prefix_count for r in reports.values())
         sa_prefixes = sum(r.sa_prefix_count for r in reports.values())
         rows.append(

@@ -1,4 +1,4 @@
-"""The flat study dataset (paper Section 3, Table 1) — a view over the stages.
+"""The flat study dataset (paper Section 3, Table 1), assembled from the stages.
 
 The paper's dataset is: the Oregon RouteViews table (56 peer ASes, AS paths
 only), BGP tables from 15 ASes' Looking Glass servers (LOCAL_PREF and
@@ -8,8 +8,11 @@ policy assignment, one propagation run observed at the collector's vantage
 ASes and at the Looking Glass ASes, plus a synthetic IRR.
 
 The dataset is assembled from the staged :class:`~repro.session.study.Study`
-pipeline; this module keeps the flat view.  Build one through the session
-API::
+pipeline.  Experiments do not read it: they read the study's stages through
+a :class:`~repro.session.stages.StageView`.  The analysis stage builds its
+measurement index from it, and the :mod:`repro.core` oracles, ``repro
+fuzz``, the archive export and the examples read it.  Build one through the
+session API::
 
     from repro.session import get_scenario
     dataset = get_scenario("standard").study().dataset()
@@ -18,7 +21,6 @@ API::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.data.rpsl import IrrDatabase
 from repro.exceptions import SimulationError
@@ -27,9 +29,6 @@ from repro.simulation.collector import CollectorTable, LookingGlass, RouteViewsC
 from repro.simulation.policies import PolicyAssignment
 from repro.simulation.propagation import SimulationResult
 from repro.topology.generator import SyntheticInternet
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.analysis.engine import AnalysisEngine
 
 #: How many of the largest Tier-1 providers the SA-prefix studies cover (the
 #: paper studies AS1, AS3549 and AS7018).
@@ -51,7 +50,7 @@ class ASInfo:
 
 @dataclass(eq=False)  # identity semantics: hashable + usable as a weak cache key
 class StudyDataset:
-    """The complete dataset every experiment consumes (flat compatibility view).
+    """The flat study dataset: every stage artifact in one object.
 
     Attributes:
         internet: the synthetic Internet (topology, tiers, prefixes).
@@ -72,12 +71,9 @@ class StudyDataset:
     vantage_ases: list[ASN]
     looking_glass_ases: list[ASN]
     as_info: dict[ASN, ASInfo] = field(default_factory=dict)
-    _analysis_engine: "AnalysisEngine | None" = field(
-        default=None, repr=False, init=False
-    )
     _collector: CollectorTable | None = field(default=None, repr=False, init=False)
 
-    # -- convenience used across experiments -----------------------------------
+    # -- convenience used by the index, the oracles and the examples -----------
 
     @property
     def tier1_ases(self) -> list[ASN]:
@@ -119,23 +115,3 @@ class StudyDataset:
             key=lambda asn: self.ground_truth_graph.degree(asn),
             reverse=True,
         )[:count]
-
-    @property
-    def analysis(self) -> "AnalysisEngine":
-        """The analyzer engine, mirroring ``StageView.analysis`` (ungated)."""
-        return self.analysis_engine()
-
-    def analysis_engine(self) -> "AnalysisEngine":
-        """The one-pass analyzer engine over this dataset's measurement index.
-
-        Built lazily on first use and memoised on the dataset, so the index
-        is compiled once.  The session layer's ``ANALYSIS`` stage routes
-        through this memo, so a :class:`~repro.session.study.Study` and a
-        bare dataset share the same engine.
-        """
-        if self._analysis_engine is None:
-            from repro.analysis.engine import AnalysisEngine
-            from repro.analysis.index import MeasurementIndex
-
-            self._analysis_engine = AnalysisEngine(MeasurementIndex(self))
-        return self._analysis_engine

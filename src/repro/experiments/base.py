@@ -63,10 +63,7 @@ class Experiment(abc.ABC):
 
     @abc.abstractmethod
     def run(self, dataset: StageView) -> ExperimentResult:
-        """Execute the experiment against a stage view of a study dataset.
-
-        A plain :class:`~repro.data.dataset.StudyDataset` is also accepted
-        (it exposes the same attributes, ungated)."""
+        """Execute the experiment against a stage view of a study."""
 
     def _result(self) -> ExperimentResult:
         """Create an empty result pre-filled with this experiment's metadata."""

@@ -1,8 +1,8 @@
 """The persistence timeline shared by the Fig. 6 and Fig. 7 experiments.
 
 Every other shared intermediate (SA-prefix reports, tagging ASes, the
-Gao-inferred graph) is a query of the dataset's memoised
-:class:`~repro.analysis.engine.AnalysisEngine`.
+Gao-inferred graph) is a query of the study's cached
+:class:`~repro.analysis.engine.AnalysisEngine` (the ``analysis`` stage).
 """
 
 from __future__ import annotations

@@ -212,13 +212,12 @@ def build_context(
     legacy_result = PropagationEngine(
         internet, plan.assignment, observed_ases=plan.observed_ases
     ).run()
-    dataset = study.dataset()
     return FuzzContext(
         family=family_name,
         seed=seed,
         config=config,
-        dataset=dataset,
-        engine=dataset.analysis_engine(),
+        dataset=study.dataset(),
+        engine=study.analysis(),
         legacy_result=legacy_result,
         fast_result=fast_result,
     )

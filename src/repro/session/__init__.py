@@ -12,9 +12,10 @@ derived in memory):
   ``dense-peering``, ``sparse-multihoming``, ``large``) plus seeded
   :class:`ScenarioFamily` samplers (``peering-density``, ``multihoming``,
   ...) whose samples are addressable as ``family@seed`` scenarios.
-* :func:`run_suite` — executes experiments (each declaring the stages it
-  ``requires``) one after another over the shared dataset and returns a
-  structured, JSON-serializable :class:`SuiteReport`.
+* :func:`run_suite` — builds the stages the selected experiments declare in
+  ``requires`` (and no others), runs the experiments one after another over
+  stage-gated views of the study and returns a structured,
+  JSON-serializable :class:`SuiteReport`.
 
 Quick tour::
 

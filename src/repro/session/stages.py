@@ -30,8 +30,9 @@ dataset, because rebuilding them from the stored columns costs no more
 than decoding them.
 
 :class:`StageView` is the object an :class:`~repro.experiments.base.Experiment`
-receives: a facade over the assembled dataset that only exposes the stages
-the experiment declared in ``requires``, so stage dependencies stay honest.
+receives: a view of the :class:`~repro.session.study.Study` that reads each
+stage from it on access and only exposes the stages the experiment declared
+in ``requires``, so stage dependencies stay honest.
 """
 
 from __future__ import annotations
@@ -40,18 +41,16 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.data.dataset import STUDY_PROVIDER_COUNT
 from repro.exceptions import ExperimentError, SimulationError
 from repro.simulation.policies import PolicyAssignment, PolicyParameters
-from repro.simulation.propagation import SimulationResult
-from repro.topology.generator import GeneratorParameters, SyntheticInternet
+from repro.topology.generator import GeneratorParameters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.analysis.engine import AnalysisEngine
-    from repro.data.dataset import ASInfo, StudyDataset
-    from repro.data.rpsl import IrrDatabase
+    from repro.data.dataset import ASInfo
     from repro.net.asn import ASN
-    from repro.simulation.collector import CollectorTable, LookingGlass
+    from repro.session.study import Study
+    from repro.simulation.collector import LookingGlass
 
 
 class Stage(enum.Enum):
@@ -187,20 +186,22 @@ class ObservationArtifact:
 
 
 class StageView:
-    """A stage-gated facade over a :class:`~repro.data.dataset.StudyDataset`.
+    """A stage-gated view of a :class:`~repro.session.study.Study`.
 
-    The view exposes the same attribute names experiments have always used
-    (``internet``, ``result``, ``collector``, ...), but accessing an
-    attribute of a stage outside ``allowed`` raises
-    :class:`~repro.exceptions.ExperimentError`.  ``run_suite`` builds one
-    view per experiment from its declared ``requires``, which keeps the
-    declared stage dependencies honest.
+    The view exposes the attributes experiments read (``analysis``,
+    ``tier1_ases``, ``as_info``, ...); each one reads its stage from the
+    study on access, and accessing an attribute of a stage outside
+    ``allowed`` raises :class:`~repro.exceptions.ExperimentError`.  The view
+    holds no copy: the study's stage cache is the memo, so constructing a
+    view builds nothing.  ``run_suite`` builds one view per experiment from
+    its declared ``requires``, which keeps the declared stage dependencies
+    honest.
     """
 
-    __slots__ = ("_dataset", "_allowed")
+    __slots__ = ("_study", "_allowed")
 
-    def __init__(self, dataset: "StudyDataset", allowed: frozenset[Stage] = ALL_STAGES):
-        self._dataset = dataset
+    def __init__(self, study: "Study", allowed: frozenset[Stage] = ALL_STAGES):
+        self._study = study
         self._allowed = frozenset(allowed)
 
     # -- bookkeeping -----------------------------------------------------------
@@ -216,77 +217,41 @@ class StageView:
     # -- topology --------------------------------------------------------------
 
     @property
-    def internet(self) -> SyntheticInternet:
-        self._need(Stage.TOPOLOGY, "internet")
-        return self._dataset.internet
-
-    @property
     def ground_truth_graph(self):
         self._need(Stage.TOPOLOGY, "ground_truth_graph")
-        return self._dataset.ground_truth_graph
+        return self._study.topology().graph
 
     @property
     def tier1_ases(self) -> list["ASN"]:
         self._need(Stage.TOPOLOGY, "tier1_ases")
-        return self._dataset.tier1_ases
-
-    def providers_under_study(self, count: int = STUDY_PROVIDER_COUNT) -> list["ASN"]:
-        """The largest Tier-1 ASes by degree (needs the topology stage)."""
-        self._need(Stage.TOPOLOGY, "providers_under_study")
-        return self._dataset.providers_under_study(count)
+        return self._study.topology().tier1
 
     # -- policies --------------------------------------------------------------
 
     @property
     def assignment(self) -> PolicyAssignment:
         self._need(Stage.POLICIES, "assignment")
-        return self._dataset.assignment
-
-    # -- propagation -----------------------------------------------------------
-
-    @property
-    def result(self) -> SimulationResult:
-        self._need(Stage.PROPAGATION, "result")
-        return self._dataset.result
+        return self._study.policies().assignment
 
     # -- observation -----------------------------------------------------------
-
-    @property
-    def collector(self) -> "CollectorTable":
-        self._need(Stage.OBSERVATION, "collector")
-        return self._dataset.collector
-
-    @property
-    def looking_glasses(self) -> dict["ASN", "LookingGlass"]:
-        self._need(Stage.OBSERVATION, "looking_glasses")
-        return self._dataset.looking_glasses
+    # The vantage and Looking Glass lists are drawn with the policies (the
+    # generator needs them), but they describe where the measurements are
+    # taken, so they are gated with the observation stage.
 
     @property
     def vantage_ases(self) -> list["ASN"]:
         self._need(Stage.OBSERVATION, "vantage_ases")
-        return self._dataset.vantage_ases
+        return list(self._study.policies().vantage_ases)
 
     @property
     def looking_glass_ases(self) -> list["ASN"]:
         self._need(Stage.OBSERVATION, "looking_glass_ases")
-        return self._dataset.looking_glass_ases
+        return list(self._study.policies().looking_glass_ases)
 
     @property
-    def as_info(self):
+    def as_info(self) -> dict["ASN", "ASInfo"]:
         self._need(Stage.OBSERVATION, "as_info")
-        return self._dataset.as_info
-
-    def looking_glass_of(self, asn: "ASN") -> "LookingGlass":
-        """The Looking Glass view of an AS (needs the observation stage)."""
-        self._need(Stage.OBSERVATION, "looking_glass_of")
-        return self._dataset.looking_glass_of(asn)
-
-    # -- irr -------------------------------------------------------------------
-
-    @property
-    def irr(self) -> "IrrDatabase":
-        self._need(Stage.IRR, "irr")
-        return self._dataset.irr
+        return self._study.observation().as_info
 
     # -- analysis --------------------------------------------------------------
 
@@ -294,8 +259,8 @@ class StageView:
     def analysis(self) -> "AnalysisEngine":
         """The one-pass analyzer engine over the compiled measurement index.
 
-        Built lazily and memoised per dataset, so every experiment in a
-        suite run shares one index instead of re-walking the raw tables.
+        Read from the study's cached ``ANALYSIS`` stage, so every experiment
+        in a suite run shares one index instead of re-walking the raw tables.
         """
         self._need(Stage.ANALYSIS, "analysis")
-        return self._dataset.analysis_engine()
+        return self._study.analysis()

@@ -11,14 +11,16 @@ from them.  Studies derived with
 every upstream artifact already built::
 
     study = Study(cache=StageCache())
-    study.dataset()                                  # builds everything once
+    study.analysis()                                 # builds every stage once
     for p in policy_grid:
-        study.with_(policy=p).dataset()              # topology is a cache hit
+        study.with_(policy=p).analysis()             # topology is a cache hit
 
-:meth:`Study.dataset` assembles the familiar
-:class:`~repro.data.dataset.StudyDataset` as a *compatibility view* over the
-stage artifacts, so everything written against the flat dataset keeps
-working.
+Experiments read the study itself, through a
+:class:`~repro.session.stages.StageView`.  :meth:`Study.dataset` assembles
+the flat :class:`~repro.data.dataset.StudyDataset` from the stage
+artifacts; the analysis stage builds its measurement index from it, and the
+:mod:`repro.core` oracles, ``repro fuzz``, the archive export and the
+examples read it.
 """
 
 from __future__ import annotations
@@ -31,13 +33,11 @@ from repro.data.dataset import ASInfo, StudyDataset
 from repro.data.rpsl import IrrDatabase
 from repro.session.cache import GLOBAL_CACHE, StageCache, fingerprint
 from repro.session.stages import (
-    ALL_STAGES,
     IrrParameters,
     ObservationArtifact,
     ObservationParameters,
     PolicyStageArtifact,
     Stage,
-    StageView,
     StudyConfig,
 )
 from repro.simulation.collector import LookingGlass
@@ -73,6 +73,7 @@ class Study:
         self.config = config or StudyConfig()
         self.config.validate()
         self.cache = cache if cache is not None else GLOBAL_CACHE
+        self._keys: dict[Stage, str] = {}
 
     # -- derivation ------------------------------------------------------------
 
@@ -119,7 +120,17 @@ class Study:
     # -- stage keys ------------------------------------------------------------
 
     def stage_key(self, stage: Stage) -> str:
-        """The content address of one stage under this config."""
+        """The content address of one stage under this config.
+
+        Memoised per study: the config is frozen, and :meth:`with_` and
+        :meth:`seeded` return new studies, so a key cannot go stale.
+        """
+        key = self._keys.get(stage)
+        if key is None:
+            key = self._keys[stage] = self._compute_key(stage)
+        return key
+
+    def _compute_key(self, stage: Stage) -> str:
         config = self.config
         if stage is Stage.TOPOLOGY:
             return fingerprint(Stage.TOPOLOGY, config.topology)
@@ -291,24 +302,25 @@ class Study:
 
         A derived, memory-only stage: the index is compiled from the
         dataset (reading the propagation stage's RIB columns), which costs
-        no more than decoding a stored index would.  The engine itself is
-        memoised on the assembled dataset (so bare ``StudyDataset``
-        consumers share it); routing the build through the stage cache
-        additionally records hit/miss accounting and lets ``run_suite``
-        amortise one index across every experiment of a suite.
+        no more than decoding a stored index would.  The stage cache entry
+        is the engine's one memo, so every experiment of a suite shares one
+        index.
         """
 
         def build() -> "AnalysisEngine":
-            return self.dataset().analysis_engine()
+            from repro.analysis.engine import AnalysisEngine
+            from repro.analysis.index import MeasurementIndex
+
+            return AnalysisEngine(MeasurementIndex(self.dataset()))
 
         return self._build(Stage.ANALYSIS, build)
 
     # -- assembly --------------------------------------------------------------
 
     def dataset(self) -> StudyDataset:
-        """The flat :class:`StudyDataset` compatibility view over the stages.
+        """The flat :class:`StudyDataset` assembled from the stage artifacts.
 
-        The assembled view is itself cached, so repeated calls return the
+        The assembled dataset is itself cached, so repeated calls return the
         same object for the same configuration and cache.
         """
         key = fingerprint(
@@ -329,7 +341,3 @@ class Study:
             looking_glass_ases=list(plan.looking_glass_ases),
             as_info=dict(observed.as_info),
         )
-
-    def view(self, requires: frozenset[Stage] = ALL_STAGES) -> StageView:
-        """A stage-gated view over the assembled dataset."""
-        return StageView(self.dataset(), requires)

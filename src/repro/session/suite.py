@@ -1,12 +1,14 @@
 """Experiment runner and the structured suite report.
 
-``run_suite`` executes a set of registered experiments against one study,
-one after another in the calling thread.  Each experiment class declares
-``requires: frozenset[Stage]``; the runner instantiates the class fresh
+``run_suite`` executes a set of registered experiments against one
+:class:`~repro.session.study.Study`, one after another in the calling
+thread.  Each experiment class declares ``requires: frozenset[Stage]``; the
+runner builds the union of the selected experiments' declared stages (and
+nothing else) before its clock starts, then instantiates each class fresh
 (experiments may keep per-run state), hands it a
-:class:`~repro.session.stages.StageView` restricted to exactly those stages,
-and times the run.  Process-level parallelism lives in ``repro sweep``,
-where whole studies are independent.
+:class:`~repro.session.stages.StageView` of the study restricted to exactly
+those stages, and times the run.  Process-level parallelism lives in
+``repro sweep``, where whole studies are independent.
 
 Results come back as a :class:`SuiteReport` ordered by experiment id — the
 JSON serialization is deterministic, and byte-identical between runs when
@@ -24,7 +26,6 @@ from repro.exceptions import ExperimentError
 from repro.session.stages import Stage, StageView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.data.dataset import StudyDataset
     from repro.experiments.base import ExperimentResult
     from repro.session.study import Study
 
@@ -98,8 +99,9 @@ class SuiteReport:
         scenario: scenario name the suite ran against (``None`` for ad-hoc
             configurations).
         experiments: per-experiment reports, ordered by experiment id.
-        total_seconds: wall-clock cost of the whole suite (excludes dataset
-            construction, which is paid by the stage cache).
+        total_seconds: wall-clock cost of the whole suite (excludes building
+            the declared stages, which ``run_suite`` does before its clock
+            starts).
     """
 
     experiments: list[ExperimentReport] = field(default_factory=list)
@@ -151,15 +153,15 @@ class SuiteReport:
 
 
 def run_suite(
-    study: "Study | StudyDataset",
+    study: "Study",
     ids: Iterable[str] | None = None,
     *,
     scenario: str | None = None,
 ) -> SuiteReport:
-    """Run experiments against a study (or an already-assembled dataset).
+    """Run experiments against a study.
 
     Args:
-        study: a :class:`Study` or a flat :class:`StudyDataset`.
+        study: the :class:`Study` the experiments read.
         ids: experiment identifiers to run (default: every registered one).
         scenario: optional scenario name recorded in the report.
 
@@ -172,24 +174,19 @@ def run_suite(
 
     selected = sorted(set(ids)) if ids is not None else experiment_ids()
     classes = {identifier: experiment_class(identifier) for identifier in selected}
-    is_study = hasattr(study, "dataset")
-    dataset = study.dataset() if is_study else study
-    if any(Stage.ANALYSIS in cls.requires for cls in classes.values()):
-        # Compile the measurement index once, up front, so every
-        # analysis-backed experiment shares it.  A Study routes through the
-        # stage cache (recording hit/miss accounting); a bare dataset goes
-        # through its own memo.
-        if is_study:
-            study.analysis()
-        else:
-            dataset.analysis_engine()
+    # Build the declared stages up front, in pipeline order, so the timings
+    # exclude them; each Stage value names its Study method.
+    declared = frozenset().union(*(cls.requires for cls in classes.values()))
+    for stage in Stage:
+        if stage in declared:
+            getattr(study, stage.value)()
 
     started = time.perf_counter()
     reports = []
     for identifier in selected:
         cls = classes[identifier]
         experiment = cls()
-        view = StageView(dataset, cls.requires)
+        view = StageView(study, cls.requires)
         start = time.perf_counter()
         result = experiment.run(view)
         reports.append(ExperimentReport.from_result(result, time.perf_counter() - start))

@@ -37,7 +37,8 @@ def _context(name: str) -> dict:
     """Dataset, engine and shared legacy intermediates for one scenario."""
     ctx = _CONTEXTS.get(name)
     if ctx is None:
-        dataset = get_scenario(name).study().dataset()
+        study = get_scenario(name).study()
+        dataset = study.dataset()
         graph = dataset.ground_truth_graph
         providers = dataset.providers_under_study(3)
         tables = {p: dataset.result.table_of(p) for p in providers}
@@ -52,7 +53,7 @@ def _context(name: str) -> dict:
         ]
         ctx = _CONTEXTS[name] = {
             "dataset": dataset,
-            "engine": dataset.analysis_engine(),
+            "engine": study.analysis(),
             "graph": graph,
             "inferred": GaoInference().infer(dataset.collector.all_paths()).graph,
             "providers": providers,

@@ -58,20 +58,15 @@ class TestEngineCaching:
         assert stats.builds == 1
         assert stats.hits == 1
 
-    def test_engine_memoised_on_dataset(self, study):
-        dataset = study.dataset()
-        assert dataset.analysis_engine() is dataset.analysis_engine()
-        assert study.analysis() is dataset.analysis_engine()
-
 
 class TestStageViewGating:
     def test_analysis_gated(self, study):
-        view = StageView(study.dataset(), frozenset({Stage.TOPOLOGY}))
+        view = StageView(study, frozenset({Stage.TOPOLOGY}))
         with pytest.raises(ExperimentError):
             _ = view.analysis
 
     def test_analysis_allowed(self, study):
-        view = StageView(study.dataset(), frozenset({Stage.ANALYSIS}))
+        view = StageView(study, frozenset({Stage.ANALYSIS}))
         assert view.analysis is study.analysis()
 
 
@@ -87,20 +82,13 @@ class TestSuiteAmortisation:
         ]
         assert cache.stats_for(Stage.ANALYSIS.value).builds == 1
 
-    def test_run_suite_accepts_a_bare_dataset(self, study):
-        # StudyDataset exposes `analysis` as a property; the pre-compile
-        # hook must not try to call it like Study's method.
-        report = run_suite(study.dataset(), ["table2", "case3"])
-        assert [r.experiment_id for r in report.experiments] == ["case3", "table2"]
-
     def test_common_helpers_honour_study_provider_count(self, study):
-        # Every way an experiment reaches the engine (a bare dataset, a stage
-        # view, the inferred-graph sibling) studies the same providers.
-        dataset = study.dataset()
-        view = StageView(dataset, frozenset({Stage.ANALYSIS}))
-        providers = dataset.providers_under_study()
+        # Every way an experiment reaches the engine (the study's stage, a
+        # stage view, the inferred-graph sibling) studies the same providers.
+        view = StageView(study, frozenset({Stage.ANALYSIS}))
+        providers = study.dataset().providers_under_study()
         assert len(providers) == STUDY_PROVIDER_COUNT
-        assert list(dataset.analysis.sa_reports()) == providers
+        assert list(study.analysis().sa_reports()) == providers
         assert list(view.analysis.peer_export_reports()) == providers
         assert view.analysis.inferred().providers_under_study() == providers
 

@@ -10,8 +10,14 @@ from repro.session import StageView, get_scenario
 
 
 @pytest.fixture(scope="module")
-def dataset():
-    return get_scenario("small").study().dataset()
+def study():
+    return get_scenario("small").study()
+
+
+@pytest.fixture(scope="module")
+def view(study):
+    """An ungated view of the study, for checks on the reproduced shapes."""
+    return StageView(study)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -60,21 +66,21 @@ class TestRegistry:
 
 
 class TestEveryExperimentRuns:
-    # The shared analysis engine is memoised on the dataset, but the stage
-    # gate sits on `StageView.analysis` itself, so each experiment's declared
-    # requires is genuinely exercised regardless of which view touched the
-    # engine first.
+    # The shared analysis engine is memoised in the study's stage cache, but
+    # the stage gate sits on `StageView.analysis` itself, so each
+    # experiment's declared requires is genuinely exercised regardless of
+    # which view touched the engine first.
 
     @pytest.mark.parametrize(
         "experiment_id",
         [e.experiment_id for e in all_experiments()],
     )
-    def test_runs_and_renders(self, dataset, experiment_id):
+    def test_runs_and_renders(self, study, experiment_id):
         # Run through a view restricted to the declared requires, proving the
         # declaration is sufficient for the experiment's whole analysis.
         cls = experiment_class(experiment_id)
         experiment = cls()
-        result = experiment.run(StageView(dataset, cls.requires))
+        result = experiment.run(StageView(study, cls.requires))
         assert result.experiment_id == experiment_id
         assert result.headers
         assert result.rows, f"{experiment_id} produced no rows"
@@ -84,66 +90,66 @@ class TestEveryExperimentRuns:
 
 
 class TestShapeMatchesPaper:
-    def test_table2_typical_fractions_high(self, dataset):
-        result = get_experiment("table2").run(dataset)
+    def test_table2_typical_fractions_high(self, view):
+        result = get_experiment("table2").run(view)
         percentages = [float(row[-1].rstrip("%")) for row in result.rows]
         assert all(p >= 90.0 for p in percentages)
 
-    def test_table3_typical_fractions_high(self, dataset):
-        result = get_experiment("table3").run(dataset)
+    def test_table3_typical_fractions_high(self, view):
+        result = get_experiment("table3").run(view)
         percentages = [float(row[-1].rstrip("%")) for row in result.rows]
         assert percentages and min(p for p in percentages) >= 75.0
 
-    def test_table4_verification_high(self, dataset):
-        result = get_experiment("table4").run(dataset)
+    def test_table4_verification_high(self, view):
+        result = get_experiment("table4").run(view)
         percentages = [float(row[-1].rstrip("%")) for row in result.rows]
         assert percentages
         assert sum(percentages) / len(percentages) > 80.0
 
-    def test_table5_tier1s_have_sa_prefixes(self, dataset):
-        result = get_experiment("table5").run(dataset)
+    def test_table5_tier1s_have_sa_prefixes(self, view):
+        result = get_experiment("table5").run(view)
         tier1_rows = [row for row in result.rows if row[1] == "yes"]
         assert tier1_rows
         assert any(row[3] > 0 for row in tier1_rows)
 
-    def test_table8_multihomed_majority(self, dataset):
-        result = get_experiment("table8").run(dataset)
+    def test_table8_multihomed_majority(self, view):
+        result = get_experiment("table8").run(view)
         total_multi = sum(row[1] for row in result.rows)
         total_single = sum(row[2] for row in result.rows)
         assert total_multi > total_single
 
-    def test_table9_selective_dominates(self, dataset):
-        result = get_experiment("table9").run(dataset)
+    def test_table9_selective_dominates(self, view):
+        result = get_experiment("table9").run(view)
         total_selective = sum(row[4] for row in result.rows)
         total_other = sum(row[2] + row[3] for row in result.rows)
         assert total_selective > total_other
 
-    def test_table10_most_peers_announce(self, dataset):
-        result = get_experiment("table10").run(dataset)
+    def test_table10_most_peers_announce(self, view):
+        result = get_experiment("table10").run(view)
         percentages = [float(row[2].rstrip("%")) for row in result.rows]
         assert all(p >= 50.0 for p in percentages)
 
-    def test_fig2_high_consistency(self, dataset):
-        result = get_experiment("fig2").run(dataset)
+    def test_fig2_high_consistency(self, view):
+        result = get_experiment("fig2").run(view)
         percentages = [float(row[-1].rstrip("%")) for row in result.rows]
         assert all(p > 70.0 for p in percentages)
         panels = {row[0] for row in result.rows}
         assert panels == {"fig2a", "fig2b"}
 
-    def test_fig6_sa_counts_present_every_snapshot(self, dataset):
-        result = get_experiment("fig6").run(dataset)
+    def test_fig6_sa_counts_present_every_snapshot(self, view):
+        result = get_experiment("fig6").run(view)
         sa_counts = [row[3] for row in result.rows]
         totals = [row[2] for row in result.rows]
         assert all(0 <= sa <= total for sa, total in zip(sa_counts, totals))
         assert any(sa > 0 for sa in sa_counts)
 
-    def test_fig7_rows_consistent(self, dataset):
-        result = get_experiment("fig7").run(dataset)
+    def test_fig7_rows_consistent(self, view):
+        result = get_experiment("fig7").run(view)
         for row in result.rows:
             assert row[2] >= 0 and row[3] >= 0
 
-    def test_fig9_provider_views_show_full_table_gap(self, dataset):
-        result = get_experiment("fig9").run(dataset)
+    def test_fig9_provider_views_show_full_table_gap(self, view):
+        result = get_experiment("fig9").run(view)
         by_view = {}
         for view, has_providers, rank, neighbor, count in result.rows:
             by_view.setdefault((view, has_providers), []).append(count)
@@ -154,14 +160,14 @@ class TestShapeMatchesPaper:
                 # neighbor — the "big gap" of the Appendix.
                 assert counts[0] >= 5 * max(1, counts[len(counts) // 2])
 
-    def test_case3_majority_not_exported(self, dataset):
-        result = get_experiment("case3").run(dataset)
+    def test_case3_majority_not_exported(self, view):
+        result = get_experiment("case3").run(view)
         exported = [float(row[3].rstrip("%")) for row in result.rows]
         not_exported = [float(row[4].rstrip("%")) for row in result.rows]
         assert sum(not_exported) > sum(exported)
 
-    def test_ablations_include_three_dimensions(self, dataset):
-        result = get_experiment("ablations").run(dataset)
+    def test_ablations_include_three_dimensions(self, view):
+        result = get_experiment("ablations").run(view)
         dimensions = {row[0] for row in result.rows}
         assert dimensions == {"relationships", "visibility", "vantage points"}
 

@@ -11,8 +11,10 @@ from repro.session import (
     ObservationParameters,
     Stage,
     StageCache,
+    StageView,
     Study,
     StudyConfig,
+    fingerprint,
 )
 from repro.simulation.policies import PolicyParameters
 from repro.topology.generator import GeneratorParameters
@@ -156,24 +158,50 @@ class TestConfigConversion:
 
 class TestStageView:
     def test_exposes_required_stages(self, study):
-        view = study.view(frozenset({Stage.TOPOLOGY, Stage.PROPAGATION}))
-        assert len(view.internet.graph) > 0
-        assert view.result.observed_ases
-        assert view.providers_under_study(2)
+        view = StageView(study, frozenset({Stage.TOPOLOGY, Stage.OBSERVATION}))
+        assert len(view.ground_truth_graph) > 0
+        assert view.tier1_ases == study.topology().tier1
+        assert view.as_info is study.observation().as_info
+        assert view.vantage_ases == list(study.policies().vantage_ases)
 
     def test_blocks_undeclared_stages(self, study):
-        view = study.view(frozenset({Stage.TOPOLOGY}))
-        with pytest.raises(ExperimentError, match="propagation"):
-            view.result
+        view = StageView(study, frozenset({Stage.TOPOLOGY}))
         with pytest.raises(ExperimentError, match="observation"):
-            view.looking_glass_of(view.tier1_ases[0])
-        with pytest.raises(ExperimentError, match="irr"):
-            view.irr
+            view.as_info
+        with pytest.raises(ExperimentError, match="analysis"):
+            view.analysis
         with pytest.raises(ExperimentError, match="policies"):
             view.assignment
 
     def test_restricted_narrows(self, study):
-        narrow = study.view(frozenset({Stage.IRR}))
-        assert narrow.irr is study.irr()
+        narrow = StageView(study, frozenset({Stage.POLICIES}))
+        assert narrow.assignment is study.policies().assignment
         with pytest.raises(ExperimentError, match="topology"):
-            narrow.internet
+            narrow.tier1_ases
+
+    def test_view_builds_only_what_is_read(self, study, cache):
+        view = StageView(study)
+        assert cache.stats == {}
+        view.tier1_ases
+        assert {stage: stats.builds for stage, stats in cache.stats.items()} == {
+            "topology": 1
+        }
+
+
+class TestStageKeyMemo:
+    def test_warm_analysis_computes_no_key(self, study, monkeypatch):
+        study.analysis()
+        calls = []
+        monkeypatch.setattr(
+            "repro.session.study.fingerprint",
+            lambda *parts: calls.append(parts) or fingerprint(*parts),
+        )
+        study.analysis()
+        assert calls == []
+
+    def test_with_variant_gets_its_own_keys(self, study):
+        keys = {stage: study.stage_key(stage) for stage in Stage}
+        variant = study.with_(policy=replace(TINY.policy, seed=999))
+        assert variant.stage_key(Stage.TOPOLOGY) == keys[Stage.TOPOLOGY]
+        assert variant.stage_key(Stage.POLICIES) != keys[Stage.POLICIES]
+        assert {stage: study.stage_key(stage) for stage in Stage} == keys

@@ -1,4 +1,4 @@
-"""Tests for run_suite: determinism, per-run instantiation, stage gating."""
+"""Tests for run_suite: determinism, per-run instantiation, stage gating and fencing."""
 
 import json
 
@@ -7,8 +7,8 @@ from helpers import get_experiment
 
 from repro.exceptions import ExperimentError
 from repro.experiments.base import Experiment
-from repro.experiments.registry import _REGISTRY
-from repro.session import Stage, get_scenario, run_suite
+from repro.experiments.registry import _REGISTRY, experiment_class, experiment_ids
+from repro.session import Stage, StageCache, get_scenario, run_suite
 
 #: Cheap experiments covering four distinct stage signatures.
 CHEAP_IDS = ["fig9", "table1", "table2", "table5", "table9"]
@@ -33,10 +33,6 @@ class TestRunSuite:
     def test_unknown_id_raises(self, study):
         with pytest.raises(ExperimentError):
             run_suite(study, ["table99"])
-
-    def test_accepts_a_flat_dataset(self, study):
-        report = run_suite(study.dataset(), ["table1"])
-        assert report.get("table1").rows
 
     def test_get_unknown_report_raises(self, study):
         report = run_suite(study, ["table1"])
@@ -109,9 +105,31 @@ class TestRequiresEnforcement:
             requires = frozenset({Stage.TOPOLOGY})
 
             def run(self, dataset):
-                dataset.collector  # not declared
+                dataset.as_info  # not declared
                 return self._result()
 
         monkeypatch.setitem(_REGISTRY, "greedy-test", Greedy)
         with pytest.raises(ExperimentError, match="observation"):
             run_suite(study, ["greedy-test"])
+
+
+#: The cache entries a declared stage and its upstream stages build.  The
+#: analysis stage indexes the assembled dataset, so it builds every stage.
+_CLOSURE = {
+    Stage.TOPOLOGY: {"topology"},
+    Stage.POLICIES: {"topology", "policies"},
+    Stage.PROPAGATION: {"topology", "policies", "propagation"},
+    Stage.OBSERVATION: {"topology", "policies", "propagation", "observation"},
+    Stage.IRR: {"topology", "policies", "irr"},
+    Stage.ANALYSIS: {stage.value for stage in Stage} | {"dataset"},
+}
+
+
+class TestStageFence:
+    @pytest.mark.parametrize("experiment_id", experiment_ids())
+    def test_builds_only_the_declared_closure(self, experiment_id):
+        cache = StageCache()
+        run_suite(get_scenario("small").study(cache=cache), [experiment_id])
+        built = {stage for stage, stats in cache.stats.items() if stats.misses > 0}
+        declared = experiment_class(experiment_id).requires
+        assert built == set().union(*(_CLOSURE[stage] for stage in declared))

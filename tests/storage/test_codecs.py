@@ -134,8 +134,8 @@ class TestStageRoundTrips:
         assert loaded.irr_typicality() == fresh.irr_typicality()
         assert loaded.consistency_by_router() == fresh.consistency_by_router()
         assert loaded.all_provider_reports() == fresh.all_provider_reports()
-        # The rebuilt engine is the dataset's memoised engine.
-        assert warm.dataset().analysis_engine() is loaded
+        # The rebuilt engine is the stage cache's one memo.
+        assert warm.analysis() is loaded
 
 
 class TestResultEquality:
