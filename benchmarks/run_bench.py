@@ -180,7 +180,7 @@ def _legacy_analyzer_pass(dataset) -> tuple[dict, dict]:
         for a in dataset.looking_glass_ases
         if dataset.assignment.policies[a].community_plan is not None
     ]
-    providers = dataset.providers_under_study(3)
+    providers = dataset.internet.providers_under_study(3)
     tables = {p: dataset.result.table_of(p) for p in providers}
     originated = dataset.internet.originated
     collector = dataset.collector
@@ -263,8 +263,8 @@ def _legacy_analyzer_pass(dataset) -> tuple[dict, dict]:
     return results, timings
 
 
-def _engine_analyzer_pass(dataset) -> tuple[dict, dict]:
-    """Run the same analyzer pass through a freshly compiled index.
+def _engine_analyzer_pass(study) -> tuple[dict, dict]:
+    """Run the same analyzer pass through an index freshly compiled from the stages.
 
     The index build is a timed step (``index_build``), so the reported
     engine total is end-to-end honest.
@@ -280,8 +280,11 @@ def _engine_analyzer_pass(dataset) -> tuple[dict, dict]:
         results[name] = fn()
         timings[name] = time.perf_counter() - started
 
+    internet, plan, rib, irr = (
+        study.topology(), study.policies(), study.propagation().rib, study.irr()
+    )
     started = time.perf_counter()
-    engine = AnalysisEngine(MeasurementIndex(dataset))
+    engine = AnalysisEngine(MeasurementIndex(internet, plan, rib, irr))
     timings["index_build"] = time.perf_counter() - started
 
     step("atoms", engine.atoms)
@@ -323,7 +326,8 @@ def run_analysis_benchmarks(scenarios: list[str], repeats: int) -> list[dict]:
     results = []
     for name in scenarios:
         print(f"[{name}] building dataset ...", file=sys.stderr)
-        dataset = resolve_scenario(name).study(cache=StageCache()).dataset()
+        study = resolve_scenario(name).study(cache=StageCache())
+        dataset = study.dataset()
 
         legacy_best = None
         legacy_timings: dict[str, float] = {}
@@ -340,7 +344,7 @@ def run_analysis_benchmarks(scenarios: list[str], repeats: int) -> list[dict]:
         engine_results: dict = {}
         for _ in range(repeats):
             print(f"[{name}] timing engine analyzer pass ...", file=sys.stderr)
-            engine_results, timings = _engine_analyzer_pass(dataset)
+            engine_results, timings = _engine_analyzer_pass(study)
             total = sum(timings.values())
             if engine_best is None or total < engine_best:
                 engine_best, engine_timings = total, timings

@@ -58,7 +58,7 @@ def test_bench_gao_inference(benchmark, dataset):
 
 def test_bench_sa_prefix_algorithm(benchmark, dataset):
     graph = dataset.ground_truth_graph
-    provider = dataset.providers_under_study(1)[0]
+    provider = dataset.internet.providers_under_study(1)[0]
     table = dataset.result.table_of(provider)
     analyzer = ExportPolicyAnalyzer(graph)
     report = benchmark(lambda: analyzer.find_sa_prefixes(provider, table))
@@ -66,7 +66,7 @@ def test_bench_sa_prefix_algorithm(benchmark, dataset):
 
 
 def test_bench_mrt_roundtrip(benchmark, dataset):
-    provider = dataset.providers_under_study(1)[0]
+    provider = dataset.internet.providers_under_study(1)[0]
     table = dataset.result.table_of(provider)
 
     def roundtrip():

@@ -32,7 +32,7 @@ def main() -> None:
     print((root / "MANIFEST.txt").read_text())
 
     archive = load_dataset(root)
-    provider = dataset.providers_under_study(1)[0]
+    provider = dataset.internet.providers_under_study(1)[0]
 
     live_report = ExportPolicyAnalyzer(dataset.ground_truth_graph).find_sa_prefixes(
         provider, dataset.result.table_of(provider)

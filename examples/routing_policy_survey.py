@@ -52,7 +52,7 @@ def main() -> None:
     # -- export policies toward providers -----------------------------------------
     export_analyzer = ExportPolicyAnalyzer(graph)
     cause_analyzer = CauseAnalyzer(graph)
-    providers = dataset.providers_under_study(3)
+    providers = dataset.internet.providers_under_study(3)
     rows = []
     for provider in providers:
         table = dataset.result.table_of(provider)

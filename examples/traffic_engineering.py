@@ -24,7 +24,7 @@ from repro.net.prefix import Prefix
 from repro.reporting.tables import ascii_table
 from repro.simulation.policies import ASPolicy, PolicyAssignment
 from repro.simulation.propagation import PropagationEngine
-from repro.topology.generator import GeneratorParameters, SyntheticInternet
+from repro.topology.generator import SyntheticInternet
 from repro.topology.graph import AnnotatedASGraph
 from repro.topology.hierarchy import classify_tiers
 from repro.net.allocator import AddressAllocator
@@ -48,7 +48,6 @@ def build_internet() -> SyntheticInternet:
         peer_peer=[(TIER1_A, TIER1_B), (PROVIDER_A, PROVIDER_B)],
     )
     return SyntheticInternet(
-        parameters=GeneratorParameters(),
         graph=graph,
         tiers=classify_tiers(graph),
         allocator=AddressAllocator(),

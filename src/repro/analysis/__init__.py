@@ -1,7 +1,7 @@
 """Compiled measurement index and the one-pass analyzer engine.
 
-This package is the "compile once, query many" layer between the
-observation stage and the paper's analyses:
+This package is the "compile once, query many" layer between the observed
+stage artifacts (the RIB and the IRR) and the paper's analyses:
 
 * :mod:`repro.analysis.index` — :class:`MeasurementIndex` lowers the
   collector rows (read from the columnar RIB, keeping its prefix ids) into

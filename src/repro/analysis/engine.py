@@ -42,6 +42,8 @@ from typing import TYPE_CHECKING, Iterable
 from repro.core.atoms import AtomStatistics, PolicyAtom
 from repro.core.causes import Case3Result, CauseBreakdown, HomingBreakdown
 from repro.core.community import (
+    CUSTOMER_PREFIX_THRESHOLD,
+    FULL_TABLE_FRACTION,
     CommunitySemantics,
     CommunityVerificationResult,
     NeighborSignature,
@@ -73,13 +75,6 @@ from repro.topology.graph import AnnotatedASGraph, Relationship
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.index import MeasurementIndex
     from repro.bgp.attributes import Community
-
-
-#: Community-semantics anchors (the Appendix heuristic): a neighbor
-#: announcing at least this fraction of the table is a provider ...
-_FULL_TABLE_FRACTION = 0.8
-#: ... and one announcing at most this many prefixes is a customer.
-_CUSTOMER_PREFIX_THRESHOLD = 3
 
 
 def sa_rows(
@@ -213,7 +208,7 @@ class AnalysisEngine:
 
     def providers_under_study(self) -> list[ASN]:
         """The studied (largest Tier-1) providers, ranked on the ground truth."""
-        return self.index.dataset.providers_under_study()
+        return self.index.internet.providers_under_study()
 
     def tagging_asns(self) -> list[ASN]:
         """Looking Glass ASes that tag routes with relationship communities."""
@@ -762,8 +757,8 @@ class AnalysisEngine:
         """Infer what each community value range means for one tagging AS.
 
         Mirrors :meth:`repro.core.community.CommunityAnalyzer.infer_semantics`
-        (default parameters, no published plan) over the cached per-glass
-        sweep; memoised per AS.
+        (no published plan) over the cached per-glass sweep; memoised per
+        AS.
         """
         cached = self._semantics.get(asn)
         if cached is not None:
@@ -775,12 +770,12 @@ class AnalysisEngine:
             semantics.signatures.values(), key=lambda s: s.prefix_count, reverse=True
         )
         provider_anchors = [
-            s for s in ranked if s.prefix_count >= _FULL_TABLE_FRACTION * total_prefixes
+            s for s in ranked if s.prefix_count >= FULL_TABLE_FRACTION * total_prefixes
         ]
         customer_anchors = [
-            s for s in ranked if s.prefix_count <= _CUSTOMER_PREFIX_THRESHOLD
+            s for s in ranked if s.prefix_count <= CUSTOMER_PREFIX_THRESHOLD
         ]
-        peer_floor = max(_CUSTOMER_PREFIX_THRESHOLD * 4, int(0.02 * total_prefixes))
+        peer_floor = max(CUSTOMER_PREFIX_THRESHOLD * 4, int(0.02 * total_prefixes))
         non_provider = [s for s in ranked if s not in provider_anchors]
         peer_candidates = [s for s in non_provider if s.prefix_count >= peer_floor]
         peer_anchors = (

@@ -27,11 +27,11 @@ the RIB's:
   ``(vantage, prefix id, path id)`` plus inverted groupings by prefix and by
   path member AS, and the observed adjacency set (consecutive AS pairs).
 
-The index holds references to the source artifacts (graph, RIB, IRR) so
-engine queries can reach them.  Build it with ``MeasurementIndex(dataset)``
-or through the session layer's ``ANALYSIS`` stage, a derived in-memory
-stage: rebuilding the index from the stored upstream stages costs no more
-than decoding it would.
+The index holds references to the stage artifacts it reads (topology,
+vantage plan, RIB, IRR) so engine queries can reach them.  Build it with
+``MeasurementIndex(internet, plan, rib, irr)`` or through the session
+layer's ``ANALYSIS`` stage, a derived in-memory stage: rebuilding the index
+from the stored upstream stages costs no more than decoding it would.
 """
 
 from __future__ import annotations
@@ -45,32 +45,44 @@ from repro.net.prefix import Prefix
 from repro.simulation.collector import collector_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.data.dataset import StudyDataset
+    from repro.data.rpsl import IrrDatabase
+    from repro.session.stages import PolicyStageArtifact
+    from repro.simulation.rib import RibColumns
+    from repro.topology.generator import SyntheticInternet
 
 
 class MeasurementIndex:
     """The compiled, shared index over one study's observation artifacts.
 
-    Build once per dataset (the session layer's ``ANALYSIS`` stage caches
+    Build once per study (the session layer's ``ANALYSIS`` stage caches
     it), query many times through
     :class:`~repro.analysis.engine.AnalysisEngine`.
     """
 
-    def __init__(self, dataset: "StudyDataset") -> None:
-        """Lower a study dataset's collector rows into columns.
+    def __init__(
+        self,
+        internet: "SyntheticInternet",
+        plan: "PolicyStageArtifact",
+        rib: "RibColumns",
+        irr: "IrrDatabase",
+    ) -> None:
+        """Lower the collector rows of ``rib`` into columns.
 
         Args:
-            dataset: the assembled study dataset (flat view); the index
-                keeps references to its graph, RIB and IRR.
+            internet: the topology stage's synthetic Internet.
+            plan: the policies stage's vantage plan and assignment.
+            rib: the propagation stage's columnar RIB.
+            irr: the irr stage's database.
+
+        The index keeps references to all four; it copies none of them.
         """
-        self.dataset = dataset
-        self.graph = dataset.ground_truth_graph
-        self.internet = dataset.internet
-        self.rib = dataset.result.rib
-        self.assignment = dataset.assignment
-        self.irr = dataset.irr
-        self.looking_glass_ases = list(dataset.looking_glass_ases)
-        self.vantage_ases = list(dataset.vantage_ases)
+        self.graph = internet.graph
+        self.internet = internet
+        self.rib = rib
+        self.assignment = plan.assignment
+        self.irr = irr
+        self.looking_glass_ases = list(plan.looking_glass_ases)
+        self.vantage_ases = list(plan.vantage_ases)
 
         # -- prefixes (the RIB's) and collector paths -----------------------
         self.prefixes: list[Prefix] = self.rib.prefixes

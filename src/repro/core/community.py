@@ -25,11 +25,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.bgp.attributes import Community
-from repro.exceptions import InferenceError
 from repro.net.asn import ASN
 from repro.simulation.collector import LookingGlass
 from repro.simulation.policies import CommunityPlan
 from repro.topology.graph import AnnotatedASGraph, Relationship
+
+#: The Appendix's prefix-count anchors: a neighbor announcing at least this
+#: fraction of the table is a provider ...
+FULL_TABLE_FRACTION = 0.8
+#: ... and one announcing at most this many prefixes is a customer.
+CUSTOMER_PREFIX_THRESHOLD = 3
 
 
 @dataclass
@@ -122,18 +127,6 @@ class CommunityVerificationResult:
 class CommunityAnalyzer:
     """Implements the Appendix: Fig. 9, semantics inference, Table 4 verification."""
 
-    def __init__(
-        self,
-        full_table_fraction: float = 0.8,
-        customer_prefix_threshold: int = 3,
-        peer_degree_percentile: float = 0.8,
-    ) -> None:
-        if not (0.0 < full_table_fraction <= 1.0):
-            raise InferenceError("full_table_fraction must be in (0, 1]")
-        self.full_table_fraction = full_table_fraction
-        self.customer_prefix_threshold = customer_prefix_threshold
-        self.peer_degree_percentile = peer_degree_percentile
-
     # -- Fig. 9 ---------------------------------------------------------------------
 
     def prefix_counts_by_rank(self, glass: LookingGlass) -> list[tuple[ASN, int]]:
@@ -171,7 +164,6 @@ class CommunityAnalyzer:
         self,
         glass: LookingGlass,
         published_plan: CommunityPlan | None = None,
-        has_providers: bool | None = None,
     ) -> CommunitySemantics:
         """Infer what each community value range means for one tagging AS.
 
@@ -204,24 +196,22 @@ class CommunityAnalyzer:
         # Anchor providers: neighbors announcing (nearly) the full table.
         provider_anchors = [
             s for s in ranked
-            if s.prefix_count >= self.full_table_fraction * total_prefixes
+            if s.prefix_count >= FULL_TABLE_FRACTION * total_prefixes
         ]
-        if has_providers is None:
-            has_providers = bool(provider_anchors)
         # Anchor customers: neighbors announcing only a handful of prefixes.
         customer_anchors = [
-            s for s in ranked if s.prefix_count <= self.customer_prefix_threshold
+            s for s in ranked if s.prefix_count <= CUSTOMER_PREFIX_THRESHOLD
         ]
         # Anchor peers: large announcers that are not providers.  "Large" means
         # clearly above customer scale (the big gap of the Appendix), so an AS
         # with no peers at all does not get a customer mislabelled as one.
-        peer_floor = max(self.customer_prefix_threshold * 4, int(0.02 * total_prefixes))
+        peer_floor = max(CUSTOMER_PREFIX_THRESHOLD * 4, int(0.02 * total_prefixes))
         non_provider = [s for s in ranked if s not in provider_anchors]
         peer_candidates = [s for s in non_provider if s.prefix_count >= peer_floor]
         peer_anchors = peer_candidates[: max(1, len(peer_candidates) // 3)] if peer_candidates else []
 
         for anchor_set, relationship in (
-            (provider_anchors if has_providers else [], Relationship.PROVIDER),
+            (provider_anchors, Relationship.PROVIDER),
             (peer_anchors, Relationship.PEER),
             (customer_anchors, Relationship.CUSTOMER),
         ):

@@ -8,11 +8,11 @@ policy assignment, one propagation run observed at the collector's vantage
 ASes and at the Looking Glass ASes, plus a synthetic IRR.
 
 The dataset is assembled from the staged :class:`~repro.session.study.Study`
-pipeline.  Experiments do not read it: they read the study's stages through
-a :class:`~repro.session.stages.StageView`.  The analysis stage builds its
-measurement index from it, and the :mod:`repro.core` oracles, ``repro
-fuzz``, the archive export and the examples read it.  Build one through the
-session API::
+pipeline.  No stage and no experiment reads it: experiments read the
+study's stages through a :class:`~repro.session.stages.StageView`, and the
+analysis stage builds its measurement index from the stages.  The
+:mod:`repro.core` oracles, ``repro fuzz``, the archive export and the
+examples read it.  Build one through the session API::
 
     from repro.session import get_scenario
     dataset = get_scenario("standard").study().dataset()
@@ -29,11 +29,6 @@ from repro.simulation.collector import CollectorTable, LookingGlass, RouteViewsC
 from repro.simulation.policies import PolicyAssignment
 from repro.simulation.propagation import SimulationResult
 from repro.topology.generator import SyntheticInternet
-
-#: How many of the largest Tier-1 providers the SA-prefix studies cover (the
-#: paper studies AS1, AS3549 and AS7018).
-STUDY_PROVIDER_COUNT = 3
-
 
 @dataclass
 class ASInfo:
@@ -73,7 +68,7 @@ class StudyDataset:
     as_info: dict[ASN, ASInfo] = field(default_factory=dict)
     _collector: CollectorTable | None = field(default=None, repr=False, init=False)
 
-    # -- convenience used by the index, the oracles and the examples -----------
+    # -- convenience used by the oracles and the examples ---------------------
 
     @property
     def tier1_ases(self) -> list[ASN]:
@@ -107,11 +102,3 @@ class StudyDataset:
         if glass is None:
             raise SimulationError(f"AS{asn} has no Looking Glass in this dataset")
         return glass
-
-    def providers_under_study(self, count: int = STUDY_PROVIDER_COUNT) -> list[ASN]:
-        """The largest Tier-1 ASes (by degree), mirroring AS1/AS3549/AS7018."""
-        return sorted(
-            self.tier1_ases,
-            key=lambda asn: self.ground_truth_graph.degree(asn),
-            reverse=True,
-        )[:count]

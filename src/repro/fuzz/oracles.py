@@ -263,7 +263,7 @@ def check_analysis_equivalence(dataset: "StudyDataset", engine: "AnalysisEngine"
     oracle = "analysis-differential"
     graph = dataset.ground_truth_graph
     glasses = [dataset.looking_glass_of(asn) for asn in dataset.looking_glass_ases]
-    providers = dataset.providers_under_study(3)
+    providers = dataset.internet.providers_under_study(3)
     tables = {provider: dataset.result.table_of(provider) for provider in providers}
     originated = dataset.internet.originated
     export_analyzer = ExportPolicyAnalyzer(graph)

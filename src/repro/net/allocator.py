@@ -138,16 +138,3 @@ class AddressAllocator:
         ]
         allocator._sub_cursors = dict(sub_cursors)
         return allocator
-
-    # -- queries -------------------------------------------------------------
-
-    def blocks_of(self, owner: ASN) -> list[AddressBlock]:
-        """Return every block allocated to ``owner`` (direct and provider-assigned)."""
-        return [block for block in self.blocks if block.owner == owner]
-
-    def prefixes_of(self, owner: ASN) -> list[Prefix]:
-        """Return the prefixes of every block allocated to ``owner``."""
-        return [block.prefix for block in self.blocks_of(owner)]
-
-    def __len__(self) -> int:
-        return len(self.blocks)

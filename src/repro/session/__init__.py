@@ -46,7 +46,6 @@ from repro.session.scenarios import (
 from repro.session.stages import (
     ALL_STAGES,
     IrrParameters,
-    ObservationArtifact,
     ObservationParameters,
     PolicyStageArtifact,
     Stage,
@@ -68,7 +67,6 @@ __all__ = [
     "ExperimentReport",
     "GLOBAL_CACHE",
     "IrrParameters",
-    "ObservationArtifact",
     "ObservationParameters",
     "PolicyStageArtifact",
     "Scenario",

@@ -1,9 +1,12 @@
 """Stages of the study pipeline and the views experiments consume.
 
 The paper's methodology is a pipeline; the session API makes each step an
-explicit stage with its own frozen parameter set:
+explicit stage with its own frozen parameter set, built from the stages it
+reads and no others::
 
-``topology -> policies -> propagation -> observation -> irr -> analysis``
+    topology -> policies -+-> propagation -+-> analysis
+                          +-> irr ---------+
+                          +-> observation
 
 * **topology** — generate the synthetic Internet
   (:class:`~repro.topology.generator.GeneratorParameters`).
@@ -15,19 +18,19 @@ explicit stage with its own frozen parameter set:
   the planned vantage ASes, one prefix after another in the calling
   process; its artifact holds the observed tables as a columnar RIB
   (:class:`~repro.simulation.rib.RibColumns`).
-* **observation** — the Looking Glass views and the Table 1 inventory;
-  the index reads the RouteViews-style collector rows from the RIB's best
-  rows, so no collector table is built.
+* **observation** — the Table 1 inventory of the vantage and Looking Glass
+  ASes, read from the topology and the vantage plan.
 * **irr** — synthesise the IRR database (:class:`IrrParameters`).
-* **analysis** — compile the collector rows into the columnar
+* **analysis** — compile the collector rows of the RIB into the columnar
   :class:`~repro.analysis.index.MeasurementIndex` and expose the one-pass
   :class:`~repro.analysis.engine.AnalysisEngine` over it and over the RIB
-  and IRR it reads in place; it has no parameters of its own.
+  and IRR it reads in place; it reads the topology, the vantage plan, the
+  RIB and the IRR, and has no parameters of its own.
 
-With a disk tier, topology, policies, propagation and irr are stored; the
-observation and analysis stages are derived in memory, like the assembled
-dataset, because rebuilding them from the stored columns costs no more
-than decoding them.
+No stage artifact holds another stage's artifact.  With a disk tier,
+topology, policies, propagation and irr are stored; the observation and
+analysis stages are derived in memory, like the assembled dataset, because
+rebuilding them from the stored stages costs no more than decoding them.
 
 :class:`StageView` is the object an :class:`~repro.experiments.base.Experiment`
 receives: a view of the :class:`~repro.session.study.Study` that reads each
@@ -50,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.data.dataset import ASInfo
     from repro.net.asn import ASN
     from repro.session.study import Study
-    from repro.simulation.collector import LookingGlass
 
 
 class Stage(enum.Enum):
@@ -164,24 +166,6 @@ class PolicyStageArtifact:
         return sorted(set(self.vantage_ases) | set(self.looking_glass_ases))
 
 
-@dataclass(frozen=True)
-class ObservationArtifact:
-    """Output of the *observation* stage: the measurement views.
-
-    The collector is not part of it: the index reads collector rows from the
-    propagation stage's RIB, and
-    :attr:`~repro.data.dataset.StudyDataset.collector` builds the table on
-    first access.
-
-    Attributes:
-        looking_glasses: Looking Glass views keyed by AS.
-        as_info: Table 1 style metadata per inventoried AS.
-    """
-
-    looking_glasses: dict["ASN", "LookingGlass"]
-    as_info: dict["ASN", "ASInfo"]
-
-
 # -- the experiment-facing view ----------------------------------------------------
 
 
@@ -251,7 +235,7 @@ class StageView:
     @property
     def as_info(self) -> dict["ASN", "ASInfo"]:
         self._need(Stage.OBSERVATION, "as_info")
-        return self._study.observation().as_info
+        return self._study.observation()
 
     # -- analysis --------------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 A :class:`Study` is a lazy pipeline over a :class:`~repro.session.stages.StudyConfig`:
 each stage (topology, policies, propagation, observation, irr, analysis) is
-built on first use and stored in a content-addressed :class:`~repro.session.cache.StageCache`
-keyed by the stage's parameters plus its upstream keys.  With a disk tier
+built on first use, from the stages it reads and no others, and stored in a
+content-addressed :class:`~repro.session.cache.StageCache` keyed by the
+stage's parameters plus the keys of the stages it reads.  With a disk tier
 attached, the stages that have a codec (topology, policies, propagation,
 irr) are also persisted; observation and analysis are derived in memory
 from them.  Studies derived with
@@ -11,16 +12,16 @@ from them.  Studies derived with
 every upstream artifact already built::
 
     study = Study(cache=StageCache())
-    study.analysis()                                 # builds every stage once
+    study.analysis()                                 # builds what it reads, once
     for p in policy_grid:
         study.with_(policy=p).analysis()             # topology is a cache hit
 
 Experiments read the study itself, through a
 :class:`~repro.session.stages.StageView`.  :meth:`Study.dataset` assembles
-the flat :class:`~repro.data.dataset.StudyDataset` from the stage
-artifacts; the analysis stage builds its measurement index from it, and the
+the flat :class:`~repro.data.dataset.StudyDataset`, Looking Glass views
+included, from the stage artifacts; no stage reads it, and the
 :mod:`repro.core` oracles, ``repro fuzz``, the archive export and the
-examples read it.
+examples do.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from typing import TYPE_CHECKING
 
 from repro.data.dataset import ASInfo, StudyDataset
 from repro.data.rpsl import IrrDatabase
+from repro.net.asn import ASN
 from repro.session.cache import GLOBAL_CACHE, StageCache, fingerprint
 from repro.session.stages import (
     IrrParameters,
-    ObservationArtifact,
     ObservationParameters,
     PolicyStageArtifact,
     Stage,
@@ -144,18 +145,17 @@ class Study:
         if stage is Stage.PROPAGATION:
             return fingerprint(Stage.PROPAGATION, self.stage_key(Stage.POLICIES))
         if stage is Stage.OBSERVATION:
-            return fingerprint(
-                Stage.OBSERVATION, self.stage_key(Stage.PROPAGATION), config.observation
-            )
+            # The inventory reads the topology and the vantage plan; the
+            # policies key covers both, and ``config.observation`` too.
+            return fingerprint(Stage.OBSERVATION, self.stage_key(Stage.POLICIES))
         if stage is Stage.IRR:
             return fingerprint(Stage.IRR, self.stage_key(Stage.POLICIES), config.irr)
         if stage is Stage.ANALYSIS:
-            # The engine reads every observed artifact, so its address
-            # covers the full upstream pipeline (observation subsumes
-            # topology/policies/propagation) plus the IRR.
+            # The index reads the topology, the plan, the RIB and the IRR;
+            # the propagation key covers the first three.
             return fingerprint(
                 Stage.ANALYSIS,
-                self.stage_key(Stage.OBSERVATION),
+                self.stage_key(Stage.PROPAGATION),
                 self.stage_key(Stage.IRR),
             )
         raise ValueError(f"unknown stage: {stage!r}")
@@ -169,8 +169,7 @@ class Study:
 
             codec = codec_for(stage.value)
             if codec is not None:
-                encode = codec.encode
-                decode = lambda data: codec.decode(data, self)  # noqa: E731
+                encode, decode = codec.encode, codec.decode
         return self.cache.get_or_build(
             stage.value, self.stage_key(stage), builder, encode=encode, decode=decode
         )
@@ -239,30 +238,20 @@ class Study:
 
         return self._build(Stage.PROPAGATION, build)
 
-    def observation(self) -> ObservationArtifact:
-        """Looking Glass views and Table 1 inventory (stage 4).
+    def observation(self) -> dict[ASN, ASInfo]:
+        """The Table 1 inventory of the vantage and Looking Glass ASes (stage 4).
 
-        Derived in memory from the propagation stage's RIB columns; the
-        glasses materialise their ``LocRib`` views only when asked.  The
-        collector table is not built here: the index reads collector rows
-        from the RIB.
+        Derived in memory from the topology and the vantage plan; it reads
+        no propagation.
         """
-        return self._build(Stage.OBSERVATION, self._build_observation)
-
-    def _build_observation(self) -> ObservationArtifact:
-        internet = self.topology()
-        plan = self.policies()
-        result = self.propagation()
-        looking_glasses = {
-            asn: LookingGlass.from_result(result, asn)
-            for asn in plan.looking_glass_ases
-        }
-        as_info = self._build_as_info(internet, plan)
-        return ObservationArtifact(looking_glasses=looking_glasses, as_info=as_info)
+        return self._build(
+            Stage.OBSERVATION,
+            lambda: self._build_as_info(self.topology(), self.policies()),
+        )
 
     def _build_as_info(
         self, internet: SyntheticInternet, plan: PolicyStageArtifact
-    ) -> dict:
+    ) -> dict[ASN, ASInfo]:
         rng = random.Random(f"as-info:{self.config.observation.seed}")
         graph = internet.graph
         inventory = sorted(set(plan.vantage_ases) | set(plan.looking_glass_ases))
@@ -301,17 +290,20 @@ class Study:
         """The one-pass analyzer engine over the compiled index (stage 6).
 
         A derived, memory-only stage: the index is compiled from the
-        dataset (reading the propagation stage's RIB columns), which costs
-        no more than decoding a stored index would.  The stage cache entry
-        is the engine's one memo, so every experiment of a suite shares one
-        index.
+        topology, the vantage plan, the propagation stage's RIB columns and
+        the IRR, which costs no more than decoding a stored index would.
+        The stage cache entry is the engine's one memo, so every experiment
+        of a suite shares one index.
         """
 
         def build() -> "AnalysisEngine":
             from repro.analysis.engine import AnalysisEngine
             from repro.analysis.index import MeasurementIndex
 
-            return AnalysisEngine(MeasurementIndex(self.dataset()))
+            index = MeasurementIndex(
+                self.topology(), self.policies(), self.propagation().rib, self.irr()
+            )
+            return AnalysisEngine(index)
 
         return self._build(Stage.ANALYSIS, build)
 
@@ -330,14 +322,17 @@ class Study:
 
     def _assemble_dataset(self) -> StudyDataset:
         plan = self.policies()
-        observed = self.observation()
+        result = self.propagation()
         return StudyDataset(
             internet=self.topology(),
             assignment=plan.assignment,
-            result=self.propagation(),
-            looking_glasses=dict(observed.looking_glasses),
+            result=result,
+            looking_glasses={
+                asn: LookingGlass.from_result(result, asn)
+                for asn in plan.looking_glass_ases
+            },
             irr=self.irr(),
             vantage_ases=list(plan.vantage_ases),
             looking_glass_ases=list(plan.looking_glass_ases),
-            as_info=dict(observed.as_info),
+            as_info=dict(self.observation()),
         )

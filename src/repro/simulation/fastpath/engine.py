@@ -614,8 +614,6 @@ class FastPropagationEngine:
                 writer.add(slot, prefix, rows, best)
         self._memo = memo
         return SimulationResult(
-            internet=self.internet,
-            assignment=self.assignment,
             rib=writer.finish(),
             message_count=message_count,
             truncated_prefixes=truncated,

@@ -65,8 +65,6 @@ class SimulationResult:
     """Outcome of one propagation run.
 
     Attributes:
-        internet: the synthetic Internet the run used.
-        assignment: the policy assignment the run used.
         rib: the observed ASes' routing tables, as columns.
         message_count: total number of announcements/withdrawals processed
             (a rough measure of convergence work, reported by benchmarks).
@@ -75,8 +73,6 @@ class SimulationResult:
             the convergence-safe policies the generator produces).
     """
 
-    internet: SyntheticInternet
-    assignment: PolicyAssignment
     rib: RibColumns
     message_count: int = 0
     truncated_prefixes: list[Prefix] = field(default_factory=list)
@@ -183,8 +179,6 @@ class PropagationEngine:
                     truncated.append(prefix)
                 self._record_observed(run.states, tables)
         return SimulationResult(
-            internet=self.internet,
-            assignment=self.assignment,
             rib=RibColumns.from_tables(tables),
             message_count=message_count,
             truncated_prefixes=truncated,

@@ -15,7 +15,7 @@ from repro.net.prefix import Prefix
 from repro.simulation.policies import ASPolicy, PolicyAssignment
 from repro.simulation.fastpath import FastPropagationEngine
 from repro.simulation.propagation import SimulationResult
-from repro.topology.generator import GeneratorParameters, SyntheticInternet
+from repro.topology.generator import SyntheticInternet
 from repro.topology.graph import AnnotatedASGraph
 from repro.topology.hierarchy import classify_tiers
 from repro.net.allocator import AddressAllocator
@@ -52,9 +52,7 @@ def _internet_from_graph(
     graph: AnnotatedASGraph, originated: dict[ASN, list[Prefix]]
 ) -> SyntheticInternet:
     """Wrap a hand-built graph and prefix ownership into a SyntheticInternet."""
-    parameters = GeneratorParameters()
     return SyntheticInternet(
-        parameters=parameters,
         graph=graph,
         tiers=classify_tiers(graph),
         allocator=AddressAllocator(),

@@ -10,9 +10,9 @@ Three layers, bottom up:
   on-disk tier: atomic writes, versioned headers, mismatches read as
   misses.
 * :mod:`repro.storage.codecs` — one :class:`~repro.storage.codecs.StageCodec`
-  per pipeline stage (topology, policies, propagation, observation, irr,
-  analysis) lowering its artifact to the primitive universe and raising it
-  back with upstream references resolved through the decode context.
+  per stored pipeline stage (topology, policies, propagation, irr)
+  lowering its artifact to the primitive universe and raising it back from
+  its bytes alone.
 
 Version constants live in :mod:`repro.storage.versions`; every bump moves
 the cache-key salt of :func:`repro.session.cache.fingerprint`, so stale

@@ -8,30 +8,18 @@ store: a sweep worker that finds ``topology/<key>.art`` on disk decodes the
 exact synthetic Internet another process generated, bit for bit, instead of
 re-running the generator.
 
-Two invariants shape every lowering:
-
-* **Determinism** — the primitive tree is built in a fixed order (dict
-  insertion orders are preserved explicitly, hash-ordered sets are sorted),
-  so the same artifact always encodes to the same bytes under any
-  ``PYTHONHASHSEED``.  The golden test suite asserts byte identity across
-  fresh interpreters.
-* **Upstream sharing** — a decoded artifact references its upstream stage
-  artifacts through the decode context rather than embedding copies: a
-  decoded :class:`~repro.simulation.propagation.SimulationResult` points at
-  the *same* topology/assignment objects the cache holds — exactly like the
-  freshly built pipeline.
+The primitive tree is built in a fixed order (dict insertion orders are
+preserved explicitly, hash-ordered sets are sorted), so the same artifact
+always encodes to the same bytes under any ``PYTHONHASHSEED``.  The golden
+test suite asserts byte identity across fresh interpreters.  No stage
+artifact holds another stage's artifact, so each codec decodes its bytes
+alone: reading a stored propagation artifact loads no topology or policies.
 
 Only the stages that are expensive to rebuild have a codec: topology,
 policies, propagation and irr (plus the sweep's ``report`` tier, stored as
 plain text).  The observation and analysis stages are derived in memory
-from them — rebuilding the collector and the measurement index from the
-propagation stage's columns costs no more than decoding a stored copy.
-
-The decode context (``ctx``) is duck-typed as a
-:class:`~repro.session.study.Study`: it must expose ``config`` plus the
-stage accessors ``topology()`` and ``policies()``.  Raising an artifact may
-therefore pull (and, transitively, disk-load) its upstream stages — the
-natural order a study builds in.
+from them — rebuilding the inventory and the measurement index from the
+stored stages costs no more than decoding a stored copy.
 """
 
 from __future__ import annotations
@@ -118,15 +106,15 @@ class StageCodec:
         """Serialize one artifact into deterministic bytes."""
         return pack(self.lower(artifact))
 
-    def decode(self, data: bytes, ctx) -> object:
-        """Rebuild one artifact from bytes, resolving upstream refs via ``ctx``."""
-        return self.raise_(unpack(data), ctx)
+    def decode(self, data: bytes) -> object:
+        """Rebuild one artifact from its bytes."""
+        return self.raise_(unpack(data))
 
     def lower(self, artifact: object) -> object:
         """Lower one artifact to a primitive tree (codec-specific)."""
         raise NotImplementedError
 
-    def raise_(self, tree: object, ctx) -> object:
+    def raise_(self, tree: object) -> object:
         """Raise a primitive tree back into the artifact (codec-specific)."""
         raise NotImplementedError
 
@@ -179,8 +167,8 @@ class TopologyCodec(StageCodec):
             ],
         )
 
-    def raise_(self, tree: object, ctx) -> SyntheticInternet:
-        """Rebuild the synthetic Internet; parameters come from the context."""
+    def raise_(self, tree: object) -> SyntheticInternet:
+        """Rebuild the synthetic Internet; tiers are recomputed from the graph."""
         graph_rows, allocator_state, originated, split_pairs, provider_assigned = tree
         graph = AnnotatedASGraph.from_adjacency_rows(
             (
@@ -207,7 +195,6 @@ class TopologyCodec(StageCodec):
             (block.prefix, block.owner): block for block in allocator.blocks
         }
         return SyntheticInternet(
-            parameters=ctx.config.topology,
             graph=graph,
             tiers=classify_tiers(graph),
             allocator=allocator,
@@ -296,7 +283,7 @@ class PoliciesCodec(StageCodec):
             policy.honor_scoped_communities,
         )
 
-    def raise_(self, tree: object, ctx) -> "PolicyStageArtifact":
+    def raise_(self, tree: object) -> "PolicyStageArtifact":
         """Rebuild the policy stage artifact."""
         from repro.session.stages import PolicyStageArtifact
 
@@ -390,10 +377,7 @@ class PropagationCodec(StageCodec):
     The RIB's value tables and row columns are written unchanged (prefixes
     as network/length columns, paths and community sets as flattened
     integer rows), so decoding is a handful of ``frombytes`` calls plus one
-    ``Prefix`` per distinct prefix.  The ``internet`` and ``assignment``
-    references are **not** embedded: the raiser takes them from the decode
-    context, so a disk-loaded result shares the exact upstream artifacts
-    the cache holds.
+    ``Prefix`` per distinct prefix.
     """
 
     stage = "propagation"
@@ -426,8 +410,8 @@ class PropagationCodec(StageCodec):
             tuple(_lower_prefix(p) for p in artifact.truncated_prefixes),
         )
 
-    def raise_(self, tree: object, ctx) -> SimulationResult:
-        """Rebuild the simulation result over the context's upstream stages."""
+    def raise_(self, tree: object) -> SimulationResult:
+        """Rebuild the simulation result: the RIB and the run metadata."""
         (
             networks,
             lengths,
@@ -467,8 +451,6 @@ class PropagationCodec(StageCodec):
             cand_learned_from=cand_learned_from,
         )
         return SimulationResult(
-            internet=ctx.topology(),
-            assignment=ctx.policies().assignment,
             rib=rib,
             message_count=message_count,
             truncated_prefixes=[_raise_prefix(pair) for pair in truncated],
@@ -497,7 +479,7 @@ class IrrCodec(StageCodec):
             for obj in artifact.objects.values()
         ]
 
-    def raise_(self, tree: object, ctx) -> IrrDatabase:
+    def raise_(self, tree: object) -> IrrDatabase:
         """Rebuild the IRR database."""
         database = IrrDatabase()
         for asn, as_name, last_updated, source, imports, exports in tree:

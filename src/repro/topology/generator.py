@@ -113,12 +113,16 @@ class GeneratorParameters:
             raise TopologyError("max_stub_providers must be at least 1")
 
 
+#: How many of the largest Tier-1 providers the SA-prefix studies cover (the
+#: paper studies AS1, AS3549 and AS7018).
+STUDY_PROVIDER_COUNT = 3
+
+
 @dataclass
 class SyntheticInternet:
     """A generated Internet: graph, tiers, address space and prefix ownership.
 
     Attributes:
-        parameters: the generator parameters that produced it.
         graph: the ground-truth annotated AS graph.
         tiers: the tier classification derived from the graph.
         allocator: the address allocator with every allocated block.
@@ -130,7 +134,6 @@ class SyntheticInternet:
             truth for the Table 9 aggregation case).
     """
 
-    parameters: GeneratorParameters
     graph: AnnotatedASGraph
     tiers: TierClassification
     allocator: AddressAllocator
@@ -142,6 +145,10 @@ class SyntheticInternet:
     def tier1(self) -> list[ASN]:
         """The Tier-1 ASes, sorted by AS number."""
         return sorted(self.tiers.tier1)
+
+    def providers_under_study(self, count: int = STUDY_PROVIDER_COUNT) -> list[ASN]:
+        """The largest Tier-1 ASes (by degree), mirroring AS1/AS3549/AS7018."""
+        return sorted(self.tier1, key=self.graph.degree, reverse=True)[:count]
 
     def prefixes_of(self, asn: ASN) -> list[Prefix]:
         """The prefixes originated by an AS (empty list for transit-only ASes)."""
@@ -195,7 +202,6 @@ class InternetGenerator:
 
         allocator = AddressAllocator()
         internet = SyntheticInternet(
-            parameters=params,
             graph=graph,
             tiers=classify_tiers(graph),
             allocator=allocator,

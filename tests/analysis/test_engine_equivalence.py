@@ -40,7 +40,7 @@ def _context(name: str) -> dict:
         study = get_scenario(name).study()
         dataset = study.dataset()
         graph = dataset.ground_truth_graph
-        providers = dataset.providers_under_study(3)
+        providers = dataset.internet.providers_under_study(3)
         tables = {p: dataset.result.table_of(p) for p in providers}
         reports = ExportPolicyAnalyzer(graph).analyze_providers(
             tables, known_customer_prefixes=dataset.internet.originated

@@ -1,23 +1,30 @@
 """Structural tests of the columnar MeasurementIndex."""
 
 import pytest
-from helpers import small_dataset
 
 from repro.analysis.engine import AnalysisEngine
 from repro.analysis.index import MeasurementIndex
 from repro.net.aspath import ASPath
+from repro.session.scenarios import get_scenario
 
 
 @pytest.fixture(scope="module")
-def dataset():
-    return small_dataset()
+def study():
+    return get_scenario("small").study()
 
 
 @pytest.fixture(scope="module")
-def index(dataset) -> MeasurementIndex:
-    # Built independently of the dataset's memoised engine so these tests
-    # stay valid whatever the engine has touched.
-    return MeasurementIndex(dataset)
+def dataset(study):
+    return study.dataset()
+
+
+@pytest.fixture(scope="module")
+def index(study) -> MeasurementIndex:
+    # Built from the study's stages, apart from the stage cache's engine,
+    # so these tests stay valid whatever the engine has touched.
+    return MeasurementIndex(
+        study.topology(), study.policies(), study.propagation().rib, study.irr()
+    )
 
 
 class TestInterning:
@@ -122,5 +129,5 @@ class TestIrrRowsAndStats:
 
     def test_providers_under_study_matches_dataset(self, index, dataset):
         assert AnalysisEngine(index).providers_under_study() == (
-            dataset.providers_under_study(3)
+            dataset.internet.providers_under_study(3)
         )

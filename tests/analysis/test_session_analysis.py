@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.data.dataset import STUDY_PROVIDER_COUNT
 from repro.exceptions import ExperimentError
 from repro.experiments import all_experiments
 from repro.session.cache import StageCache
@@ -18,7 +17,7 @@ from repro.session.suite import run_suite
 from repro.simulation.collector import RouteViewsCollector
 from repro.simulation.rib import RibColumns
 from repro.storage.store import DiskStore
-from repro.topology.generator import GeneratorParameters
+from repro.topology.generator import STUDY_PROVIDER_COUNT, GeneratorParameters
 
 #: A deliberately tiny configuration so stage builds stay cheap.
 TINY = StudyConfig(
@@ -86,7 +85,7 @@ class TestSuiteAmortisation:
         # Every way an experiment reaches the engine (the study's stage, a
         # stage view, the inferred-graph sibling) studies the same providers.
         view = StageView(study, frozenset({Stage.ANALYSIS}))
-        providers = study.dataset().providers_under_study()
+        providers = study.topology().providers_under_study()
         assert len(providers) == STUDY_PROVIDER_COUNT
         assert list(study.analysis().sa_reports()) == providers
         assert list(view.analysis.peer_export_reports()) == providers

@@ -28,7 +28,7 @@ def glasses(dataset):
 
 @pytest.fixture(scope="package")
 def provider_tables(dataset):
-    providers = dataset.providers_under_study(3)
+    providers = dataset.internet.providers_under_study(3)
     return {provider: dataset.result.table_of(provider) for provider in providers}
 
 

@@ -97,9 +97,7 @@ class TestExportPolicyNoCustomers:
 
     def test_snapshot_core_matches_legacy_on_stub(self, graph, stub_table):
         legacy = ExportPolicyAnalyzer(graph).find_sa_prefixes(2, stub_table)
-        result = SimulationResult(
-            internet=None, assignment=None, rib=RibColumns.from_tables({2: stub_table})
-        )
+        result = SimulationResult(rib=RibColumns.from_tables({2: stub_table}))
         snapshots = [Snapshot(index=0, result=result)]
         series = persistence_series(snapshots, 2, graph)
         assert series.as_rows() == [(0, len(stub_table), legacy.sa_prefix_count)]

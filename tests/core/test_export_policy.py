@@ -118,7 +118,7 @@ class TestDatasetPrevalence:
                 prefix_based_fraction=0.0,
             )
         ).generate(dataset.internet)
-        providers = dataset.providers_under_study(2)
+        providers = dataset.internet.providers_under_study(2)
         result = PropagationEngine(
             dataset.internet, plain, observed_ases=providers
         ).run()

@@ -8,7 +8,6 @@ from repro.core.atoms import PolicyAtomAnalyzer
 from repro.core.community import CommunityAnalyzer, bucket_of
 from repro.core.export_policy import ExportPolicyAnalyzer
 from repro.core.peer_export import PeerExportAnalyzer
-from repro.exceptions import InferenceError
 from repro.simulation.policies import PolicyGenerator, PolicyParameters
 from repro.simulation.timeline import Timeline, TimelineParameters
 from repro.topology.generator import GeneratorParameters, InternetGenerator
@@ -126,10 +125,6 @@ class TestPeerExport:
 
 
 class TestCommunitySemantics:
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(InferenceError):
-            CommunityAnalyzer(full_table_fraction=0.0)
-
     def test_fig9_ranking_is_sorted(self, dataset, glasses):
         analyzer = CommunityAnalyzer()
         ranked = analyzer.prefix_counts_by_rank(glasses[0])

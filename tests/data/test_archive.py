@@ -74,7 +74,7 @@ class TestLoadRoundtrip:
         assert len(archive.irr) == len(dataset.irr)
 
     def test_best_routes_preserved(self, dataset, archive):
-        provider = dataset.providers_under_study(1)[0]
+        provider = dataset.internet.providers_under_study(1)[0]
         original = dataset.result.table_of(provider)
         restored = archive.tables[provider]
         for entry in original.entries():
@@ -87,7 +87,7 @@ class TestLoadRoundtrip:
 
 class TestAnalysesOnArchive:
     def test_sa_prefixes_identical_before_and_after_roundtrip(self, dataset, archive):
-        provider = dataset.providers_under_study(1)[0]
+        provider = dataset.internet.providers_under_study(1)[0]
         analyzer_live = ExportPolicyAnalyzer(dataset.ground_truth_graph)
         analyzer_disk = ExportPolicyAnalyzer(archive.graph)
         live = analyzer_live.find_sa_prefixes(provider, dataset.result.table_of(provider))

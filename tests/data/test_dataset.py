@@ -91,7 +91,7 @@ class TestAssembly:
             assert info.tier >= 1
 
     def test_providers_under_study_are_largest_tier1s(self, dataset):
-        providers = dataset.providers_under_study(3)
+        providers = dataset.internet.providers_under_study(3)
         assert len(providers) == 3
         assert set(providers) <= set(dataset.tier1_ases)
         degrees = [dataset.ground_truth_graph.degree(asn) for asn in providers]

@@ -70,18 +70,3 @@ class TestSuballocation:
         allocator.suballocate(parent, owner=3, length=24)
         with pytest.raises(PrefixError):
             allocator.suballocate(parent, owner=4, length=24)
-
-
-class TestQueries:
-    def test_blocks_and_prefixes_of(self):
-        allocator = AddressAllocator()
-        allocator.allocate(owner=1, length=20)
-        allocator.allocate(owner=2, length=20)
-        allocator.allocate(owner=1, length=22)
-        assert len(allocator.blocks_of(1)) == 2
-        assert len(allocator.prefixes_of(2)) == 1
-
-    def test_len(self):
-        allocator = AddressAllocator()
-        allocator.allocate(owner=1, length=24)
-        assert len(allocator) == 1

@@ -144,7 +144,7 @@ class TestCacheCommands:
     def test_run_with_cache_dir_persists_artifacts(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
         run_cli(
-            capsys, "run", "table1", "--scenario", "multihoming@5",
+            capsys, "run", "table2", "--scenario", "multihoming@5",
             "--cache-dir", str(cache_dir),
         )
         assert (cache_dir / "topology").is_dir()
@@ -153,7 +153,7 @@ class TestCacheCommands:
     def test_cache_stats_text_and_json(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
         run_cli(
-            capsys, "run", "table1", "--scenario", "multihoming@5",
+            capsys, "run", "table2", "--scenario", "multihoming@5",
             "--cache-dir", str(cache_dir),
         )
         out = run_cli(capsys, "cache", "stats", "--cache-dir", str(cache_dir))

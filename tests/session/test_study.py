@@ -161,7 +161,7 @@ class TestStageView:
         view = StageView(study, frozenset({Stage.TOPOLOGY, Stage.OBSERVATION}))
         assert len(view.ground_truth_graph) > 0
         assert view.tier1_ases == study.topology().tier1
-        assert view.as_info is study.observation().as_info
+        assert view.as_info is study.observation()
         assert view.vantage_ases == list(study.policies().vantage_ases)
 
     def test_blocks_undeclared_stages(self, study):

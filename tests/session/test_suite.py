@@ -119,9 +119,9 @@ _CLOSURE = {
     Stage.TOPOLOGY: {"topology"},
     Stage.POLICIES: {"topology", "policies"},
     Stage.PROPAGATION: {"topology", "policies", "propagation"},
-    Stage.OBSERVATION: {"topology", "policies", "propagation", "observation"},
+    Stage.OBSERVATION: {"topology", "policies", "observation"},
     Stage.IRR: {"topology", "policies", "irr"},
-    Stage.ANALYSIS: {stage.value for stage in Stage} | {"dataset"},
+    Stage.ANALYSIS: {"topology", "policies", "propagation", "irr", "analysis"},
 }
 
 

@@ -32,7 +32,7 @@ from repro.simulation.fastpath import FastPropagationEngine, compile_topology
 from repro.simulation.fastpath.engine import _Core
 from repro.simulation.policies import ASPolicy, PolicyAssignment
 from repro.simulation.propagation import PrefixRun, PropagationEngine
-from repro.topology.generator import GeneratorParameters, SyntheticInternet
+from repro.topology.generator import SyntheticInternet
 from repro.topology.graph import AnnotatedASGraph
 from repro.topology.hierarchy import classify_tiers
 
@@ -44,7 +44,6 @@ TWIN = Prefix.parse("10.20.0.0/16")
 
 def _internet(graph: AnnotatedASGraph, originated: dict[ASN, list[Prefix]]) -> SyntheticInternet:
     return SyntheticInternet(
-        parameters=GeneratorParameters(),
         graph=graph,
         tiers=classify_tiers(graph),
         allocator=AddressAllocator(),

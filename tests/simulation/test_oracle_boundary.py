@@ -12,9 +12,9 @@ columnar RIB with the analysis engine's own Fig. 4 rule.
 
 Propagation runs in one process and the whole package in one thread:
 parallelism lives in ``repro sweep`` and ``repro fuzz``, where cases are
-independent processes.  The analysis engine, the dataset's engine memo and
-the stage cache hold no locks, which is only correct while nothing starts a
-thread; the last two tests keep it that way.
+independent processes.  The analysis engine and the stage cache hold no
+locks, which is only correct while nothing starts a thread; the last two
+tests keep it that way.
 """
 
 import ast

@@ -23,8 +23,13 @@ P2 = Prefix.parse("10.0.0.0/8")
 
 
 @pytest.fixture(scope="module")
-def result():
-    return get_scenario("small").study(cache=StageCache()).propagation()
+def study():
+    return get_scenario("small").study(cache=StageCache())
+
+
+@pytest.fixture(scope="module")
+def result(study):
+    return study.propagation()
 
 
 def _learned(**changes) -> Route:
@@ -150,7 +155,7 @@ class TestPathTable:
             ).run().rib
         elif source == "decoded":
             codec = codec_for("propagation")
-            rib = codec.decode(codec.encode(study.propagation()), study).rib
+            rib = codec.decode(codec.encode(study.propagation())).rib
         else:
             rib = study.propagation().rib
         assert rib.paths
@@ -186,8 +191,8 @@ class TestViews:
         assert glass.table is fresh.table_of(asn)
         assert built == [asn]
 
-    def test_unobserved_as_raises(self, result):
-        unobserved = max(result.internet.graph.ases())
+    def test_unobserved_as_raises(self, study, result):
+        unobserved = max(study.topology().graph.ases())
         assert unobserved not in result.observed_ases
         with pytest.raises(SimulationError):
             result.table_of(unobserved)

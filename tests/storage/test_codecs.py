@@ -1,8 +1,9 @@
 """Per-stage codec round-trips: disk-loaded artifacts equal fresh ones.
 
-Only the stored stages (topology, policies, propagation, irr) have codecs;
-the derived observation and analysis stages are rebuilt in memory from the
-disk-loaded propagation stage, with zero propagation builds.
+Only the stored stages (topology, policies, propagation, irr) have codecs,
+and each decodes its bytes alone.  The derived observation and analysis
+stages are rebuilt in memory from the disk-loaded stages they read, with
+zero builds of those.
 """
 
 from repro.session.cache import StageCache
@@ -55,7 +56,6 @@ class TestStageRoundTrips:
         assert loaded.provider_assigned == fresh.provider_assigned
         assert loaded.allocator.blocks == fresh.allocator.blocks
         assert loaded.allocator.dump_state() == fresh.allocator.dump_state()
-        assert loaded.parameters is warm.config.topology
 
     def test_policies(self, tiny_study, tmp_path):
         warm = _warm_study(tiny_study, tmp_path)
@@ -85,9 +85,15 @@ class TestStageRoundTrips:
             assert list(loaded.table_of(asn).entries()) == list(
                 fresh.table_of(asn).entries()
             )
-        # The decoded result shares the upstream artifacts, not copies.
-        assert loaded.internet is warm.topology()
-        assert loaded.assignment is warm.policies().assignment
+
+    def test_propagation_decodes_alone(self, tiny_study, tmp_path):
+        # The stored result holds no upstream artifact, so decoding it
+        # loads no topology and no policies.
+        warm = _warm_study(tiny_study, tmp_path)
+        warm.propagation()
+        assert warm.cache.stats_dict() == {
+            "propagation": {"hits": 0, "disk_hits": 1, "misses": 0}
+        }
 
     def test_propagation_best_route_identity(self, tiny_study, tmp_path):
         warm = _warm_study(tiny_study, tmp_path)
@@ -100,17 +106,22 @@ class TestStageRoundTrips:
 
     def test_observation(self, tiny_study, tmp_path):
         warm = _warm_study(tiny_study, tmp_path)
-        fresh = tiny_study.observation()
         loaded = warm.observation()
-        _assert_derived_from_disk(warm, "observation")
-        assert set(loaded.looking_glasses) == set(fresh.looking_glasses)
-        assert loaded.as_info == fresh.as_info
-        # Glasses wrap the propagation artifact's table views.
+        stats = warm.cache.stats
+        assert stats["observation"].misses == 1 and stats["observation"].disk_hits == 0
+        # The inventory reads the disk-loaded topology and plan, and no
+        # propagation.
+        assert stats["policies"].disk_hits == 1 and stats["policies"].misses == 0
+        assert "propagation" not in stats
+        assert loaded == tiny_study.observation()
+        # The dataset's glasses wrap the decoded propagation artifact's views.
+        dataset = warm.dataset()
         result = warm.propagation()
-        for asn, glass in loaded.looking_glasses.items():
+        assert set(dataset.looking_glasses) == set(tiny_study.dataset().looking_glasses)
+        for asn, glass in dataset.looking_glasses.items():
             assert glass.table is result.table_of(asn)
         # The collector table, built on demand, reads the decoded RIB.
-        assert warm.dataset().collector.entries == tiny_study.dataset().collector.entries
+        assert dataset.collector.entries == tiny_study.dataset().collector.entries
 
     def test_irr(self, tiny_study, tmp_path):
         warm = _warm_study(tiny_study, tmp_path)

@@ -145,5 +145,5 @@ class TestBitFlips:
                 stage,
                 key,
                 lambda: sentinel,
-                decode=lambda payload: codec.decode(payload, tiny_study),
+                decode=codec.decode,
             )

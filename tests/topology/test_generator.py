@@ -8,16 +8,19 @@ from repro.topology.generator import GeneratorParameters, InternetGenerator
 from repro.topology.graph import Relationship
 
 
+#: The parameters of the module's small Internet.
+SMALL_PARAMETERS = GeneratorParameters(
+    seed=7,
+    tier1_count=4,
+    tier2_count=10,
+    tier3_count=20,
+    stub_count=120,
+)
+
+
 @pytest.fixture(scope="module")
 def small_internet():
-    parameters = GeneratorParameters(
-        seed=7,
-        tier1_count=4,
-        tier2_count=10,
-        tier3_count=20,
-        stub_count=120,
-    )
-    return InternetGenerator(parameters).generate()
+    return InternetGenerator(SMALL_PARAMETERS).generate()
 
 
 class TestParameters:
@@ -43,7 +46,7 @@ class TestParameters:
 
 class TestTopologyShape:
     def test_all_ases_present(self, small_internet):
-        parameters = small_internet.parameters
+        parameters = SMALL_PARAMETERS
         expected = (
             parameters.tier1_count
             + parameters.tier2_count
@@ -54,7 +57,7 @@ class TestTopologyShape:
 
     def test_tier1_is_clique_and_provider_free(self, small_internet):
         tier1 = small_internet.tier1
-        assert len(tier1) == small_internet.parameters.tier1_count
+        assert len(tier1) == SMALL_PARAMETERS.tier1_count
         graph = small_internet.graph
         for asn in tier1:
             assert graph.providers_of(asn) == []
@@ -141,9 +144,9 @@ class TestAddressPlan:
                 assert original.contains(specific)
 
     def test_provider_assigned_blocks_are_inside_provider_space(self, small_internet):
-        allocator = small_internet.allocator
+        # Each parent block is its provider's first originated prefix.
         for block in small_internet.provider_assigned:
-            parent_prefixes = allocator.prefixes_of(block.parent_owner)
+            parent_prefixes = small_internet.originated[block.parent_owner]
             assert any(parent.contains(block.prefix) for parent in parent_prefixes)
 
 
