@@ -27,7 +27,6 @@ from repro.simulation.propagation import PropagationEngine
 from repro.topology.generator import SyntheticInternet
 from repro.topology.graph import AnnotatedASGraph
 from repro.topology.hierarchy import classify_tiers
-from repro.net.allocator import AddressAllocator
 
 TIER1_A, TIER1_B = 10, 20
 PROVIDER_A, PROVIDER_B = 100, 200
@@ -50,7 +49,6 @@ def build_internet() -> SyntheticInternet:
     return SyntheticInternet(
         graph=graph,
         tiers=classify_tiers(graph),
-        allocator=AddressAllocator(),
         originated={CUSTOMER: [PREFIX_WEB, PREFIX_MAIL]},
     )
 
@@ -99,7 +97,6 @@ def main() -> None:
         engineered.policies[asn] = ASPolicy(asn=asn)
     customer_policy = engineered.policy_for(CUSTOMER)
     customer_policy.announce_to_providers[PREFIX_WEB] = frozenset({PROVIDER_B})
-    engineered.selective_origins[CUSTOMER] = {PREFIX_WEB}
     run(
         internet,
         engineered,

@@ -189,10 +189,10 @@ class AnalysisEngine:
         """
         if self._inferred is None:
             # Columnar fast path: the index interns paths, so the table is a
-            # column of path ids.  Feed each distinct collapsed path once with
-            # its row multiplicity — Gao's votes are linear in multiplicity
-            # and its degrees/adjacency are set-valued, so this is exactly the
-            # per-row inference without the per-row re-collapse.
+            # column of path ids.  Feed each distinct collapsed path once, as
+            # it is, with its row multiplicity — Gao's votes are linear in
+            # multiplicity and its degrees/adjacency are set-valued, so this
+            # is exactly the per-row inference without a per-row collapse.
             idx = self.index
             multiplicity = Counter(idx.col_path)
             graph = (

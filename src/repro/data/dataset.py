@@ -49,7 +49,7 @@ class StudyDataset:
 
     Attributes:
         internet: the synthetic Internet (topology, tiers, prefixes).
-        assignment: the per-AS policies (with ground truth).
+        assignment: the per-AS policies (the ground truth itself).
         result: the propagation result observed at vantage + Looking Glass ASes.
         looking_glasses: Looking Glass views keyed by AS.
         irr: the synthetic IRR database.

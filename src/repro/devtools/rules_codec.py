@@ -144,7 +144,7 @@ def _scope_bindings(
 
     A name is bound by an annotated parameter, an annotated assignment, a
     direct construction (``x = RibColumns(...)``) or a factory-classmethod
-    call (``x = AddressAllocator.from_state(...)``).
+    call (``x = AnnotatedASGraph.from_adjacency_rows(...)``).
     """
     bindings: dict[str, str] = {}
     if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):

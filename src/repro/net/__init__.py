@@ -10,8 +10,8 @@ library builds on:
   detection and prepending.
 * :class:`~repro.net.trie.PrefixTrie` — a binary radix trie providing
   exact lookup and covered/covering-prefix searches.
-* :class:`~repro.net.allocator.AddressAllocator` — allocation of address
-  space to the ASes of the synthetic Internet, including provider-assigned
+* :class:`~repro.net.allocator.AddressAllocator` — non-overlapping address
+  space for the synthetic Internet, including provider-assigned
   sub-allocations (needed to reproduce the aggregation case of Table 9).
 """
 
@@ -19,13 +19,12 @@ from repro.net.asn import ASN, parse_asn
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
-from repro.net.allocator import AddressAllocator, AddressBlock
+from repro.net.allocator import AddressAllocator
 
 __all__ = [
     "ASN",
     "ASPath",
     "AddressAllocator",
-    "AddressBlock",
     "Prefix",
     "PrefixTrie",
     "parse_asn",

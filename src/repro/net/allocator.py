@@ -10,9 +10,8 @@ Internet did circa 2002:
 * some ASes split one of their prefixes into more-specifics for traffic
   engineering — the *prefix splitting* case (Case 1).
 
-:class:`AddressAllocator` tracks which AS owns which block and who carved a
-block out of whose space, so the causes analysis can be validated against
-ground truth.
+:class:`AddressAllocator` only hands out non-overlapping prefixes; who owns
+which prefix is recorded once, in the generated Internet's prefix map.
 """
 
 from __future__ import annotations
@@ -20,41 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.exceptions import PrefixError
-from repro.net.asn import ASN
 from repro.net.prefix import Prefix
-
-
-@dataclass(frozen=True)
-class AddressBlock:
-    """One allocated block of address space.
-
-    Attributes:
-        prefix: the allocated prefix.
-        owner: AS number the block was allocated to.
-        parent_owner: AS number of the provider the block was carved out of,
-            or ``None`` for a direct (provider-independent) allocation.
-    """
-
-    prefix: Prefix
-    owner: ASN
-    parent_owner: ASN | None = None
 
 
 @dataclass
 class AddressAllocator:
-    """Sequentially allocates non-overlapping blocks from a private pool.
+    """Sequentially allocates non-overlapping prefixes from a private pool.
 
     The pool starts at ``base`` (default ``10.0.0.0``) and walks upward in
     units of the requested block size.  Sub-allocations are carved from the
-    *unused tail* of a previously allocated block.
+    *unused tail* of a previously allocated prefix.
 
     Attributes:
         base: first address of the pool (dotted quad).
-        blocks: every block handed out so far, in allocation order.
     """
 
     base: str = "10.0.0.0"
-    blocks: list[AddressBlock] = field(default_factory=list)
     _cursor: int = field(default=0, init=False)
     _sub_cursors: dict[Prefix, int] = field(default_factory=dict, init=False)
 
@@ -65,8 +45,8 @@ class AddressAllocator:
 
     # -- direct allocations ------------------------------------------------
 
-    def allocate(self, owner: ASN, length: int) -> AddressBlock:
-        """Allocate the next free block of the given prefix length to ``owner``."""
+    def allocate(self, length: int) -> Prefix:
+        """Allocate the next free prefix of the given length."""
         if not (8 <= length <= 30):
             raise PrefixError(f"unsupported allocation length: /{length}")
         size = 1 << (32 - length)
@@ -75,66 +55,27 @@ class AddressAllocator:
             self._cursor += size - (self._cursor % size)
         prefix = Prefix(self._cursor, length)
         self._cursor += size
-        block = AddressBlock(prefix=prefix, owner=owner)
-        self.blocks.append(block)
-        return block
+        return prefix
 
     # -- provider-assigned sub-allocations --------------------------------------
 
-    def suballocate(
-        self, parent: AddressBlock, owner: ASN, length: int
-    ) -> AddressBlock:
-        """Carve a more-specific block for ``owner`` out of ``parent``.
+    def suballocate(self, parent: Prefix, length: int) -> Prefix:
+        """Carve a more-specific prefix out of ``parent``.
 
         Sub-allocations from the same parent never overlap; they are carved
-        sequentially from the start of the parent block.
+        sequentially from the start of the parent prefix.
 
         Raises:
             PrefixError: if the requested length does not fit inside the
-                parent or the parent block is exhausted.
+                parent or the parent prefix is exhausted.
         """
-        if length <= parent.prefix.length:
+        if length <= parent.length:
             raise PrefixError(
-                f"sub-allocation /{length} is not more specific than parent "
-                f"{parent.prefix}"
+                f"sub-allocation /{length} is not more specific than parent {parent}"
             )
         size = 1 << (32 - length)
-        cursor = self._sub_cursors.get(parent.prefix, parent.prefix.network)
-        if cursor + size - 1 > parent.prefix.broadcast:
-            raise PrefixError(f"parent block {parent.prefix} is exhausted")
-        prefix = Prefix(cursor, length)
-        self._sub_cursors[parent.prefix] = cursor + size
-        block = AddressBlock(prefix=prefix, owner=owner, parent_owner=parent.owner)
-        self.blocks.append(block)
-        return block
-
-    # -- state snapshots (used by the storage codecs) -----------------------
-
-    def dump_state(self) -> tuple:
-        """Snapshot the allocator's complete state as plain values.
-
-        Returns ``(base, cursor, blocks, sub_cursors)`` where blocks are
-        ``(prefix, owner, parent_owner)`` triples in allocation order and
-        sub-cursors are ``(parent prefix, next address)`` pairs in map
-        order.  :meth:`from_state` restores an allocator that will hand
-        out exactly the same future allocations.
-        """
-        return (
-            self.base,
-            self._cursor,
-            [(block.prefix, block.owner, block.parent_owner) for block in self.blocks],
-            list(self._sub_cursors.items()),
-        )
-
-    @classmethod
-    def from_state(cls, state: tuple) -> "AddressAllocator":
-        """Rebuild an allocator from a :meth:`dump_state` snapshot."""
-        base, cursor, blocks, sub_cursors = state
-        allocator = cls(base=base)
-        allocator._cursor = cursor
-        allocator.blocks = [
-            AddressBlock(prefix=prefix, owner=owner, parent_owner=parent_owner)
-            for prefix, owner, parent_owner in blocks
-        ]
-        allocator._sub_cursors = dict(sub_cursors)
-        return allocator
+        cursor = self._sub_cursors.get(parent, parent.network)
+        if cursor + size - 1 > parent.broadcast:
+            raise PrefixError(f"parent block {parent} is exhausted")
+        self._sub_cursors[parent] = cursor + size
+        return Prefix(cursor, length)

@@ -90,22 +90,31 @@ class GaoInference:
         prepending is collapsed before processing.  Paths with fewer than two
         distinct ASes contribute nothing.
         """
-        return self.infer_weighted((path, 1) for path in paths)
+        return self.infer_weighted(
+            ((path if isinstance(path, ASPath) else ASPath(path)).deduplicate().asns, 1)
+            for path in paths
+        )
 
     def infer_weighted(
-        self, weighted_paths: Iterable[tuple[ASPath | Iterable[ASN], int]]
+        self, weighted_paths: Iterable[tuple[Iterable[ASN], int]]
     ) -> InferredRelationships:
-        """Run the inference over ``(path, multiplicity)`` pairs.
+        """Run the inference over ``(collapsed path, multiplicity)`` pairs.
 
-        Every phase of the algorithm is either set-valued (degrees,
-        adjacency) or linear in path multiplicity (transit/ambiguous votes),
-        so feeding each *distinct* path once with its occurrence count yields
-        exactly the result of :meth:`infer` over the expanded collection —
-        while doing the per-path top-provider scan only once per distinct
-        path.  Callers holding columnar routing tables (interned path ids)
-        should prefer this entry point.
+        The paths are taken as given: they must already be collapsed (no
+        prepending), as the measurement index's interned paths are.  Every
+        phase of the algorithm is either set-valued (degrees, adjacency) or
+        linear in path multiplicity (transit/ambiguous votes), so feeding
+        each *distinct* path once with its occurrence count yields exactly
+        the result of :meth:`infer` over the expanded collection — while
+        doing the per-path top-provider scan only once per distinct path.
+        Callers holding columnar routing tables (interned path ids) should
+        prefer this entry point.
         """
-        counts = self._normalise(weighted_paths)
+        counts: Counter = Counter()
+        for path, weight in weighted_paths:
+            path = tuple(path)
+            if weight > 0 and len(path) >= 2:
+                counts[path] += weight
         if not counts:
             raise InferenceError("no usable AS paths supplied")
         degrees = self._compute_degrees(counts)
@@ -119,20 +128,6 @@ class GaoInference:
         )
 
     # -- phases ----------------------------------------------------------------
-
-    @staticmethod
-    def _normalise(
-        weighted_paths: Iterable[tuple[ASPath | Iterable[ASN], int]],
-    ) -> Counter:
-        counts: Counter = Counter()
-        for path, weight in weighted_paths:
-            if weight <= 0:
-                continue
-            as_path = path if isinstance(path, ASPath) else ASPath(path)
-            collapsed = as_path.deduplicate().asns
-            if len(collapsed) >= 2:
-                counts[collapsed] += weight
-        return counts
 
     @staticmethod
     def _compute_degrees(paths: Iterable[tuple[ASN, ...]]) -> dict[ASN, int]:

@@ -153,7 +153,7 @@ class PolicyStageArtifact:
     Attributes:
         vantage_ases: ASes peering with the RouteViews-style collector.
         looking_glass_ases: ASes exposing a Looking Glass.
-        assignment: the per-AS policies (with ground truth).
+        assignment: the per-AS policies (the ground truth itself).
     """
 
     vantage_ases: tuple["ASN", ...]

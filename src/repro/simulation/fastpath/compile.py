@@ -113,7 +113,6 @@ class CompiledTopology:
     edge_overrides: dict[int, dict[Prefix, int]]
     tag_communities: list[Community]
     # Per-AS export state.
-    honor_scoped: list[bool]
     scoped_marker: list[tuple[int, int]]  # (asn % 65536, SCOPED_ANNOUNCEMENT_VALUE)
     exp_local: list[TargetPairs]
     exp_local_set: list[frozenset[int]]
@@ -242,7 +241,6 @@ def compile_topology(
     edge_overrides: dict[int, dict[Prefix, int]] = {}
     tag_communities: list[Community] = []
     tag_index: dict[Community, int] = {}
-    honor_scoped: list[bool] = []
     scoped_marker: list[tuple[int, int]] = []
 
     neighbor_lists: dict[ASN, dict[int, list[ASN]]] = {}
@@ -290,7 +288,6 @@ def compile_topology(
         nbr_slot.append(row)
         neighbor_lists[asn] = by_rel
 
-        honor_scoped.append(policy.honor_scoped_communities)
         scoped_marker.append((asn % 65536, SCOPED_ANNOUNCEMENT_VALUE))
 
     topology = CompiledTopology(
@@ -302,7 +299,6 @@ def compile_topology(
         edge_rel=edge_rel,
         edge_overrides=edge_overrides,
         tag_communities=tag_communities,
-        honor_scoped=honor_scoped,
         scoped_marker=scoped_marker,
         exp_local=[],
         exp_local_set=[],

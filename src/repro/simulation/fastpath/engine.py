@@ -186,7 +186,6 @@ class _Core:
         self._exp_local_set = topology.exp_local_set
         self._exp_customer = topology.exp_customer
         self._exp_down = topology.exp_down
-        self._honor_scoped = topology.honor_scoped
         self._scoped_marker = topology.scoped_marker
 
     # -- interning ----------------------------------------------------------
@@ -447,10 +446,7 @@ class _Core:
             if kind == KIND_LOCAL:
                 targets = self._exp_local[asn_idx]
                 target_set = self._exp_local_set[asn_idx]
-            elif (
-                self._honor_scoped[asn_idx]
-                and self._scoped_marker[asn_idx] in self._comm_members[best[3]]
-            ):
+            elif self._scoped_marker[asn_idx] in self._comm_members[best[3]]:
                 # The customer asked this AS not to propagate the route further.
                 targets = ()
                 target_set = _EMPTY_SET

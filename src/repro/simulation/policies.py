@@ -15,8 +15,9 @@ The paper's findings are statements about the policies operators configure:
 
 :class:`ASPolicy` captures one AS's knobs for all of the above, and
 :class:`PolicyGenerator` draws a complete policy assignment for a synthetic
-Internet from a seeded random source, recording the ground truth (who
-selectively announces what) so the inference pipeline can be validated.
+Internet from a seeded random source.  The policies are the ground truth the
+inference pipeline is validated against: who announces selectively, who
+restricts customer-route exports and who tags is read off them directly.
 """
 
 from __future__ import annotations
@@ -147,8 +148,9 @@ class ASPolicy:
             subset of its providers (``None`` means no restriction).
         community_plan: relationship-tagging plan (``None`` when the AS does
             not tag).
-        honor_scoped_communities: whether the AS, as a provider, honours the
-            scoped-announcement community of its customers.
+
+    As a provider, every AS honours its customers' scoped-announcement
+    community (:func:`scoped_community`).
     """
 
     asn: ASN
@@ -160,7 +162,6 @@ class ASPolicy:
     withhold_from_peers: dict[Prefix, frozenset[ASN]] = field(default_factory=dict)
     export_customer_prefixes_to: frozenset[ASN] | None = None
     community_plan: CommunityPlan | None = None
-    honor_scoped_communities: bool = True
 
     # -- import side ----------------------------------------------------------
 
@@ -216,17 +217,16 @@ class PolicyParameters:
             whose LOCAL_PREF is set per prefix instead of per next-hop AS.
         selective_announcement_probability: probability that a multihomed
             origin AS selectively announces at least one prefix.
-        selective_prefix_fraction: fraction of a selectively announcing AS's
-            prefixes that are announced to a strict subset of providers.
-        scoped_announcement_probability: probability that a selective
-            announcement uses the "do not propagate further" community
-            instead of simply omitting providers.
         transit_selective_probability: probability that a multihomed transit
             AS restricts the providers to which it exports customer routes.
         peer_withhold_probability: probability that an origin AS withholds
             some prefixes from one of its peers (Table 10's small minority).
         community_tagging_probability: probability that an AS tags routes
             with relationship communities (Appendix).
+
+    How much of a selective announcer's space is affected, and how often it
+    is scoped, are the module constants :data:`SELECTIVE_PREFIX_FRACTION`
+    and :data:`SCOPED_ANNOUNCEMENT_PROBABILITY`.
     """
 
     seed: int = 20021111
@@ -234,8 +234,6 @@ class PolicyParameters:
     atypical_neighbor_probability: float = 0.01
     prefix_based_fraction: float = 0.03
     selective_announcement_probability: float = 0.45
-    selective_prefix_fraction: float = 0.7
-    scoped_announcement_probability: float = 0.15
     transit_selective_probability: float = 0.12
     peer_withhold_probability: float = 0.08
     community_tagging_probability: float = 0.6
@@ -247,8 +245,6 @@ class PolicyParameters:
             "atypical_neighbor_probability",
             "prefix_based_fraction",
             "selective_announcement_probability",
-            "selective_prefix_fraction",
-            "scoped_announcement_probability",
             "transit_selective_probability",
             "peer_withhold_probability",
             "community_tagging_probability",
@@ -257,6 +253,14 @@ class PolicyParameters:
             if not (0.0 <= value <= 1.0):
                 raise PolicyError(f"{name} must be a probability, got {value}")
 
+
+#: Fraction of a selectively announcing AS's prefixes that are announced to a
+#: strict subset of its providers.
+SELECTIVE_PREFIX_FRACTION = 0.7
+
+#: Probability that a selective announcement uses the "do not propagate
+#: further" community instead of simply omitting providers.
+SCOPED_ANNOUNCEMENT_PROBABILITY = 0.15
 
 #: An atypical scheme: provider routes preferred over peer routes.  Customer
 #: routes stay strictly preferred so that the Gao–Rexford convergence
@@ -269,26 +273,19 @@ ATYPICAL_SCHEME = LocalPrefScheme(customer=110, peer=90, provider=100)
 
 @dataclass
 class PolicyAssignment:
-    """The generated policies plus the ground truth needed for validation.
+    """The policies of every AS: the configuration inference is judged against.
+
+    Each fact is stored once, in the AS's :class:`ASPolicy`: a selective
+    origin has a non-empty ``announce_to_providers`` (or
+    ``scoped_to_providers``), a selective transit sets
+    ``export_customer_prefixes_to``, and a tagging AS has a
+    ``community_plan``.
 
     Attributes:
         policies: AS → its :class:`ASPolicy`.
-        selective_origins: origin ASes that selectively announce at least one
-            prefix, with the affected prefixes.
-        scoped_origins: origin ASes using scoped (community) announcements,
-            with the affected prefixes.
-        selective_transits: transit ASes restricting customer-route exports.
-        atypical_ases: ASes whose scheme or overrides violate the typical
-            LOCAL_PREF order.
-        tagging_ases: ASes with a community plan.
     """
 
     policies: dict[ASN, ASPolicy] = field(default_factory=dict)
-    selective_origins: dict[ASN, set[Prefix]] = field(default_factory=dict)
-    scoped_origins: dict[ASN, set[Prefix]] = field(default_factory=dict)
-    selective_transits: set[ASN] = field(default_factory=set)
-    atypical_ases: set[ASN] = field(default_factory=set)
-    tagging_ases: set[ASN] = field(default_factory=set)
 
     def policy_for(self, asn: ASN) -> ASPolicy:
         """Return the policy of an AS (a default-typical policy if unassigned)."""
@@ -329,17 +326,15 @@ class PolicyGenerator:
             # Import side: relationship scheme, rare atypical deviations.
             if rng.random() < params.atypical_scheme_probability:
                 policy.local_pref = ATYPICAL_SCHEME
-                assignment.atypical_ases.add(asn)
-            self._assign_neighbor_overrides(policy, graph, rng, assignment)
+            self._assign_neighbor_overrides(policy, graph, rng)
             if asn in looking_glass:
                 self._assign_prefix_overrides(policy, internet, rng)
             # Community tagging.
             if rng.random() < params.community_tagging_probability and graph.degree(asn) >= 3:
                 policy.community_plan = CommunityPlan(asn=asn)
-                assignment.tagging_ases.add(asn)
             # Export side.
-            self._assign_origin_export_policy(policy, internet, rng, assignment)
-            self._assign_transit_export_policy(policy, graph, rng, assignment)
+            self._assign_origin_export_policy(policy, internet, rng)
+            self._assign_transit_export_policy(policy, graph, rng)
             self._assign_peer_export_policy(policy, internet, rng)
             assignment.policies[asn] = policy
         return assignment
@@ -347,11 +342,7 @@ class PolicyGenerator:
     # -- pieces --------------------------------------------------------------------
 
     def _assign_neighbor_overrides(
-        self,
-        policy: ASPolicy,
-        graph,
-        rng: random.Random,
-        assignment: PolicyAssignment,
+        self, policy: ASPolicy, graph, rng: random.Random
     ) -> None:
         params = self.parameters
         for neighbor in graph.neighbors(policy.asn):
@@ -367,9 +358,6 @@ class PolicyGenerator:
                 policy.neighbor_local_pref[neighbor] = policy.local_pref.peer + 2
             elif relationship is Relationship.PEER:
                 policy.neighbor_local_pref[neighbor] = policy.local_pref.provider - 2
-            else:
-                continue
-            assignment.atypical_ases.add(policy.asn)
 
     def _assign_prefix_overrides(
         self, policy: ASPolicy, internet: SyntheticInternet, rng: random.Random
@@ -386,11 +374,7 @@ class PolicyGenerator:
             policy.prefix_local_pref[prefix] = rng.choice([80, 85, 95, 115, 120])
 
     def _assign_origin_export_policy(
-        self,
-        policy: ASPolicy,
-        internet: SyntheticInternet,
-        rng: random.Random,
-        assignment: PolicyAssignment,
+        self, policy: ASPolicy, internet: SyntheticInternet, rng: random.Random
     ) -> None:
         params = self.parameters
         asn = policy.asn
@@ -400,27 +384,21 @@ class PolicyGenerator:
             return
         if rng.random() >= params.selective_announcement_probability:
             return
-        affected_count = max(1, int(round(len(prefixes) * params.selective_prefix_fraction)))
+        affected_count = max(1, int(round(len(prefixes) * SELECTIVE_PREFIX_FRACTION)))
         affected = rng.sample(prefixes, k=min(affected_count, len(prefixes)))
         for prefix in affected:
             subset_size = rng.randint(1, len(providers) - 1)
             subset = frozenset(rng.sample(providers, k=subset_size))
-            if rng.random() < params.scoped_announcement_probability:
+            if rng.random() < SCOPED_ANNOUNCEMENT_PROBABILITY:
                 # Announce to the subset with a "do not propagate" community
                 # and to nobody else plainly.
                 policy.scoped_to_providers[prefix] = subset
                 policy.announce_to_providers[prefix] = frozenset()
-                assignment.scoped_origins.setdefault(asn, set()).add(prefix)
             else:
                 policy.announce_to_providers[prefix] = subset
-            assignment.selective_origins.setdefault(asn, set()).add(prefix)
 
     def _assign_transit_export_policy(
-        self,
-        policy: ASPolicy,
-        graph,
-        rng: random.Random,
-        assignment: PolicyAssignment,
+        self, policy: ASPolicy, graph, rng: random.Random
     ) -> None:
         params = self.parameters
         asn = policy.asn
@@ -432,7 +410,6 @@ class PolicyGenerator:
             return
         subset_size = rng.randint(1, len(providers) - 1)
         policy.export_customer_prefixes_to = frozenset(rng.sample(providers, k=subset_size))
-        assignment.selective_transits.add(asn)
 
     def _assign_peer_export_policy(
         self, policy: ASPolicy, internet: SyntheticInternet, rng: random.Random

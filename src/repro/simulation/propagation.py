@@ -332,7 +332,7 @@ class PropagationEngine:
         if best is None:
             return set()
         policy = self.assignment.policy_for(asn)
-        if not best.is_local and self._is_scoped_at(best, asn) and policy.honor_scoped_communities:
+        if not best.is_local and self._is_scoped_at(best, asn):
             # The customer asked this AS not to propagate the route further.
             return set()
         targets: set[ASN] = set()

@@ -18,7 +18,6 @@ from repro.simulation.propagation import SimulationResult
 from repro.topology.generator import SyntheticInternet
 from repro.topology.graph import AnnotatedASGraph
 from repro.topology.hierarchy import classify_tiers
-from repro.net.allocator import AddressAllocator
 
 
 @dataclass
@@ -53,10 +52,7 @@ def _internet_from_graph(
 ) -> SyntheticInternet:
     """Wrap a hand-built graph and prefix ownership into a SyntheticInternet."""
     return SyntheticInternet(
-        graph=graph,
-        tiers=classify_tiers(graph),
-        allocator=AddressAllocator(),
-        originated=originated,
+        graph=graph, tiers=classify_tiers(graph), originated=originated
     )
 
 
@@ -84,7 +80,6 @@ def figure5_scenario() -> Scenario:
         assignment.policies[asn] = ASPolicy(asn=asn)
     policy = assignment.policy_for(6280)
     policy.announce_to_providers[prefix] = frozenset({13768})
-    assignment.selective_origins[6280] = {prefix}
     return Scenario(
         name="figure5",
         internet=internet,

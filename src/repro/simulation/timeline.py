@@ -128,13 +128,23 @@ class Timeline:
     # -- churn ---------------------------------------------------------------------
 
     def _churn(self, assignment: PolicyAssignment, rng: random.Random) -> set[ASN]:
-        """Mutate origin export policies in place; return the affected origins."""
+        """Mutate origin export policies in place; return the affected origins.
+
+        The selective origins are taken once, before any change: an origin
+        that stops announcing selectively in this step is still skipped by
+        the appear step, so it cannot start again in the same snapshot.
+        """
         params = self.parameters
         graph = self.internet.graph
         changed: set[ASN] = set()
+        selective = {
+            asn
+            for asn, policy in assignment.policies.items()
+            if policy.announce_to_providers or policy.scoped_to_providers
+        }
 
         # Existing selective announcers may reshuffle or stop.
-        for origin in sorted(assignment.selective_origins):
+        for origin in sorted(selective):
             policy = assignment.policy_for(origin)
             providers = graph.providers_of(origin)
             if len(providers) < 2:
@@ -155,7 +165,7 @@ class Timeline:
         # A few fully announcing multihomed origins may start being selective.
         if params.appear_probability > 0:
             for origin in sorted(self.internet.originated):
-                if origin in assignment.selective_origins:
+                if origin in selective:
                     continue
                 providers = graph.providers_of(origin)
                 prefixes = self.internet.prefixes_of(origin)
@@ -168,11 +178,5 @@ class Timeline:
                     policy.announce_to_providers[prefix] = frozenset(
                         rng.sample(providers, k=subset_size)
                     )
-                    assignment.selective_origins.setdefault(origin, set()).add(prefix)
                     changed.add(origin)
-        # Track disappearance in the ground truth too.
-        for origin in list(assignment.selective_origins):
-            policy = assignment.policy_for(origin)
-            if not policy.announce_to_providers and not policy.scoped_to_providers:
-                del assignment.selective_origins[origin]
         return changed

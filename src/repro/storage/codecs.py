@@ -28,7 +28,6 @@ from array import array
 from typing import TYPE_CHECKING
 
 from repro.data.rpsl import AutNumObject, IrrDatabase, PolicyLine
-from repro.net.allocator import AddressAllocator
 from repro.net.prefix import Prefix
 from repro.simulation.policies import ASPolicy, CommunityPlan, LocalPrefScheme, PolicyAssignment
 from repro.simulation.propagation import SimulationResult
@@ -120,56 +119,34 @@ class StageCodec:
 
 
 class TopologyCodec(StageCodec):
-    """Codec of the *topology* stage: the synthetic Internet.
+    """Codec of the *topology* stage: the graph and the prefix ownership.
 
     The graph adjacency is dumped in exact iteration order
     (:meth:`~repro.topology.graph.AnnotatedASGraph.adjacency_rows`) so the
-    decoded graph iterates identically to the generated one; tiers are
-    recomputed from the decoded graph (a deterministic function of it), and
-    the address allocator's full state — including sub-allocation cursors —
-    round-trips so ground-truth queries behave the same.
+    decoded graph iterates identically to the generated one, and
+    ``originated`` keeps its insertion order; tiers are recomputed from the
+    decoded graph (a deterministic function of it).
     """
 
     stage = "topology"
 
     def lower(self, artifact: SyntheticInternet) -> object:
-        """Lower the synthetic Internet (graph, allocator, prefix plan)."""
+        """Lower the synthetic Internet (graph rows, prefix ownership)."""
         graph_rows = [
             (asn, tuple((neighbor, _REL_CODE[rel]) for neighbor, rel in row))
             for asn, row in artifact.graph.adjacency_rows()
         ]
-        base, cursor, blocks, sub_cursors = artifact.allocator.dump_state()
         return (
             graph_rows,
-            (
-                base,
-                cursor,
-                [
-                    (_lower_prefix(prefix), owner, parent_owner)
-                    for prefix, owner, parent_owner in blocks
-                ],
-                [
-                    (_lower_prefix(prefix), sub_cursor)
-                    for prefix, sub_cursor in sub_cursors
-                ],
-            ),
             [
                 (asn, tuple(_lower_prefix(p) for p in prefixes))
                 for asn, prefixes in artifact.originated.items()
-            ],
-            [
-                (_lower_prefix(original), tuple(_lower_prefix(p) for p in specifics))
-                for original, specifics in artifact.split_pairs
-            ],
-            [
-                (_lower_prefix(block.prefix), block.owner, block.parent_owner)
-                for block in artifact.provider_assigned
             ],
         )
 
     def raise_(self, tree: object) -> SyntheticInternet:
         """Rebuild the synthetic Internet; tiers are recomputed from the graph."""
-        graph_rows, allocator_state, originated, split_pairs, provider_assigned = tree
+        graph_rows, originated = tree
         graph = AnnotatedASGraph.from_adjacency_rows(
             (
                 asn,
@@ -179,37 +156,13 @@ class TopologyCodec(StageCodec):
             )
             for asn, row in graph_rows
         )
-        base, cursor, blocks, sub_cursors = allocator_state
-        allocator = AddressAllocator.from_state(
-            (
-                base,
-                cursor,
-                [
-                    (_raise_prefix(pair), owner, parent_owner)
-                    for pair, owner, parent_owner in blocks
-                ],
-                [(_raise_prefix(pair), sub_cursor) for pair, sub_cursor in sub_cursors],
-            )
-        )
-        block_index = {
-            (block.prefix, block.owner): block for block in allocator.blocks
-        }
         return SyntheticInternet(
             graph=graph,
             tiers=classify_tiers(graph),
-            allocator=allocator,
             originated={
                 asn: [_raise_prefix(pair) for pair in prefixes]
                 for asn, prefixes in originated
             },
-            split_pairs=[
-                (_raise_prefix(pair), [_raise_prefix(p) for p in specifics])
-                for pair, specifics in split_pairs
-            ],
-            provider_assigned=[
-                block_index[(_raise_prefix(pair), owner)]
-                for pair, owner, _parent in provider_assigned
-            ],
         )
 
 
@@ -224,23 +177,14 @@ class PoliciesCodec(StageCodec):
     stage = "policies"
 
     def lower(self, artifact: "PolicyStageArtifact") -> object:
-        """Lower the vantage plan, every AS policy and the ground truth."""
-        assignment = artifact.assignment
+        """Lower the vantage plan and every AS policy."""
         return (
             tuple(artifact.vantage_ases),
             tuple(artifact.looking_glass_ases),
-            [self._lower_policy(policy) for policy in assignment.policies.values()],
             [
-                (asn, tuple(_lower_prefix(p) for p in sorted(prefixes)))
-                for asn, prefixes in assignment.selective_origins.items()
+                self._lower_policy(policy)
+                for policy in artifact.assignment.policies.values()
             ],
-            [
-                (asn, tuple(_lower_prefix(p) for p in sorted(prefixes)))
-                for asn, prefixes in assignment.scoped_origins.items()
-            ],
-            tuple(sorted(assignment.selective_transits)),
-            tuple(sorted(assignment.atypical_ases)),
-            tuple(sorted(assignment.tagging_ases)),
         )
 
     @staticmethod
@@ -280,36 +224,15 @@ class PoliciesCodec(StageCodec):
                 plan.provider_base,
                 plan.range_size,
             ),
-            policy.honor_scoped_communities,
         )
 
     def raise_(self, tree: object) -> "PolicyStageArtifact":
         """Rebuild the policy stage artifact."""
         from repro.session.stages import PolicyStageArtifact
 
-        (
-            vantage,
-            looking_glass,
-            policies,
-            selective_origins,
-            scoped_origins,
-            selective_transits,
-            atypical,
-            tagging,
-        ) = tree
+        vantage, looking_glass, policies = tree
         assignment = PolicyAssignment(
-            policies={row[0]: self._raise_policy(row) for row in policies},
-            selective_origins={
-                asn: {_raise_prefix(pair) for pair in prefixes}
-                for asn, prefixes in selective_origins
-            },
-            scoped_origins={
-                asn: {_raise_prefix(pair) for pair in prefixes}
-                for asn, prefixes in scoped_origins
-            },
-            selective_transits=set(selective_transits),
-            atypical_ases=set(atypical),
-            tagging_ases=set(tagging),
+            policies={row[0]: self._raise_policy(row) for row in policies}
         )
         return PolicyStageArtifact(
             vantage_ases=tuple(vantage),
@@ -330,7 +253,6 @@ class PoliciesCodec(StageCodec):
             withhold,
             export_to,
             plan,
-            honor_scoped,
         ) = row
         customer, peer, provider, sibling = scheme
         return ASPolicy(
@@ -367,7 +289,6 @@ class PoliciesCodec(StageCodec):
                     range_size=plan[4],
                 )
             ),
-            honor_scoped_communities=honor_scoped,
         )
 
 

@@ -30,8 +30,8 @@ SCHEMA_VERSION = 1
 #: addressed by the full upstream key chain plus the experiment list.  The
 #: observation and analysis stages are derived in memory and have none.
 CODEC_VERSIONS: dict[str, int] = {
-    "topology": 1,
-    "policies": 1,
+    "topology": 2,
+    "policies": 2,
     "propagation": 2,
     "irr": 1,
     "report": 1,

@@ -25,8 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.exceptions import TopologyError
-from repro.net.allocator import AddressAllocator, AddressBlock
+from repro.exceptions import PrefixError, TopologyError
+from repro.net.allocator import AddressAllocator
 from repro.net.asn import ASN
 from repro.net.prefix import Prefix
 from repro.topology.graph import AnnotatedASGraph
@@ -64,14 +64,10 @@ class GeneratorParameters:
         stub_peering_probability: probability that two stubs sharing a
             provider establish a (rare) peer link.
         prefixes_per_stub: maximum number of prefixes originated by a stub.
-        prefixes_per_transit: maximum number of prefixes originated by a
-            transit AS.
-        provider_assigned_probability: probability that a stub's prefix is
-            carved out of one of its providers' blocks instead of being
-            provider-independent.
-        split_probability: probability that a stub splits one of its
-            prefixes into two more-specifics (the Table 9 splitting case).
-        first_asn: AS number assigned to the first generated AS.
+
+    The address plan's other rates are the module constants
+    :data:`FIRST_ASN`, :data:`PREFIXES_PER_TRANSIT`,
+    :data:`PROVIDER_ASSIGNED_PROBABILITY` and :data:`SPLIT_PROBABILITY`.
     """
 
     seed: int = 2002
@@ -86,10 +82,6 @@ class GeneratorParameters:
     tier3_peering_probability: float = 0.08
     stub_peering_probability: float = 0.01
     prefixes_per_stub: int = 4
-    prefixes_per_transit: int = 3
-    provider_assigned_probability: float = 0.15
-    split_probability: float = 0.12
-    first_asn: int = 1
 
     def validate(self) -> None:
         """Raise :class:`TopologyError` on nonsensical parameter combinations."""
@@ -103,8 +95,6 @@ class GeneratorParameters:
             "tier2_peering_probability",
             "tier3_peering_probability",
             "stub_peering_probability",
-            "provider_assigned_probability",
-            "split_probability",
         ):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -113,6 +103,21 @@ class GeneratorParameters:
             raise TopologyError("max_stub_providers must be at least 1")
 
 
+#: AS number assigned to the first generated AS.
+FIRST_ASN = 1
+
+#: Maximum number of prefixes originated by a Tier-2 transit AS.
+PREFIXES_PER_TRANSIT = 3
+
+#: Probability that a stub's prefix is carved out of one of its providers'
+#: blocks instead of being provider-independent (the Table 9 aggregation
+#: case).
+PROVIDER_ASSIGNED_PROBABILITY = 0.15
+
+#: Probability that a stub splits its first prefix into two more-specifics
+#: announced next to it (the Table 9 splitting case).
+SPLIT_PROBABILITY = 0.12
+
 #: How many of the largest Tier-1 providers the SA-prefix studies cover (the
 #: paper studies AS1, AS3549 and AS7018).
 STUDY_PROVIDER_COUNT = 3
@@ -120,26 +125,20 @@ STUDY_PROVIDER_COUNT = 3
 
 @dataclass
 class SyntheticInternet:
-    """A generated Internet: graph, tiers, address space and prefix ownership.
+    """A generated Internet: graph, tiers and prefix ownership.
 
     Attributes:
         graph: the ground-truth annotated AS graph.
         tiers: the tier classification derived from the graph.
-        allocator: the address allocator with every allocated block.
         originated: mapping AS → the prefixes it originates (after any
-            splitting), i.e. exactly what the AS will inject into BGP.
-        split_pairs: list of ``(original, [more_specifics])`` for ASes that
-            split a prefix (ground truth for the Table 9 splitting case).
-        provider_assigned: blocks carved out of a provider's space (ground
-            truth for the Table 9 aggregation case).
+            splitting), i.e. exactly what the AS will inject into BGP.  A
+            split prefix's more-specifics follow their covering prefix, and a
+            provider-assigned prefix lies inside its provider's first prefix.
     """
 
     graph: AnnotatedASGraph
     tiers: TierClassification
-    allocator: AddressAllocator
     originated: dict[ASN, list[Prefix]] = field(default_factory=dict)
-    split_pairs: list[tuple[Prefix, list[Prefix]]] = field(default_factory=list)
-    provider_assigned: list[AddressBlock] = field(default_factory=list)
 
     @property
     def tier1(self) -> list[ASN]:
@@ -179,7 +178,7 @@ class InternetGenerator:
         """Generate the topology, the tiers and the address plan."""
         params = self.parameters
         graph = AnnotatedASGraph()
-        next_asn = params.first_asn
+        next_asn = FIRST_ASN
 
         tier1 = list(range(next_asn, next_asn + params.tier1_count))
         next_asn += params.tier1_count
@@ -200,12 +199,7 @@ class InternetGenerator:
         self._attach_stubs(graph, stubs, tier2 + tier3, tier1)
         self._add_stub_peering(graph, stubs)
 
-        allocator = AddressAllocator()
-        internet = SyntheticInternet(
-            graph=graph,
-            tiers=classify_tiers(graph),
-            allocator=allocator,
-        )
+        internet = SyntheticInternet(graph=graph, tiers=classify_tiers(graph))
         self._allocate_addresses(internet, tier1, tier2, tier3, stubs)
         return internet
 
@@ -291,55 +285,41 @@ class InternetGenerator:
     ) -> None:
         params = self.parameters
         graph = internet.graph
-        allocator = internet.allocator
-        provider_blocks: dict[ASN, AddressBlock] = {}
+        allocator = AddressAllocator()
+        provider_blocks: dict[ASN, Prefix] = {}
 
         # Transit ASes get big blocks; their first block can be carved up for
         # provider-assigned customer space later.
         for asn in tier1:
-            block = allocator.allocate(asn, length=12)
-            provider_blocks[asn] = block
-            internet.originated[asn] = [block.prefix]
+            provider_blocks[asn] = allocator.allocate(length=12)
+            internet.originated[asn] = [provider_blocks[asn]]
         for asn in tier2:
-            block = allocator.allocate(asn, length=14)
-            provider_blocks[asn] = block
-            count = self._rng.randint(1, params.prefixes_per_transit)
-            extra = [allocator.allocate(asn, length=19).prefix for _ in range(count - 1)]
-            internet.originated[asn] = [block.prefix] + extra
+            provider_blocks[asn] = allocator.allocate(length=14)
+            count = self._rng.randint(1, PREFIXES_PER_TRANSIT)
+            extra = [allocator.allocate(length=19) for _ in range(count - 1)]
+            internet.originated[asn] = [provider_blocks[asn]] + extra
         for asn in tier3:
-            block = allocator.allocate(asn, length=16)
-            provider_blocks[asn] = block
-            internet.originated[asn] = [block.prefix]
+            provider_blocks[asn] = allocator.allocate(length=16)
+            internet.originated[asn] = [provider_blocks[asn]]
 
         for asn in stubs:
             prefixes: list[Prefix] = []
             prefix_count = self._rng.randint(1, params.prefixes_per_stub)
             providers = graph.providers_of(asn)
             for _ in range(prefix_count):
-                use_provider_space = (
-                    providers
-                    and self._rng.random() < params.provider_assigned_probability
-                )
-                if use_provider_space:
-                    provider = self._rng.choice(providers)
-                    parent = provider_blocks.get(provider)
+                prefix = None
+                if providers and self._rng.random() < PROVIDER_ASSIGNED_PROBABILITY:
+                    parent = provider_blocks.get(self._rng.choice(providers))
                     if parent is not None:
                         try:
-                            block = allocator.suballocate(parent, asn, length=22)
-                        except Exception:
-                            block = allocator.allocate(asn, length=22)
-                        else:
-                            internet.provider_assigned.append(block)
-                    else:
-                        block = allocator.allocate(asn, length=22)
-                else:
-                    block = allocator.allocate(asn, length=22)
-                prefixes.append(block.prefix)
+                            prefix = allocator.suballocate(parent, length=22)
+                        except PrefixError:
+                            pass  # parent exhausted: fall back to independent space
+                if prefix is None:
+                    prefix = allocator.allocate(length=22)
+                prefixes.append(prefix)
             # Optionally split the first prefix into two more-specifics that
             # are announced *in addition to* the covering prefix.
-            if prefixes and self._rng.random() < params.split_probability:
-                original = prefixes[0]
-                more_specifics = original.split(2)
-                internet.split_pairs.append((original, more_specifics))
-                prefixes.extend(more_specifics)
+            if prefixes and self._rng.random() < SPLIT_PROBABILITY:
+                prefixes.extend(prefixes[0].split(2))
             internet.originated[asn] = prefixes

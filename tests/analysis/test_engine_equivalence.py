@@ -10,6 +10,8 @@ Datasets are built through the global stage cache, so they are shared with
 the rest of the test session instead of rebuilt per test.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.persistence import persistence_series, uptime_distribution
@@ -203,6 +205,24 @@ def test_inferred_graph_sa_reports_equivalent(scenario):
         inferred.sa_report(absent)
     with pytest.raises(InferenceError):
         analyzer.find_sa_prefixes(absent, next(iter(ctx["tables"].values())))
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_gao_over_index_tuples_equivalent(scenario):
+    # The engine feeds Gao each collapsed index tuple once, as it is, with
+    # its row multiplicity; the oracle feeds it every collector ASPath.
+    ctx = _context(scenario)
+    index = ctx["engine"].index
+    weighted = GaoInference().infer_weighted(
+        (index.collapsed[pid], count) for pid, count in Counter(index.col_path).items()
+    )
+    expanded = GaoInference().infer(ctx["dataset"].collector.all_paths())
+    assert list(weighted.degrees.items()) == list(expanded.degrees.items())
+    assert list(weighted.transit_votes.items()) == list(expanded.transit_votes.items())
+    assert list(weighted.ambiguous_votes.items()) == list(
+        expanded.ambiguous_votes.items()
+    )
+    assert weighted.graph.adjacency_rows() == expanded.graph.adjacency_rows()
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

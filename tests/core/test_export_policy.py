@@ -1,7 +1,7 @@
 """Tests for the SA-prefix (export-policy) inference — the Fig. 4 algorithm."""
 
 import pytest
-from helpers import all_selectively_announced, is_customer_of
+from helpers import all_selectively_announced, is_customer_of, selective_transits
 from paper_scenarios import (
     figure3_scenario,
     figure8_multihomed_scenario,
@@ -81,7 +81,7 @@ class TestDatasetPrevalence:
         """Most detected SA prefixes trace back to configured selective or
         scoped announcements (origin-level) or selective transits."""
         configured = all_selectively_announced(dataset.assignment)
-        transit_origins = dataset.assignment.selective_transits
+        transit_origins = selective_transits(dataset.assignment)
         graph = dataset.ground_truth_graph
         explained = 0
         total = 0

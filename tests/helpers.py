@@ -70,14 +70,53 @@ def is_typical(scheme: LocalPrefScheme) -> bool:
     return scheme.customer > scheme.peer > scheme.provider
 
 
+def selective_origins(assignment: PolicyAssignment) -> dict[ASN, set[Prefix]]:
+    """Origin AS → its prefixes announced to a subset of its providers.
+
+    Read off ``announce_to_providers`` and ``scoped_to_providers``, the
+    same rule the timeline's churn applies.
+    """
+    return {
+        asn: set(policy.announce_to_providers) | set(policy.scoped_to_providers)
+        for asn, policy in assignment.policies.items()
+        if policy.announce_to_providers or policy.scoped_to_providers
+    }
+
+
+def scoped_origins(assignment: PolicyAssignment) -> dict[ASN, set[Prefix]]:
+    """Origin AS → its prefixes announced with the do-not-propagate community."""
+    return {
+        asn: set(policy.scoped_to_providers)
+        for asn, policy in assignment.policies.items()
+        if policy.scoped_to_providers
+    }
+
+
+def selective_transits(assignment: PolicyAssignment) -> set[ASN]:
+    """Transit ASes that export customer routes to a subset of providers."""
+    return {
+        asn
+        for asn, policy in assignment.policies.items()
+        if policy.export_customer_prefixes_to is not None
+    }
+
+
+def tagging_ases(assignment: PolicyAssignment) -> set[ASN]:
+    """ASes that tag received routes with relationship communities."""
+    return {
+        asn
+        for asn, policy in assignment.policies.items()
+        if policy.community_plan is not None
+    }
+
+
 def all_selectively_announced(assignment: PolicyAssignment) -> set[Prefix]:
     """Every prefix affected by origin-level selective or scoped announcement."""
-    prefixes: set[Prefix] = set()
-    for affected in assignment.selective_origins.values():
-        prefixes.update(affected)
-    for affected in assignment.scoped_origins.values():
-        prefixes.update(affected)
-    return prefixes
+    return {
+        prefix
+        for prefixes in selective_origins(assignment).values()
+        for prefix in prefixes
+    }
 
 
 def stub_ases(internet: SyntheticInternet) -> list[ASN]:

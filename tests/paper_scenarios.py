@@ -71,7 +71,6 @@ def figure3_scenario() -> Scenario:
         assignment.policies[asn] = ASPolicy(asn=asn)
     policy_a = assignment.policy_for(customer_a)
     policy_a.announce_to_providers[prefix] = frozenset({provider_c})
-    assignment.selective_origins[customer_a] = {prefix}
     return Scenario(
         name="figure3",
         internet=internet,
@@ -103,7 +102,6 @@ def figure8_multihomed_scenario() -> Scenario:
         assignment.policies[asn] = ASPolicy(asn=asn)
     policy = assignment.policy_for(v)
     policy.announce_to_providers[prefix] = frozenset({u1})
-    assignment.selective_origins[v] = {prefix}
     return Scenario(
         name="figure8a",
         internet=internet,
@@ -142,8 +140,6 @@ def figure8_singlehomed_scenario() -> Scenario:
     own_prefix = Prefix.parse("10.1.0.0/16")
     internet.originated[u1] = [own_prefix]
     policy_u1.announce_to_providers[own_prefix] = frozenset({u2})
-    assignment.selective_origins[u1] = {own_prefix}
-    assignment.selective_transits.add(u1)
     return Scenario(
         name="figure8b",
         internet=internet,

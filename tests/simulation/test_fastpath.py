@@ -22,7 +22,6 @@ import pytest
 
 from repro.bgp.attributes import Origin
 from repro.bgp.route import NeighborKind, Route, originate
-from repro.net.allocator import AddressAllocator
 from repro.net.asn import ASN
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
@@ -44,10 +43,7 @@ TWIN = Prefix.parse("10.20.0.0/16")
 
 def _internet(graph: AnnotatedASGraph, originated: dict[ASN, list[Prefix]]) -> SyntheticInternet:
     return SyntheticInternet(
-        graph=graph,
-        tiers=classify_tiers(graph),
-        allocator=AddressAllocator(),
-        originated=originated,
+        graph=graph, tiers=classify_tiers(graph), originated=originated
     )
 
 

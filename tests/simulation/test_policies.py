@@ -1,7 +1,13 @@
 """Unit tests for per-AS policies and the policy generator."""
 
 import pytest
-from helpers import all_selectively_announced, is_typical
+from helpers import (
+    all_selectively_announced,
+    is_typical,
+    scoped_origins,
+    selective_origins,
+    tagging_ases,
+)
 
 from repro.bgp.attributes import Community
 from repro.exceptions import PolicyError
@@ -143,8 +149,9 @@ class TestPolicyGenerator:
 
     def test_selective_origins_are_multihomed(self, small_internet, assignment):
         graph = small_internet.graph
-        assert assignment.selective_origins, "expected some selective announcers"
-        for origin, prefixes in assignment.selective_origins.items():
+        selective = selective_origins(assignment)
+        assert selective, "expected some selective announcers"
+        for origin, prefixes in selective.items():
             assert len(graph.providers_of(origin)) >= 2
             assert prefixes
             policy = assignment.policies[origin]
@@ -154,9 +161,13 @@ class TestPolicyGenerator:
                 assert (providers | scoped) != set(graph.providers_of(origin)) or scoped
 
     def test_scoped_origins_subset_of_selective(self, assignment):
-        for origin, prefixes in assignment.scoped_origins.items():
-            assert origin in assignment.selective_origins
-            assert prefixes <= assignment.selective_origins[origin]
+        # A scoped prefix is announced plainly to no provider at all.
+        scoped = scoped_origins(assignment)
+        assert scoped, "expected some scoped announcers"
+        for origin, prefixes in scoped.items():
+            policy = assignment.policies[origin]
+            for prefix in prefixes:
+                assert policy.announce_to_providers[prefix] == frozenset()
 
     def test_prefix_overrides_only_at_looking_glass_ases(self, small_internet, assignment):
         looking_glass = set(small_internet.tier1[:2])
@@ -164,11 +175,12 @@ class TestPolicyGenerator:
             if policy.prefix_local_pref:
                 assert asn in looking_glass
 
-    def test_tagging_ases_have_plans(self, assignment):
-        assert assignment.tagging_ases
-        for asn in assignment.tagging_ases:
-            assert assignment.policies[asn].community_plan is not None
+    def test_tagging_ases_have_plans(self, small_internet, assignment):
+        tagging = tagging_ases(assignment)
+        assert tagging
+        for asn in tagging:
             assert assignment.policies[asn].community_plan.asn == asn
+            assert small_internet.graph.degree(asn) >= 3
 
     def test_policy_for_unknown_as_returns_default(self, assignment):
         policy = assignment.policy_for(999_999)
@@ -177,12 +189,12 @@ class TestPolicyGenerator:
 
     def test_all_selectively_announced_union(self, assignment):
         union = all_selectively_announced(assignment)
-        for prefixes in assignment.selective_origins.values():
-            assert prefixes <= union
+        assert union
+        for policy in assignment.policies.values():
+            assert set(policy.announce_to_providers) <= union
+            assert set(policy.scoped_to_providers) <= union
 
     def test_generation_is_deterministic(self, small_internet):
         first = PolicyGenerator(PolicyParameters(seed=5)).generate(small_internet)
         second = PolicyGenerator(PolicyParameters(seed=5)).generate(small_internet)
-        assert first.selective_origins == second.selective_origins
-        assert first.tagging_ases == second.tagging_ases
-        assert first.atypical_ases == second.atypical_ases
+        assert first.policies == second.policies

@@ -1,7 +1,13 @@
 """Tests of the propagation engine on generated Internets."""
 
 import pytest
-from helpers import is_customer_of, stub_ases
+from helpers import (
+    is_customer_of,
+    scoped_origins,
+    selective_origins,
+    stub_ases,
+    tagging_ases,
+)
 
 from repro.bgp.route import NeighborKind
 from repro.exceptions import SimulationError
@@ -139,7 +145,7 @@ class TestPoliciedPropagation:
         curved = 0
         for tier1 in tiny_internet.tier1:
             table = policied_result.table_of(tier1)
-            for origin, prefixes in policied_assignment.selective_origins.items():
+            for origin, prefixes in selective_origins(policied_assignment).items():
                 if not is_customer_of(graph, origin, tier1):
                     continue
                 for prefix in prefixes:
@@ -154,7 +160,7 @@ class TestPoliciedPropagation:
         """A prefix announced only with the scoped community never shows up
         beyond the chosen providers' own tables."""
         graph = tiny_internet.graph
-        for origin, prefixes in policied_assignment.scoped_origins.items():
+        for origin, prefixes in scoped_origins(policied_assignment).items():
             policy = policied_assignment.policies[origin]
             for prefix in prefixes:
                 scoped_targets = policy.scoped_providers_for_prefix(prefix)
@@ -174,9 +180,8 @@ class TestPoliciedPropagation:
     def test_community_tagging_visible_at_tier1(
         self, tiny_internet, policied_assignment, policied_result
     ):
-        tagging_tier1 = [
-            asn for asn in tiny_internet.tier1 if asn in policied_assignment.tagging_ases
-        ]
+        tagging = tagging_ases(policied_assignment)
+        tagging_tier1 = [asn for asn in tiny_internet.tier1 if asn in tagging]
         if not tagging_tier1:
             pytest.skip("no Tier-1 AS tags communities under this seed")
         from repro.simulation.policies import SCOPED_ANNOUNCEMENT_VALUE

@@ -1,6 +1,10 @@
 """Tests for the persistence timeline and the Looking Glass views."""
 
+import copy
+import random
+
 import pytest
+from helpers import selective_origins
 
 from repro.exceptions import SimulationError
 from repro.fuzz.oracles import check_timeline_incremental
@@ -77,21 +81,52 @@ class TestTimeline:
         assert any(s.changed_origins for s in snapshots[1:])
 
     def test_base_assignment_not_mutated(self, tiny_internet, assignment):
-        before = {
-            origin: set(prefixes)
-            for origin, prefixes in assignment.selective_origins.items()
-        }
+        def export_maps():
+            return {
+                asn: (dict(policy.announce_to_providers), dict(policy.scoped_to_providers))
+                for asn, policy in assignment.policies.items()
+            }
+
+        before = export_maps()
         Timeline(
             tiny_internet,
             assignment,
             observed_ases=tiny_internet.tier1[:1],
             parameters=TimelineParameters(snapshot_count=3, churn_probability=1.0, seed=4),
         ).run()
-        after = {
-            origin: set(prefixes)
-            for origin, prefixes in assignment.selective_origins.items()
+        assert export_maps() == before
+
+    def test_churn_swaps_selective_and_fully_announcing_origins(
+        self, tiny_internet, assignment
+    ):
+        # With certain disappearance and appearance, one churn step stops
+        # every selective origin and starts every other multihomed origin.
+        # The selective set is taken before the step, so an origin that
+        # stops in it is skipped by the appear step and stays stopped.
+        churned = copy.deepcopy(assignment)
+        before = set(selective_origins(churned))
+        graph = tiny_internet.graph
+        candidates = {
+            asn
+            for asn, prefixes in tiny_internet.originated.items()
+            if prefixes and len(graph.providers_of(asn)) >= 2
         }
-        assert before == after
+        assert before and candidates - before
+        timeline = Timeline(
+            tiny_internet,
+            churned,
+            observed_ases=tiny_internet.tier1[:1],
+            parameters=TimelineParameters(
+                disappear_probability=1.0, appear_probability=1.0, seed=5
+            ),
+        )
+        changed = timeline._churn(churned, random.Random(5))
+        for origin in before:
+            policy = churned.policies[origin]
+            assert policy.announce_to_providers == {}
+            assert policy.scoped_to_providers == {}
+        assert set(selective_origins(churned)) == candidates - before
+        assert changed == before | candidates
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(SimulationError):

@@ -4,6 +4,8 @@ import pytest
 from helpers import stub_ases
 
 from repro.exceptions import TopologyError
+from repro.net.asn import ASN
+from repro.net.prefix import Prefix
 from repro.topology.generator import GeneratorParameters, InternetGenerator
 from repro.topology.graph import Relationship
 
@@ -21,6 +23,33 @@ SMALL_PARAMETERS = GeneratorParameters(
 @pytest.fixture(scope="module")
 def small_internet():
     return InternetGenerator(SMALL_PARAMETERS).generate()
+
+
+def _split_pairs(internet) -> dict[Prefix, list[Prefix]]:
+    """Each split prefix with the more-specifics its owner announces next to it."""
+    pairs = {}
+    for prefixes in internet.originated.values():
+        for original in prefixes:
+            specifics = [p for p in prefixes if p != original and original.contains(p)]
+            if specifics:
+                pairs[original] = specifics
+    return pairs
+
+
+def _provider_assigned(internet) -> dict[Prefix, ASN]:
+    """Each prefix carved out of a direct provider's prefix, with the provider.
+
+    A split prefix's more-specifics count with their covering prefix only.
+    """
+    specifics = {p for ps in _split_pairs(internet).values() for p in ps}
+    assigned = {}
+    for asn, prefixes in internet.originated.items():
+        for provider in internet.graph.providers_of(asn):
+            for parent in internet.originated.get(provider, ()):
+                for prefix in prefixes:
+                    if prefix not in specifics and parent.contains(prefix):
+                        assigned[prefix] = provider
+    return assigned
 
 
 class TestParameters:
@@ -117,10 +146,10 @@ class TestAddressPlan:
     def test_non_split_prefixes_do_not_overlap_across_ases(self, small_internet):
         split_specifics = {
             specific
-            for _, specifics in small_internet.split_pairs
+            for specifics in _split_pairs(small_internet).values()
             for specific in specifics
         }
-        provider_assigned = {block.prefix for block in small_internet.provider_assigned}
+        provider_assigned = _provider_assigned(small_internet)
         owners = {}
         for asn, prefixes in small_internet.originated.items():
             for prefix in prefixes:
@@ -133,21 +162,22 @@ class TestAddressPlan:
                 owners[prefix] = asn
 
     def test_split_pairs_recorded_and_announced(self, small_internet):
-        for original, specifics in small_internet.split_pairs:
-            (originated,) = [
-                prefixes
-                for prefixes in small_internet.originated.values()
-                if original in prefixes
-            ]
-            for specific in specifics:
-                assert specific in originated
-                assert original.contains(specific)
+        # A split prefix is its owner's first prefix; its two halves are
+        # announced after all the owner's other prefixes.
+        split_pairs = _split_pairs(small_internet)
+        assert split_pairs
+        for asn, prefixes in small_internet.originated.items():
+            if prefixes[0] in split_pairs:
+                assert split_pairs[prefixes[0]] == prefixes[0].split(2) == prefixes[-2:]
+            assert set(split_pairs).isdisjoint(prefixes[1:])
 
     def test_provider_assigned_blocks_are_inside_provider_space(self, small_internet):
         # Each parent block is its provider's first originated prefix.
-        for block in small_internet.provider_assigned:
-            parent_prefixes = small_internet.originated[block.parent_owner]
-            assert any(parent.contains(block.prefix) for parent in parent_prefixes)
+        provider_assigned = _provider_assigned(small_internet)
+        assert provider_assigned
+        for prefix, provider in provider_assigned.items():
+            assert prefix.length == 22
+            assert small_internet.originated[provider][0].contains(prefix)
 
 
 class TestDeterminism:
